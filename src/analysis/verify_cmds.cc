@@ -109,17 +109,18 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
     const HyperRect array_rect = HyperRect::array(layout.shape());
 
     // ---- (d) LOT consistency: array home slots and output slots.
-    auto checkSlotWl = [&](unsigned wl, const std::string &where,
+    // Diagnostic locations are callables, built only when a check fails.
+    auto checkSlotWl = [&](unsigned wl, const auto &where,
                            const char *what) {
         if (bits && wl % bits != 0) {
-            rep.add(VerifyCode::CmdSlotMisaligned, where,
+            rep.add(VerifyCode::CmdSlotMisaligned, where(),
                     std::string(what) + " wordline " + std::to_string(wl) +
                         " not aligned to " + std::to_string(bits) +
                         "-bit slots");
             return false;
         }
         if (wl >= wl_cap) {
-            rep.add(VerifyCode::CmdSlotOutOfRange, where,
+            rep.add(VerifyCode::CmdSlotOutOfRange, where(),
                     std::string(what) + " wordline " + std::to_string(wl) +
                         " beyond the " + std::to_string(num_slots) +
                         "-slot capacity (top slot reserved)");
@@ -131,14 +132,15 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
         std::set<ArrayId> seen_arrays;
         std::set<unsigned> seen_wls;
         for (const auto &[array, wl] : prog.arraySlots) {
-            const std::string where =
-                "lot array" + std::to_string(array);
+            auto where = [a = array] {
+                return "lot array" + std::to_string(a);
+            };
             if (!seen_arrays.insert(array).second) {
-                rep.add(VerifyCode::LotInconsistent, where,
+                rep.add(VerifyCode::LotInconsistent, where(),
                         "array has two home slots");
             }
             if (!seen_wls.insert(wl).second) {
-                rep.add(VerifyCode::LotInconsistent, where,
+                rep.add(VerifyCode::LotInconsistent, where(),
                         "home wordline " + std::to_string(wl) +
                             " shared with another array");
             }
@@ -152,11 +154,12 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
                         "-entry LOT");
         }
         for (const auto &[array, wl] : prog.outputSlots) {
-            const std::string where =
-                "output array" + std::to_string(array);
+            auto where = [a = array] {
+                return "output array" + std::to_string(a);
+            };
             checkSlotWl(wl, where, "output");
             if (!seen_arrays.count(array)) {
-                rep.add(VerifyCode::LotInconsistent, where,
+                rep.add(VerifyCode::LotInconsistent, where(),
                         "output array has no LOT home slot");
             }
         }
@@ -171,18 +174,18 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
             syncs.push_back(i);
             continue;
         }
-        const std::string where = cmdWhere(i, c);
+        auto where = [&] { return cmdWhere(i, c); };
         const std::size_t before = rep.size();
 
         if (c.tensor.dims() != dims) {
-            rep.add(VerifyCode::CmdRankMismatch, where,
+            rep.add(VerifyCode::CmdRankMismatch, where(),
                     "tensor rank " + std::to_string(c.tensor.dims()) +
                         " != layout rank " + std::to_string(dims));
             continue;
         }
         const HyperRect region = c.tensor.intersect(array_rect);
         if (region.empty()) {
-            rep.add(VerifyCode::CmdEmptyTensor, where,
+            rep.add(VerifyCode::CmdEmptyTensor, where(),
                     "tensor " + c.tensor.str() +
                         " does not intersect the array bounds");
             continue;
@@ -193,7 +196,7 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
                               (c.kind == CmdKind::Compute &&
                                c.maskHi > c.maskLo);
         if (uses_dim && c.dim >= dims) {
-            rep.add(VerifyCode::CmdDimOutOfRank, where,
+            rep.add(VerifyCode::CmdDimOutOfRank, where(),
                     "dim " + std::to_string(c.dim) + " out of layout rank " +
                         std::to_string(dims));
             continue;
@@ -202,7 +205,7 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
 
         if (isShift(c.kind)) {
             if (c.maskLo < 0 || c.maskLo >= c.maskHi || c.maskHi > tile_k) {
-                rep.add(VerifyCode::CmdBadMask, where,
+                rep.add(VerifyCode::CmdBadMask, where(),
                         "shift mask [" + std::to_string(c.maskLo) + "," +
                             std::to_string(c.maskHi) +
                             ") outside tile positions [0," +
@@ -211,14 +214,14 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
             const Coord intra_abs = std::abs(c.intraTileDist);
             if (c.kind == CmdKind::IntraShift &&
                 (c.interTileDist != 0 || c.intraTileDist == 0)) {
-                rep.add(VerifyCode::CmdBadShiftDist, where,
+                rep.add(VerifyCode::CmdBadShiftDist, where(),
                         "intra-tile shift must move within the tile only");
             } else if (c.kind == CmdKind::InterShift &&
                        c.interTileDist == 0) {
-                rep.add(VerifyCode::CmdBadShiftDist, where,
+                rep.add(VerifyCode::CmdBadShiftDist, where(),
                         "inter-tile shift with zero tile distance");
             } else if (intra_abs >= tile_k) {
-                rep.add(VerifyCode::CmdBadShiftDist, where,
+                rep.add(VerifyCode::CmdBadShiftDist, where(),
                         "intra-tile distance " +
                             std::to_string(c.intraTileDist) +
                             " exceeds the tile size " +
@@ -227,13 +230,13 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
         } else if (c.kind == CmdKind::Compute && c.maskHi > 0 &&
                    (c.maskLo < 0 || c.maskLo >= c.maskHi ||
                     c.maskHi > tile_k)) {
-            rep.add(VerifyCode::CmdBadMask, where,
+            rep.add(VerifyCode::CmdBadMask, where(),
                     "compute mask [" + std::to_string(c.maskLo) + "," +
                         std::to_string(c.maskHi) +
                         ") outside tile positions [0," +
                         std::to_string(tile_k) + ")");
         } else if (c.kind == CmdKind::BroadcastBl && c.bcCount < 1) {
-            rep.add(VerifyCode::CmdBadBroadcast, where,
+            rep.add(VerifyCode::CmdBadBroadcast, where(),
                     "replication count " + std::to_string(c.bcCount) +
                         " < 1");
         }
@@ -243,11 +246,11 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
             checkSlotWl(wl, where, "source");
 
         if (c.banks.empty()) {
-            rep.add(VerifyCode::CmdBankInvalid, where, "no banks recorded");
+            rep.add(VerifyCode::CmdBankInvalid, where(), "no banks recorded");
         } else {
             for (BankId b : c.banks) {
                 if (b >= static_cast<BankId>(cfg.l3.numBanks)) {
-                    rep.add(VerifyCode::CmdBankInvalid, where,
+                    rep.add(VerifyCode::CmdBankInvalid, where(),
                             "bank " + std::to_string(b) + " beyond the " +
                                 std::to_string(cfg.l3.numBanks) +
                                 "-bank L3");

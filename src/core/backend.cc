@@ -118,7 +118,7 @@ planPrimaryJob(const Workload &w, const SystemConfig &cfg,
 
 TimingReplayResult
 replayTiming(const SystemConfig &cfg, const BackendJob &job,
-             ThreadPool *pool)
+             ThreadPool * /*pool*/)
 {
     // Private system models, fault injection off: the replay is a pure
     // function of (program, layout, config), so fabric and timing report
@@ -128,7 +128,6 @@ replayTiming(const SystemConfig &cfg, const BackendJob &job,
     AddressMap map(cfg.l3, cfg.noc.memCtrls);
     EnergyAccount energy;
     TensorController tc(cfg, noc, map, energy, nullptr);
-    tc.setThreadPool(pool);
     InMemExecResult r = tc.execute(*job.prog, job.layout, 0);
     TimingReplayResult out;
     out.simCycles = r.cycles;

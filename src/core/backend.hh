@@ -112,7 +112,8 @@ std::optional<BackendJob> planPrimaryJob(const Workload &w,
 
 /** Cycle replay of a lowered program on private system models (fault
  * injection off): the timing half shared by the fabric and timing
- * backends, reusing latency.hh via the tensor controller. */
+ * backends, reusing latency.hh via the tensor controller. The replay is
+ * sequential (O(dims) per command); the pool argument is unused. */
 struct TimingReplayResult {
     Tick simCycles = 0;
     double nocHopBytes = 0.0;

@@ -114,7 +114,7 @@ sameEffect(const InMemCommand &a, const InMemCommand &b)
 
 /**
  * The per-bank busy-time charge TensorController::execute levies for one
- * InterShift, reproduced bit-for-bit (maskedElements walk, H-tree
+ * InterShift, reproduced bit-for-bit (masked element count, H-tree
  * serialization truncation, NoC-injection serialization when the tile
  * delta crosses a bank). The coalescing guard compares these so a merged
  * command never charges any bank more than the originals did.
@@ -128,13 +128,9 @@ interShiftLatency(const InMemCommand &c, const TiledLayout &layout,
     const HyperRect &t = c.tensor;
     std::uint64_t elems = 0;
     if (!t.empty()) {
-        const Coord tile_k = layout.tileSize(c.dim);
-        std::uint64_t covered = 0;
-        for (Coord x = t.lo(c.dim); x < t.hi(c.dim); ++x) {
-            Coord pos = ((x % tile_k) + tile_k) % tile_k;
-            if (pos >= c.maskLo && pos < c.maskHi)
-                ++covered;
-        }
+        const auto covered = static_cast<std::uint64_t>(
+            maskedCoordCount(t.lo(c.dim), t.hi(c.dim),
+                             layout.tileSize(c.dim), c.maskLo, c.maskHi));
         elems = covered *
                 static_cast<std::uint64_t>(t.volume() / t.size(c.dim));
     }

@@ -63,25 +63,13 @@ compileMove(const HyperRect &tensor, unsigned dim, Coord dist, Coord tile_k)
     const Coord d_intra = d_abs % tile_k;
     const Coord d_intra_c = tile_k - d_intra; // Complement.
 
-    // Positions within the tile covered by the tensor along dim k: the
-    // mask intersects these; empty intersections are filtered (§4.2).
-    auto maskNonEmpty = [&](Coord mask_lo, Coord mask_hi) {
-        Coord span = tensor.size(dim);
-        if (span >= tile_k)
-            return mask_hi > mask_lo;
-        // Wrapped interval of covered positions [plo, plo+span).
-        Coord plo = ((tensor.lo(dim) % tile_k) + tile_k) % tile_k;
-        for (Coord m = mask_lo; m < mask_hi; ++m) {
-            Coord rel = (m - plo + 2 * tile_k) % tile_k;
-            if (rel < span)
-                return true;
-        }
-        return false;
-    };
-
     auto shift = [&](Coord mask_lo, Coord mask_hi, Coord inter,
                      Coord intra) {
-        if (!maskNonEmpty(mask_lo, mask_hi))
+        // Positions within the tile covered by the tensor along dim k:
+        // the mask intersects these; empty intersections are filtered
+        // (§4.2).
+        if (maskedCoordCount(tensor.lo(dim), tensor.hi(dim), tile_k,
+                             mask_lo, mask_hi) == 0)
             return;
         InMemCommand c;
         c.kind = inter == 0 ? CmdKind::IntraShift : CmdKind::InterShift;

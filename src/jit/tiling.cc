@@ -178,11 +178,6 @@ std::vector<BankId>
 TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
 {
     std::vector<BankId> banks;
-    const unsigned num_banks = map.l3().numBanks;
-    std::vector<bool> seen(num_banks, false);
-    // Lazy enumeration with early exit: once every bank participates
-    // there is nothing left to learn (large tensors hit all banks within
-    // the first few tiles of the round-robin mapping).
     if (r.empty())
         return banks;
     std::vector<Coord> lo(dims()), hi(dims());
@@ -194,21 +189,44 @@ TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
         lo[d] = rlo / tile_[d];
         hi[d] = (rhi - 1) / tile_[d] + 1;
     }
+    const unsigned num_banks = map.l3().numBanks;
+    const auto total = static_cast<std::int64_t>(map.totalArrays());
+    const std::int64_t per_bank = map.arraysPerBank();
+    const std::int64_t run = hi[0] - lo[0];
+    std::vector<bool> seen(num_banks, false);
+    unsigned num_seen = 0;
+    auto mark = [&](std::int64_t first, std::int64_t last) {
+        for (std::int64_t b = first; b <= last; ++b) {
+            if (!seen[static_cast<std::size_t>(b)]) {
+                seen[static_cast<std::size_t>(b)] = true;
+                ++num_seen;
+            }
+        }
+    };
+    // One dim-0 run of the tile sub-grid is `run` consecutive tile
+    // indices from `idx`; tileToArray fills each bank's arrays before the
+    // next and wraps at totalArrays, so the run's banks form one interval,
+    // or two when it crosses the wrap. Stop once every bank is seen.
     std::vector<Coord> t = lo;
-    while (true) {
+    while (num_seen < num_banks) {
         std::int64_t idx = 0, mult = 1;
         for (unsigned d = 0; d < dims(); ++d) {
             idx += t[d] * mult;
             mult *= grid_[d];
         }
-        BankId b = map.tileToArray(static_cast<std::uint64_t>(idx)).bank;
-        if (!seen[b]) {
-            seen[b] = true;
-            banks.push_back(b);
-            if (banks.size() == num_banks)
-                break;
+        if (run >= total) {
+            mark(0, num_banks - 1);
+            break;
         }
-        unsigned d = 0;
+        const std::int64_t first = idx % total;
+        const std::int64_t last = (idx + run - 1) % total;
+        if (first <= last) {
+            mark(first / per_bank, last / per_bank);
+        } else {
+            mark(first / per_bank, num_banks - 1);
+            mark(0, last / per_bank);
+        }
+        unsigned d = 1;
         for (; d < dims(); ++d) {
             if (++t[d] < hi[d])
                 break;
@@ -217,8 +235,33 @@ TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
         if (d == dims())
             break;
     }
-    std::sort(banks.begin(), banks.end());
+    for (unsigned b = 0; b < num_banks; ++b)
+        if (seen[b])
+            banks.push_back(b);
     return banks;
+}
+
+std::int64_t
+maskedCoordCount(Coord lo, Coord hi, Coord tile, Coord mask_lo,
+                 Coord mask_hi)
+{
+    const Coord m_lo = std::max<Coord>(mask_lo, 0);
+    const Coord m_hi = std::min<Coord>(mask_hi, tile);
+    if (hi <= lo || m_hi <= m_lo)
+        return 0;
+    const Coord width = m_hi - m_lo;
+    // Masked coordinates in [0, x), negated for the part of [x, 0) when
+    // x < 0, so any range's count is a difference of two prefixes.
+    auto prefix = [&](Coord x) {
+        Coord q = x / tile;
+        Coord pos = x % tile;
+        if (pos < 0) {
+            pos += tile;
+            --q;
+        }
+        return q * width + std::clamp<Coord>(pos - m_lo, 0, width);
+    };
+    return prefix(hi) - prefix(lo);
 }
 
 bool

@@ -81,7 +81,13 @@ class TiledLayout
     /** Number of tiles intersecting @p r (O(dims), no enumeration). */
     std::int64_t countTilesIntersecting(const HyperRect &r) const;
 
-    /** L3 banks owning any tile intersecting @p r. */
+    /**
+     * L3 banks owning any tile intersecting @p r, sorted ascending.
+     * Tiles fill banks contiguously (§5.2), so each dim-0 run of the
+     * intersecting tile sub-grid covers one bank interval, split at most
+     * once where tile indices wrap at totalArrays: O(tile rows), not
+     * O(tiles).
+     */
     std::vector<BankId> banksFor(const HyperRect &r,
                                  const AddressMap &map) const;
 
@@ -93,6 +99,16 @@ class TiledLayout
     std::vector<Coord> tile_;
     std::vector<Coord> grid_;
 };
+
+/**
+ * Number of coordinates x in [@p lo, @p hi) whose in-tile position (x mod
+ * @p tile, taken in [0, tile)) lies in [@p mask_lo, @p mask_hi). Positions
+ * repeat with period @p tile, so this is O(1): whole periods times the
+ * clamped mask width, plus a partial period at each end. The one home of
+ * the shift-mask element count (Alg. 2 masks, the timing walk, cmdopt).
+ */
+std::int64_t maskedCoordCount(Coord lo, Coord hi, Coord tile, Coord mask_lo,
+                              Coord mask_hi);
 
 /** Result of the runtime's tile-size search. */
 struct TileDecision {

@@ -28,7 +28,6 @@ InfinitySystem::InfinitySystem(SystemConfig cfg)
         pool_.setNumaPinning(numaTopology().nodeCpus);
 
     jit_.setThreadPool(&pool_);
-    tc_.setThreadPool(&pool_);
     if (fault_.enabled())
         noc_.attachFaultInjector(&fault_);
 

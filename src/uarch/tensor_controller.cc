@@ -20,71 +20,12 @@ TensorController::maskedElements(const InMemCommand &cmd,
         return static_cast<std::uint64_t>(t.volume());
     // Shift commands: count dim-k coordinates whose in-tile position lies
     // inside the mask.
-    const Coord tile_k = layout.tileSize(cmd.dim);
-    std::uint64_t covered = 0;
-    for (Coord x = t.lo(cmd.dim); x < t.hi(cmd.dim); ++x) {
-        Coord pos = ((x % tile_k) + tile_k) % tile_k;
-        if (pos >= cmd.maskLo && pos < cmd.maskHi)
-            ++covered;
-    }
+    const auto covered = static_cast<std::uint64_t>(
+        maskedCoordCount(t.lo(cmd.dim), t.hi(cmd.dim),
+                         layout.tileSize(cmd.dim), cmd.maskLo, cmd.maskHi));
     std::uint64_t per_coord = static_cast<std::uint64_t>(
         t.volume() / t.size(cmd.dim));
     return covered * per_coord;
-}
-
-std::vector<TensorController::CmdEffect>
-TensorController::computeEffects(const InMemProgram &prog,
-                                 const TiledLayout &layout) const
-{
-    const unsigned banks = cfg_.l3.numBanks;
-    std::vector<CmdEffect> effects(prog.commands.size());
-    auto one = [&](std::int64_t i) {
-        const InMemCommand &cmd =
-            prog.commands[static_cast<std::size_t>(i)];
-        CmdEffect &e = effects[static_cast<std::size_t>(i)];
-        if (cmd.kind == CmdKind::Sync)
-            return;
-        e.elems = maskedElements(cmd, layout);
-        if (cmd.kind == CmdKind::Compute ||
-            cmd.kind == CmdKind::IntraShift ||
-            cmd.kind == CmdKind::InterShift) {
-            e.tiles = static_cast<double>(
-                layout.countTilesIntersecting(cmd.tensor));
-        }
-        if (cmd.kind == CmdKind::InterShift) {
-            // Mean hop count of the per-bank destination pattern; only
-            // shifts whose tile-index delta crosses a bank actually use
-            // it, but it is pure geometry so it can precompute here.
-            std::int64_t stride = 1;
-            for (unsigned d = 0; d < cmd.dim; ++d)
-                stride *= layout.grid()[d];
-            std::int64_t tile_delta = cmd.interTileDist * stride;
-            std::int64_t abs_delta =
-                tile_delta < 0 ? -tile_delta : tile_delta;
-            if (abs_delta > 0) {
-                std::int64_t bank_delta =
-                    std::max<std::int64_t>(
-                        abs_delta / map_.arraysPerBank(), 1) %
-                    banks;
-                double hops = 0.0;
-                for (BankId b = 0; b < banks; ++b)
-                    hops += noc_.hops(b, static_cast<BankId>(
-                                             (b + bank_delta) % banks));
-                e.hops = hops / banks;
-            }
-        }
-    };
-    const std::int64_t n =
-        static_cast<std::int64_t>(prog.commands.size());
-    // Grain keeps short programs inline; only JIT output with many
-    // commands is worth fanning out.
-    constexpr std::int64_t kGrain = 16;
-    if (pool_ != nullptr && !pool_->inlineOnly() && n > kGrain)
-        pool_->parallelFor(n, one, kGrain);
-    else
-        for (std::int64_t i = 0; i < n; ++i)
-            one(i);
-    return effects;
 }
 
 InMemExecResult
@@ -128,10 +69,6 @@ TensorController::execute(const InMemProgram &prog,
         return m;
     };
 
-    // Pure per-command geometry, precomputed bank-parallel when a pool is
-    // attached (DESIGN.md §10). The timing fold below stays sequential.
-    const std::vector<CmdEffect> effects = computeEffects(prog, layout);
-
     // Fault model: each command issue may fail transiently (controller
     // parity catches it; bounded retry). Penalty cycles accumulate once
     // per execute() call — fault sampling does not scale with `repeat` so
@@ -139,7 +76,6 @@ TensorController::execute(const InMemProgram &prog,
     Tick fault_extra = 0;
     for (std::size_t ci = 0; ci < prog.commands.size(); ++ci) {
         const InMemCommand &cmd = prog.commands[ci];
-        const CmdEffect &eff = effects[ci];
         if (fault_ && cmd.kind != CmdKind::Sync) {
             CmdFault cf = fault_->sampleCmdFault();
             if (cf.faulted) {
@@ -180,11 +116,13 @@ TensorController::execute(const InMemProgram &prog,
             }
             bumpBanks(cmd.banks, cyc, cmd.group);
             res.computeCycles += cyc;
-            res.inMemOps += eff.elems;
+            res.inMemOps += maskedElements(cmd, layout);
             // Energy: ~3 row activations per bit step in each involved
             // SRAM array (2 senses + 1 write).
+            const auto tiles = static_cast<double>(
+                layout.countTilesIntersecting(cmd.tensor));
             energy_.charge(EnergyEvent::SramRowActivate,
-                           3.0 * bits * eff.tiles * rep);
+                           3.0 * bits * tiles * rep);
             break;
           }
           case CmdKind::BroadcastVal: {
@@ -198,9 +136,11 @@ TensorController::execute(const InMemProgram &prog,
             bumpBanks(cmd.banks, cyc, cmd.group);
             res.moveCycles += cyc;
             res.intraTileBytes +=
-                static_cast<double>(eff.elems) * elem_bytes * rep;
-            energy_.charge(EnergyEvent::HtreeRowMove,
-                           bits * eff.tiles * rep);
+                static_cast<double>(maskedElements(cmd, layout)) *
+                elem_bytes * rep;
+            const auto tiles = static_cast<double>(
+                layout.countTilesIntersecting(cmd.tensor));
+            energy_.charge(EnergyEvent::HtreeRowMove, bits * tiles * rep);
             break;
           }
           case CmdKind::InterShift: {
@@ -209,7 +149,8 @@ TensorController::execute(const InMemProgram &prog,
             // crossing data serializes through each bank's H-tree port —
             // this is what makes poorly tiled layouts slow (Fig 16/17).
             double bytes_once =
-                static_cast<double>(eff.elems) * elem_bytes;
+                static_cast<double>(maskedElements(cmd, layout)) *
+                elem_bytes;
             double bytes = bytes_once * rep;
             double banks_involved =
                 static_cast<double>(std::max<std::size_t>(
@@ -235,7 +176,16 @@ TensorController::execute(const InMemProgram &prog,
             double crossing =
                 std::min(1.0, static_cast<double>(abs_delta) / apb);
             if (crossing > 0.0 && abs_delta > 0) {
-                noc_.accountBulk(bytes * crossing, eff.hops,
+                // Mean hop count of the per-bank destination pattern.
+                const std::int64_t bank_delta =
+                    std::max<std::int64_t>(
+                        abs_delta / map_.arraysPerBank(), 1) %
+                    banks;
+                double hops = 0.0;
+                for (BankId b = 0; b < banks; ++b)
+                    hops += noc_.hops(b, static_cast<BankId>(
+                                             (b + bank_delta) % banks));
+                noc_.accountBulk(bytes * crossing, hops / banks,
                                  TrafficClass::InterTile);
                 res.interTileNocBytes += bytes * crossing;
                 // NoC injection serialization for the crossing bytes.
@@ -247,8 +197,10 @@ TensorController::execute(const InMemProgram &prog,
                           cmd.group);
                 res.moveCycles += noc_ser;
             }
+            const auto tiles = static_cast<double>(
+                layout.countTilesIntersecting(cmd.tensor));
             energy_.charge(EnergyEvent::HtreeRowMove,
-                           2.0 * bits * rep * eff.tiles);
+                           2.0 * bits * rep * tiles);
             break;
           }
           case CmdKind::BroadcastBl: {
@@ -256,7 +208,8 @@ TensorController::execute(const InMemProgram &prog,
             // the buffered H tree; remote tiles receive it over the NoC
             // multicast. The source data serializes out of its banks.
             double bytes_once =
-                static_cast<double>(eff.elems) * elem_bytes;
+                static_cast<double>(maskedElements(cmd, layout)) *
+                elem_bytes;
             double bytes = bytes_once * rep;
             double banks_involved =
                 static_cast<double>(std::max<std::size_t>(

@@ -16,7 +16,6 @@
 #include "mem/address_map.hh"
 #include "noc/mesh.hh"
 #include "sim/config.hh"
-#include "sim/thread_pool.hh"
 
 namespace infs {
 
@@ -68,37 +67,16 @@ class TensorController
                             const TiledLayout &layout, BankId core,
                             std::uint64_t repeat = 1);
 
-    /**
-     * Attach a host thread pool (nullptr = inline). The per-command pure
-     * geometry — masked-element counts, intersecting-tile counts, NoC hop
-     * averages — is precomputed bank-parallel; the timing fold itself
-     * stays sequential, so results are bit-identical for any pool size
-     * (DESIGN.md §10).
-     */
-    void setThreadPool(ThreadPool *pool) { pool_ = pool; }
-
   private:
-    /** Elements of @p cmd's tensor selected by its shift mask. */
+    /** Elements of @p cmd's tensor selected by its shift mask (O(dims)). */
     std::uint64_t maskedElements(const InMemCommand &cmd,
                                  const TiledLayout &layout) const;
-
-    /** Pure per-command geometry, computable out of order. */
-    struct CmdEffect {
-        std::uint64_t elems = 0; ///< maskedElements(cmd).
-        double tiles = 0.0;      ///< countTilesIntersecting(cmd.tensor).
-        double hops = 0.0;       ///< Mean bank->dest hops (InterShift).
-    };
-
-    /** Compute every command's CmdEffect (parallel when pool attached). */
-    std::vector<CmdEffect> computeEffects(const InMemProgram &prog,
-                                          const TiledLayout &layout) const;
 
     SystemConfig cfg_;
     MeshNoc &noc_;
     const AddressMap &map_;
     EnergyAccount &energy_;
     FaultInjector *fault_ = nullptr;
-    ThreadPool *pool_ = nullptr;
     LatencyTable lat_;
 };
 

@@ -85,10 +85,13 @@ makeGaussElim(Coord n)
         update.flopsPerElem = 2;
         return std::vector<NearStream>{pivot_row, update};
     };
-    // Average per-iteration core cost: sum over k of 2 (n-k-1)^2 is
-    // ~ 2 n^3 / 3; divide by n-1 iterations.
+    // Average per-iteration core cost. With m = n-k-1 rows below the
+    // pivot, iteration k does m divisions, 2m for B and 2m^2 for A: the
+    // sum over m = 1..n-1 of 2m^2 + 3m is (n-1) n (4n+7) / 6, so the mean
+    // is n(4n+7)/6, rounded up so totalOps never falls below the ops the
+    // in-memory path counts.
     p.coreFlopsPerIter =
-        static_cast<std::uint64_t>(2.0 * n * n / 3.0);
+        static_cast<std::uint64_t>((n * (4 * n + 7) + 5) / 6);
     p.coreBytesPerIter = wl::fp32Bytes(n * n / 2);
     w.phases.push_back(std::move(p));
 

@@ -142,6 +142,23 @@ TEST_F(ParadigmTest, GaussJitShareIsHigh)
     EXPECT_GT(g_share, 3.0 * s_share);
 }
 
+TEST_F(ParadigmTest, GaussInMemOpsWithinTotalOps)
+{
+    // Fig 14 dots cannot exceed 100 %. gauss_elim's in-memory count is
+    // exact, the sum over m = 1..n-1 of 2m^2 + 3m; totalOps must not
+    // round below it.
+    for (Coord n : {24, 2048}) {
+        Workload w = makeGaussElim(n);
+        std::uint64_t exact = 0;
+        for (std::uint64_t m = 1; m < static_cast<std::uint64_t>(n); ++m)
+            exact += 2 * m * m + 3 * m;
+        const Phase &p = w.phases.front();
+        EXPECT_EQ(p.coreFlopsPerIter * p.iterations, exact) << n;
+        ExecStats st = runOn(sys, Paradigm::InfS, w);
+        EXPECT_LE(st.inMemOps, st.totalOps) << n;
+    }
+}
+
 TEST_F(ParadigmTest, InMemOpFractionNearOne)
 {
     // Fig 14 dots: nearly all ops execute in bitlines for the dense

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "jit/tiling.hh"
+#include "sim/rng.hh"
 
 namespace infs {
 namespace {
@@ -174,6 +175,126 @@ TEST(TiledLayout, BanksForContiguousMapping)
     // A single tile -> one bank.
     auto one = lay.banksFor(HyperRect::box2(0, 16, 0, 16), map);
     EXPECT_EQ(one.size(), 1u);
+}
+
+/** Reference for banksFor: map every intersecting tile to its bank. */
+std::vector<BankId>
+banksByTileWalk(const TiledLayout &lay, const HyperRect &r,
+                const AddressMap &map)
+{
+    std::vector<bool> seen(map.l3().numBanks, false);
+    for (std::int64_t t : lay.tilesIntersecting(r))
+        seen[map.tileToArray(static_cast<std::uint64_t>(t)).bank] = true;
+    std::vector<BankId> banks;
+    for (BankId b = 0; b < seen.size(); ++b)
+        if (seen[b])
+            banks.push_back(b);
+    return banks;
+}
+
+/** Reference for maskedCoordCount: test every coordinate. */
+std::int64_t
+maskedCountByWalk(Coord lo, Coord hi, Coord tile, Coord mask_lo,
+                  Coord mask_hi)
+{
+    std::int64_t n = 0;
+    for (Coord x = lo; x < hi; ++x) {
+        Coord pos = ((x % tile) + tile) % tile;
+        if (pos >= mask_lo && pos < mask_hi)
+            ++n;
+    }
+    return n;
+}
+
+TEST(TiledLayout, BanksForMatchesTileWalk)
+{
+    // Random rank-1..3 layouts on L3s whose bank and arrays-per-bank
+    // counts need not be powers of two, with clamped, out-of-bounds and
+    // empty rects. Small L3s force layouts with more tiles than arrays,
+    // whose indices wrap onto the array pool.
+    Rng rng(12);
+    int wrapped = 0, empty = 0;
+    for (int iter = 0; iter < 20000; ++iter) {
+        L3Config l3;
+        l3.numBanks = 1 + static_cast<unsigned>(rng.nextBounded(9));
+        l3.computeWays = 1 + static_cast<unsigned>(rng.nextBounded(3));
+        l3.arraysPerWay = 1 + static_cast<unsigned>(rng.nextBounded(4));
+        AddressMap map(l3);
+        const unsigned nd = 1 + static_cast<unsigned>(rng.nextBounded(3));
+        const Coord max_extent = nd == 3 ? 16 : 40;
+        std::vector<Coord> shape(nd), tile(nd), lo(nd), hi(nd);
+        for (unsigned d = 0; d < nd; ++d) {
+            shape[d] = 1 + static_cast<Coord>(rng.nextBounded(max_extent));
+            tile[d] = 1 + static_cast<Coord>(rng.nextBounded(8));
+            lo[d] = static_cast<Coord>(rng.nextBounded(shape[d] + 8)) - 4;
+            const auto span =
+                static_cast<Coord>(rng.nextBounded(shape[d] + 6));
+            hi[d] = lo[d] + span - 1;
+        }
+        TiledLayout lay(shape, tile);
+        HyperRect r(lo, hi);
+        std::vector<BankId> got = lay.banksFor(r, map);
+        ASSERT_EQ(got, banksByTileWalk(lay, r, map))
+            << "iter " << iter << " rect " << r.str();
+        wrapped += lay.numTiles() > static_cast<std::int64_t>(
+                                        map.totalArrays());
+        empty += got.empty();
+    }
+    // Both edge cases really occurred.
+    EXPECT_GT(wrapped, 1000);
+    EXPECT_GT(empty, 1000);
+
+    // 5 banks x 6 arrays, and the paper-scale layout (two tile rows per
+    // bank, the case that defeated the per-tile walk's early exit).
+    L3Config odd;
+    odd.numBanks = 5;
+    odd.computeWays = 2;
+    odd.arraysPerWay = 3;
+    AddressMap odd_map(odd);
+    TiledLayout small({40, 30}, {4, 2});
+    AddressMap paper_map(L3Config{});
+    TiledLayout paper({2048, 2048}, {16, 16});
+    for (const HyperRect &r :
+         {HyperRect::box2(0, 40, 0, 30), HyperRect::box2(5, 9, 3, 27),
+          HyperRect::box2(-3, 2, 29, 40), HyperRect::box2(12, 13, 0, 30)}) {
+        EXPECT_EQ(small.banksFor(r, odd_map),
+                  banksByTileWalk(small, r, odd_map))
+            << r.str();
+    }
+    for (const HyperRect &r :
+         {HyperRect::box2(1, 2048, 1, 2048), HyperRect::box2(7, 8, 0, 2048),
+          HyperRect::box2(0, 2048, 100, 131),
+          HyperRect::box2(17, 500, 1000, 1500)}) {
+        EXPECT_EQ(paper.banksFor(r, paper_map),
+                  banksByTileWalk(paper, r, paper_map))
+            << r.str();
+    }
+}
+
+TEST(TiledLayout, MaskedCoordCountMatchesWalk)
+{
+    // Negative range starts, masks partly or wholly outside [0, tile),
+    // and empty ranges and masks.
+    EXPECT_EQ(maskedCoordCount(-5, 7, 4, 1, 3), 6);
+    EXPECT_EQ(maskedCoordCount(3, 3, 4, 0, 4), 0);
+    EXPECT_EQ(maskedCoordCount(9, 2, 4, 0, 4), 0);
+    EXPECT_EQ(maskedCoordCount(0, 64, 16, -3, 40), 64);
+    EXPECT_EQ(maskedCoordCount(0, 64, 16, 5, 5), 0);
+    EXPECT_EQ(maskedCoordCount(0, 64, 16, 20, 30), 0);
+    Rng rng(34);
+    for (int iter = 0; iter < 200000; ++iter) {
+        const Coord tile = 1 + static_cast<Coord>(rng.nextBounded(20));
+        const Coord lo = static_cast<Coord>(rng.nextBounded(201)) - 100;
+        const Coord hi = lo + static_cast<Coord>(rng.nextBounded(204)) - 3;
+        const Coord mask_lo =
+            static_cast<Coord>(rng.nextBounded(tile + 9)) - 5;
+        const Coord mask_hi =
+            mask_lo + static_cast<Coord>(rng.nextBounded(tile + 9)) - 3;
+        ASSERT_EQ(maskedCoordCount(lo, hi, tile, mask_lo, mask_hi),
+                  maskedCountByWalk(lo, hi, tile, mask_lo, mask_hi))
+            << "[" << lo << "," << hi << ") tile " << tile << " mask ["
+            << mask_lo << "," << mask_hi << ")";
+    }
 }
 
 TEST(TiledLayout, MakeReportsLayoutConstraintViolations)
