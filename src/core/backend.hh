@@ -25,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/workload.hh"
@@ -58,6 +59,11 @@ struct BackendResult {
     bool hasTiming = false;
 
     FabricStats fabric; ///< Per-command-kind breakdown (fabric only).
+
+    /** Why the functional backend ran the bit fabric instead of its word
+     * model (a construct outside the value model); empty when the word
+     * model ran, and always empty on the other backends. */
+    std::string fallback;
 };
 
 /**

@@ -11,11 +11,12 @@
  *
  * Constructs outside the value model (1-bit CmpLt rows, non-fp32 dtypes,
  * unaligned wordlines) fall back to the bit fabric for the whole job, so
- * the backend never silently diverges.
+ * the backend never silently diverges; BackendResult::fallback names why.
  */
 
 #include "core/backend.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -35,8 +36,10 @@ class WordFabric
           arrayRect_(HyperRect::array(layout.shape()))
     {
         volume_ = 1;
-        for (Coord s : layout_.shape())
+        for (Coord s : layout_.shape()) {
+            denseStride_.push_back(volume_);
             volume_ *= s;
+        }
         slots_.assign(wordlines_ / 32,
                       std::vector<float>(
                           static_cast<std::size_t>(volume_), 0.0f));
@@ -120,30 +123,49 @@ class WordFabric
         return true;
     }
 
-    std::size_t
-    index(const std::vector<Coord> &pt) const
-    {
-        const auto &shape = layout_.shape();
-        std::int64_t idx = 0;
-        for (unsigned d = static_cast<unsigned>(shape.size()); d-- > 0;)
-            idx = idx * shape[d] + pt[d];
-        return static_cast<std::size_t>(idx);
-    }
-
-    /** Odometer over the cells of @p r (dim 0 innermost). */
+    /**
+     * The cells of @p r as dense segments, in lattice order: each dim-0
+     * run split at tile-row edges and, when @p window is set, clamped to
+     * the positional window [maskLo, maskHi) of cmd.dim (Alg. 2).
+     * fn(pt, dense, len): pt is the segment's first cell, dense its dense
+     * index, len its cell count.
+     */
     template <class Fn>
     void
-    forEachCell(const HyperRect &r, Fn &&fn) const
+    forEachSegment(const HyperRect &r, const InMemCommand &cmd, bool window,
+                   Fn &&fn) const
     {
         if (r.empty())
             return;
+        const auto &tile = layout_.tile();
         const unsigned nd = r.dims();
+        const Coord tile0 = tile[0];
         std::vector<Coord> pt(nd);
         for (unsigned d = 0; d < nd; ++d)
             pt[d] = r.lo(d);
         for (;;) {
-            fn(pt);
-            unsigned d = 0;
+            const Coord pos = pt[cmd.dim] % tile[cmd.dim];
+            if (!window || cmd.dim == 0 ||
+                (pos >= cmd.maskLo && pos < cmd.maskHi)) {
+                std::int64_t row = 0; // Dense index of (0, pt[1..]).
+                for (unsigned d = 1; d < nd; ++d)
+                    row += pt[d] * denseStride_[d];
+                for (Coord c = r.lo(0); c < r.hi(0);) {
+                    const Coord origin = c - c % tile0;
+                    const Coord end = std::min(r.hi(0), origin + tile0);
+                    Coord lo = c, hi = end;
+                    if (window && cmd.dim == 0) {
+                        lo = std::max(lo, origin + cmd.maskLo);
+                        hi = std::min(hi, origin + cmd.maskHi);
+                    }
+                    c = end;
+                    if (lo < hi) {
+                        pt[0] = lo;
+                        fn(pt, row + lo, hi - lo);
+                    }
+                }
+            }
+            unsigned d = 1;
             for (; d < nd; ++d) {
                 if (++pt[d] < r.hi(d))
                     break;
@@ -152,6 +174,57 @@ class WordFabric
             if (d >= nd)
                 break;
         }
+    }
+
+    /** Run copies staged so that every read happens before the first
+     * write: source and destination may be the same slot. */
+    class StagedMoves
+    {
+      public:
+        void
+        stage(std::int64_t dst, const float *from, std::int64_t len)
+        {
+            runs_.push_back({static_cast<std::size_t>(dst), values_.size(),
+                             static_cast<std::size_t>(len)});
+            values_.insert(values_.end(), from, from + len);
+        }
+
+        void
+        commit(std::vector<float> &dst) const
+        {
+            for (const Run &r : runs_)
+                std::copy_n(values_.data() + r.staged, r.len,
+                            dst.data() + r.dst);
+        }
+
+      private:
+        struct Run {
+            std::size_t dst;
+            std::size_t staged;
+            std::size_t len;
+        };
+        std::vector<Run> runs_;
+        std::vector<float> values_;
+    };
+
+    /** Stage segment (pt, dense, len) of @p src moved by @p dist along
+     * @p dim, discarding destinations outside the array (§3.2). */
+    void
+    stageMoved(StagedMoves &moves, const std::vector<float> &src,
+               const std::vector<Coord> &pt, std::int64_t dense,
+               std::int64_t len, unsigned dim, Coord dist) const
+    {
+        const Coord shape_d = layout_.shape()[dim];
+        std::int64_t lo = 0, hi = len; // Offsets within the segment.
+        if (dim == 0) {
+            lo = std::max<std::int64_t>(lo, -dist - pt[0]);
+            hi = std::min<std::int64_t>(hi, shape_d - dist - pt[0]);
+        } else if (pt[dim] + dist < 0 || pt[dim] + dist >= shape_d) {
+            return;
+        }
+        if (lo < hi)
+            moves.stage(dense + lo + dist * denseStride_[dim],
+                        src.data() + dense + lo, hi - lo);
     }
 
     std::optional<Error>
@@ -184,7 +257,6 @@ class WordFabric
                          "functional backend: op outside the value model"};
         }
         const bool positional = cmd.maskHi > cmd.maskLo;
-        const Coord tile_d = layout_.tile()[cmd.dim];
         auto &a = slot(cmd.wlA);
         auto &dst = slot(cmd.wlDst);
         // The hardware stages immediates through the top scratch slot
@@ -197,14 +269,7 @@ class WordFabric
             scratch = &slot(wordlines_ - 32);
         else
             b = &slot(cmd.wlB);
-        HyperRect clipped = cmd.tensor.intersect(arrayRect_);
-        forEachCell(clipped, [&](const std::vector<Coord> &pt) {
-            if (positional) {
-                const Coord pos = pt[cmd.dim] % tile_d;
-                if (pos < cmd.maskLo || pos >= cmd.maskHi)
-                    return;
-            }
-            const std::size_t i = index(pt);
+        auto apply = [&](std::size_t i) {
             const float av = a[i];
             float bv = 0.0f;
             if (cmd.useImm) {
@@ -247,7 +312,13 @@ class WordFabric
               default: break; // Filtered above.
             }
             dst[i] = r;
-        });
+        };
+        forEachSegment(cmd.tensor.intersect(arrayRect_), cmd, positional,
+                       [&](const std::vector<Coord> &, std::int64_t dense,
+                           std::int64_t len) {
+                           for (std::int64_t i = dense; i < dense + len; ++i)
+                               apply(static_cast<std::size_t>(i));
+                       });
         return std::nullopt;
     }
 
@@ -260,50 +331,47 @@ class WordFabric
         // ComputeSram::shift moves masked bitlines by delta within each
         // array; mirror the bitline arithmetic exactly, dropping
         // destinations beyond the array edge or outside the lattice
-        // (invisible cells, same as the hardware).
-        std::int64_t stride = 1;
+        // (invisible cells, same as the hardware). Each source segment
+        // is a contiguous bitline range inside one tile, so its
+        // destination range is contiguous too and maps back to dense
+        // rows by arithmetic (TiledLayout::forEachTileRun), wrapping
+        // into the next tile row exactly as the bitlines do.
         const auto &tile = layout_.tile();
+        const unsigned nd = layout_.dims();
+        std::int64_t stride = 1;
         for (unsigned d = 0; d < cmd.dim; ++d)
             stride *= tile[d];
         const std::int64_t delta = cmd.intraTileDist * stride;
-        const Coord tile_d = tile[cmd.dim];
-        const std::int64_t tvol = layout_.tileVolume();
-        const unsigned nd = layout_.dims();
-        const auto &shape = layout_.shape();
-        auto &src = slot(cmd.wlA);
-        auto &dst = slot(cmd.wlDst);
+        const std::int64_t limit = std::min<std::int64_t>(
+            layout_.tileVolume(), static_cast<std::int64_t>(bitlines_));
+        const auto &src = slot(cmd.wlA);
 
-        std::vector<std::pair<std::size_t, float>> moves;
-        std::vector<Coord> dpt(nd);
-        HyperRect clipped = cmd.tensor.intersect(arrayRect_);
-        forEachCell(clipped, [&](const std::vector<Coord> &pt) {
-            // The positional window (Alg. 2) is always applied to shifts.
-            const Coord pos = pt[cmd.dim] % tile_d;
-            if (pos < cmd.maskLo || pos >= cmd.maskHi)
-                return;
-            const std::int64_t bl = layout_.positionInTile(pt);
-            const std::int64_t nbl = bl + delta;
-            if (nbl < 0 || nbl >= tvol ||
-                nbl >= static_cast<std::int64_t>(bitlines_))
-                return; // Shifted off the array edge.
-            // Decompose the destination bitline back into a lattice cell
-            // of the same tile; partial-tile cells beyond the shape are
-            // invisible.
-            const HyperRect trect = layout_.tileRect(layout_.tileOf(pt));
-            std::int64_t rest = nbl;
-            bool visible = true;
-            for (unsigned d = 0; d < nd; ++d) {
-                const Coord local = rest % tile[d];
-                rest /= tile[d];
-                dpt[d] = trect.lo(d) - trect.lo(d) % tile[d] + local;
-                if (dpt[d] >= shape[d])
-                    visible = false;
-            }
-            if (visible)
-                moves.emplace_back(index(dpt), src[index(pt)]);
-        });
-        for (const auto &[di, v] : moves)
-            dst[di] = v;
+        StagedMoves moves;
+        std::vector<Coord> origin(nd);
+        forEachSegment(
+            cmd.tensor.intersect(arrayRect_), cmd, /*window=*/true,
+            [&](const std::vector<Coord> &pt, std::int64_t dense,
+                std::int64_t len) {
+                std::int64_t sbl = 0, mult = 1; // First source bitline.
+                for (unsigned d = 0; d < nd; ++d) {
+                    origin[d] = pt[d] - pt[d] % tile[d];
+                    sbl += (pt[d] - origin[d]) * mult;
+                    mult *= tile[d];
+                }
+                const std::int64_t dlo =
+                    std::max<std::int64_t>(sbl + delta, 0);
+                const std::int64_t dhi =
+                    std::min<std::int64_t>(sbl + len + delta, limit);
+                // Destination bitline bl reads dense source element
+                // from + bl.
+                const std::int64_t from = dense - sbl - delta;
+                layout_.forEachTileRun(
+                    origin.data(), dlo, dhi, [&](const TileRun &r) {
+                        moves.stage(r.dense, src.data() + from + r.bitline,
+                                    r.len);
+                    });
+            });
+        moves.commit(slot(cmd.wlDst));
         return std::nullopt;
     }
 
@@ -313,28 +381,18 @@ class WordFabric
         if (!fp32Slots(cmd))
             return Error{ErrCode::InvalidArgument,
                          "functional backend: non-fp32-slot shift"};
-        const Coord tile_d = layout_.tile()[cmd.dim];
-        const Coord dist = cmd.interTileDist * tile_d + cmd.intraTileDist;
-        const Coord shape_d = layout_.shape()[cmd.dim];
-        auto &src = slot(cmd.wlA);
-        auto &dst = slot(cmd.wlDst);
-
-        std::vector<std::pair<std::size_t, float>> moves;
-        std::vector<Coord> dpt(layout_.dims());
-        HyperRect clipped = cmd.tensor.intersect(arrayRect_);
-        forEachCell(clipped, [&](const std::vector<Coord> &pt) {
-            const Coord pos = pt[cmd.dim] % tile_d;
-            if (pos < cmd.maskLo || pos >= cmd.maskHi)
-                return;
-            const Coord dst_k = pt[cmd.dim] + dist;
-            if (dst_k < 0 || dst_k >= shape_d)
-                return; // Discarded outside the rect (§3.2).
-            dpt.assign(pt.begin(), pt.end());
-            dpt[cmd.dim] = dst_k;
-            moves.emplace_back(index(dpt), src[index(pt)]);
-        });
-        for (const auto &[di, v] : moves)
-            dst[di] = v;
+        const Coord dist = cmd.interTileDist * layout_.tile()[cmd.dim] +
+                           cmd.intraTileDist;
+        const auto &src = slot(cmd.wlA);
+        StagedMoves moves;
+        forEachSegment(cmd.tensor.intersect(arrayRect_), cmd,
+                       /*window=*/true,
+                       [&](const std::vector<Coord> &pt, std::int64_t dense,
+                           std::int64_t len) {
+                           stageMoved(moves, src, pt, dense, len, cmd.dim,
+                                      dist);
+                       });
+        moves.commit(slot(cmd.wlDst));
         return std::nullopt;
     }
 
@@ -342,26 +400,17 @@ class WordFabric
     execBroadcastBl(const InMemCommand &cmd)
     {
         const Coord span = cmd.tensor.size(cmd.dim);
-        const Coord shape_d = layout_.shape()[cmd.dim];
-        auto &src = slot(cmd.wlA);
-        auto &dst = slot(cmd.wlDst);
-
-        std::vector<std::pair<std::size_t, float>> moves;
-        std::vector<Coord> dpt(layout_.dims());
-        HyperRect clipped = cmd.tensor.intersect(arrayRect_);
-        forEachCell(clipped, [&](const std::vector<Coord> &pt) {
-            const float v = src[index(pt)];
-            for (Coord j = 0; j < cmd.bcCount; ++j) {
-                const Coord dst_k = pt[cmd.dim] + cmd.bcDist + j * span;
-                if (dst_k < 0 || dst_k >= shape_d)
-                    continue; // Discarded outside the rect (§3.2).
-                dpt.assign(pt.begin(), pt.end());
-                dpt[cmd.dim] = dst_k;
-                moves.emplace_back(index(dpt), v);
-            }
-        });
-        for (const auto &[di, v] : moves)
-            dst[di] = v;
+        const auto &src = slot(cmd.wlA);
+        StagedMoves moves;
+        forEachSegment(cmd.tensor.intersect(arrayRect_), cmd,
+                       /*window=*/false,
+                       [&](const std::vector<Coord> &pt, std::int64_t dense,
+                           std::int64_t len) {
+                           for (Coord j = 0; j < cmd.bcCount; ++j)
+                               stageMoved(moves, src, pt, dense, len,
+                                          cmd.dim, cmd.bcDist + j * span);
+                       });
+        moves.commit(slot(cmd.wlDst));
     }
 
     std::optional<Error>
@@ -382,6 +431,8 @@ class WordFabric
     unsigned bitlines_;
     HyperRect arrayRect_;
     std::int64_t volume_ = 0;
+    /** Dense-index step of a unit move along each dim. */
+    std::vector<std::int64_t> denseStride_;
     std::vector<std::vector<float>> slots_;
 };
 
@@ -404,10 +455,9 @@ class FunctionalBackend final : public ExecBackend
         seedJobInputs(fab, job);
         if (auto err = fab.execute(*job.prog)) {
             // Outside the value model: keep the fidelity contract by
-            // running the bit fabric for this job instead of diverging.
-            infs_warn("functional backend: %s; falling back to the bit "
-                      "fabric for this job",
-                      err->str().c_str());
+            // running the bit fabric for this job instead of diverging,
+            // and name the reason.
+            res.fallback = err->str();
             BitAccurateFabric bit(job.layout, cfg_.l3.wordlines,
                                   cfg_.l3.bitlines);
             bit.setThreadPool(pool_);

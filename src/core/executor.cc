@@ -216,12 +216,16 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
         jit_enabled = false;
 
     // §4.1: pick the transposed layout from the first tensor phase's
-    // hints; one primary layout serves all arrays of the region.
+    // hints; one primary layout serves all arrays of the region. Each
+    // phase's first-iteration graph is built once here and reused by the
+    // plan below.
     LayoutHints hints;
     bool have_tdfg = false;
-    for (const Phase &p : w.phases) {
+    std::vector<std::optional<TdfgGraph>> first_graphs(w.phases.size());
+    for (std::size_t i = 0; i < w.phases.size(); ++i) {
+        const Phase &p = w.phases[i];
         if (p.buildTdfg) {
-            TdfgGraph g = p.buildTdfg(0);
+            const TdfgGraph &g = first_graphs[i].emplace(p.buildTdfg(0));
             LayoutHints h = LayoutHints::fromGraph(g);
             hints.shiftDims.insert(h.shiftDims.begin(), h.shiftDims.end());
             hints.broadcastDims.insert(h.broadcastDims.begin(),
@@ -340,14 +344,15 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
     };
     std::vector<PhasePlan> plans;
     plans.reserve(w.phases.size());
-    for (const Phase &p : w.phases) {
+    for (std::size_t i = 0; i < w.phases.size(); ++i) {
+        const Phase &p = w.phases[i];
         PhasePlan plan;
         plan.phase = &p;
         if (!p.buildTdfg) {
             plans.push_back(std::move(plan));
             continue;
         }
-        plan.g0 = p.buildTdfg(0);
+        plan.g0 = std::move(*first_graphs[i]);
 
         // Pre-offload verification (DESIGN.md §9): a graph that fails its
         // invariants never reaches the offload decision or the JIT.

@@ -9,6 +9,8 @@
 #ifndef INFS_JIT_TILING_HH
 #define INFS_JIT_TILING_HH
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <vector>
@@ -28,6 +30,17 @@ struct LayoutHints {
 
     /** Derive hints by scanning a tDFG's data-movement nodes. */
     static LayoutHints fromGraph(const TdfgGraph &g);
+};
+
+/**
+ * Consecutive bitlines of one tile that hold consecutive dense lattice
+ * elements: bitlines [bitline, bitline + len) hold the elements at dense
+ * (row-major, dim 0 innermost) indices [dense, dense + len).
+ */
+struct TileRun {
+    std::int64_t bitline = 0;
+    std::int64_t dense = 0;
+    std::int64_t len = 0;
 };
 
 /**
@@ -93,6 +106,51 @@ class TiledLayout
 
     /** Whether a whole-array element count fits the available arrays. */
     bool fits(const AddressMap &map) const;
+
+    /**
+     * Visit the lattice cells held by bitlines [@p bl_lo, @p bl_hi) of the
+     * tile whose lattice origin is @p origin (tile-aligned, one coordinate
+     * per dim), as one TileRun per visible dim-0 row piece, in bitline
+     * order. In a partial boundary tile, bitlines whose coordinate lies
+     * beyond the shape hold no cell and are skipped. Requires
+     * 0 <= bl_lo <= bl_hi <= tileVolume(). O(dims) per tile row: the one
+     * home of the bitline <-> dense-index arithmetic shared by the bit
+     * fabric's transfers and the word model's shifts.
+     */
+    template <class Fn>
+    void
+    forEachTileRun(const Coord *origin, std::int64_t bl_lo,
+                   std::int64_t bl_hi, Fn &&fn) const
+    {
+        const Coord tile0 = tile_[0];
+        const std::int64_t ext0 =
+            std::min<std::int64_t>(tile0, shape_[0] - origin[0]);
+        std::int64_t bl = bl_lo;
+        while (bl < bl_hi) {
+            const std::int64_t row_lo = bl - bl % tile0;
+            const std::int64_t next = std::min(bl_hi, row_lo + tile0);
+            const std::int64_t end = std::min(next, row_lo + ext0);
+            if (bl < end) {
+                std::int64_t rest = bl / tile0;
+                std::int64_t dense = origin[0] + (bl - row_lo);
+                std::int64_t stride = shape_[0];
+                bool visible = true;
+                for (std::size_t d = 1; d < shape_.size(); ++d) {
+                    const Coord c = origin[d] + rest % tile_[d];
+                    rest /= tile_[d];
+                    if (c >= shape_[d]) {
+                        visible = false;
+                        break;
+                    }
+                    dense += c * stride;
+                    stride *= shape_[d];
+                }
+                if (visible)
+                    fn(TileRun{bl, dense, end - bl});
+            }
+            bl = next;
+        }
+    }
 
   private:
     std::vector<Coord> shape_;

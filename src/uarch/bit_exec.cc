@@ -124,130 +124,90 @@ BitAccurateFabric::strideInTile(unsigned dim) const
 }
 
 void
-BitAccurateFabric::loadArray(std::span<const float> data, unsigned wl)
+BitAccurateFabric::forEachChunk(const ChunkFn &fn) const
 {
-    // Word-level transpose: dim 0 is innermost both in the dense array
-    // and in the bitline order, so each dim-0 line maps to contiguous
-    // bitline runs (split at tile boundaries). 64-element chunks are
-    // bit-transposed into 32 packed words and deposited one wordline at
-    // a time — one depositFrom per bit plane instead of one writeElement
-    // per element.
-    const auto &shape = layout_.shape();
+    const auto &grid = layout_.grid();
     const auto &tsz = layout_.tile();
-    const unsigned nd = static_cast<unsigned>(shape.size());
-    const Coord shape0 = shape[0];
-    const Coord tile0 = tsz[0];
-
-    std::vector<std::int64_t> mult(nd);
-    std::int64_t m = 1;
-    for (unsigned d = 0; d < nd; ++d) {
-        mult[d] = m;
-        m *= tsz[d];
-    }
-
-    std::vector<Coord> pt(nd, 0), cell(nd, 0);
-    std::size_t i = 0;
-    std::array<std::uint64_t, 32> words;
-    std::array<std::uint32_t, 64> lanes;
-    const simd::SimdKernels &k = simd::active();
-    for (;;) {
-        std::int64_t outer = 0;
-        for (unsigned d = 1; d < nd; ++d)
-            outer += (pt[d] % tsz[d]) * mult[d];
-        Coord c = 0;
-        while (c < shape0) {
-            const Coord run_end =
-                std::min(shape0, (c / tile0 + 1) * tile0);
-            cell.assign(pt.begin(), pt.end());
-            cell[0] = c;
-            BitMatrix &bm = tile(layout_.tileOf(cell)).bits();
-            unsigned pos = static_cast<unsigned>(outer + c % tile0);
-            while (c < run_end) {
-                const unsigned clen = static_cast<unsigned>(
-                    std::min<Coord>(run_end - c, 64));
-                if (clen < 64)
-                    lanes.fill(0);
-                std::memcpy(lanes.data(), data.data() + i,
-                            clen * sizeof(float));
-                simd::lanesToPlanes(k, lanes.data(), words.data());
-                for (unsigned b = 0; b < 32; ++b)
-                    bm.row(wl + b).depositFrom(&words[b], pos, clen);
-                c += clen;
-                pos += clen;
-                i += clen;
-            }
+    const unsigned nd = layout_.dims();
+    const std::int64_t tvol = layout_.tileVolume();
+    if (layout_.numTiles() == 0)
+        return;
+    std::vector<Coord> tc(nd, 0), origin(nd, 0);
+    std::array<TileRun, 64> runs{};
+    for (std::int64_t t = 0;; ++t) {
+        for (unsigned d = 0; d < nd; ++d)
+            origin[d] = tc[d] * tsz[d];
+        for (std::int64_t lo = 0; lo < tvol; lo += 64) {
+            std::size_t n = 0;
+            layout_.forEachTileRun(origin.data(), lo,
+                                   std::min<std::int64_t>(lo + 64, tvol),
+                                   [&](const TileRun &r) { runs[n++] = r; });
+            if (n > 0)
+                fn(t, static_cast<unsigned>(lo / 64),
+                   std::span<const TileRun>(runs.data(), n));
         }
-        unsigned d = 1;
+        // Tile indices are linear with dim 0 fastest (TiledLayout::tileOf).
+        unsigned d = 0;
         for (; d < nd; ++d) {
-            if (++pt[d] < shape[d])
+            if (++tc[d] < grid[d])
                 break;
-            pt[d] = 0;
+            tc[d] = 0;
         }
         if (d >= nd)
             break;
     }
-    infs_assert(i == data.size(), "array size mismatch");
+}
+
+void
+BitAccurateFabric::loadArray(std::span<const float> data, unsigned wl)
+{
+    // Tile-order transpose (§5.2): each 64-bitline word of a tile gathers
+    // its visible cells' dense elements into lanes, bit-transposes them
+    // once into 32 packed planes and merges each plane into its wordline
+    // under the visibility mask. Bitlines that hold no cell, and every
+    // wordline outside [wl, wl + 32), stay untouched.
+    infs_assert(static_cast<std::int64_t>(data.size()) == arrayRect_.volume(),
+                "array size mismatch");
+    std::array<std::uint32_t, 64> lanes{};
+    std::array<std::uint64_t, 32> planes{};
+    const simd::SimdKernels &k = simd::active();
+    forEachChunk([&](std::int64_t t, unsigned word,
+                     std::span<const TileRun> runs) {
+        std::uint64_t visible = 0;
+        for (const TileRun &r : runs) {
+            const unsigned off = static_cast<unsigned>(r.bitline % 64);
+            std::memcpy(lanes.data() + off, data.data() + r.dense,
+                        static_cast<std::size_t>(r.len) * sizeof(float));
+            visible |= (r.len == 64 ? ~0ULL : (1ULL << r.len) - 1) << off;
+        }
+        simd::lanesToPlanes(k, lanes.data(), planes.data());
+        BitMatrix &bm = tile(t).bits();
+        for (unsigned b = 0; b < 32; ++b)
+            bm.row(wl + b).mergeWordMasked(word, planes[b], visible);
+    });
 }
 
 void
 BitAccurateFabric::storeArray(std::span<float> data, unsigned wl) const
 {
-    // Inverse of loadArray: extract each bit plane of a chunk word-level,
-    // then de-transpose into the dense array.
-    const auto &shape = layout_.shape();
-    const auto &tsz = layout_.tile();
-    const unsigned nd = static_cast<unsigned>(shape.size());
-    const Coord shape0 = shape[0];
-    const Coord tile0 = tsz[0];
+    // Inverse of loadArray: read each 64-bitline word of the 32 planes,
+    // de-transpose once, scatter the visible lanes to the dense array.
+    infs_assert(static_cast<std::int64_t>(data.size()) == arrayRect_.volume(),
+                "array size mismatch");
     auto *self = const_cast<BitAccurateFabric *>(this);
-
-    std::vector<std::int64_t> mult(nd);
-    std::int64_t m = 1;
-    for (unsigned d = 0; d < nd; ++d) {
-        mult[d] = m;
-        m *= tsz[d];
-    }
-
-    std::vector<Coord> pt(nd, 0), cell(nd, 0);
-    std::size_t i = 0;
-    std::array<std::uint64_t, 32> words;
-    std::array<std::uint32_t, 64> lanes;
+    std::array<std::uint32_t, 64> lanes{};
+    std::array<std::uint64_t, 32> planes{};
     const simd::SimdKernels &k = simd::active();
-    for (;;) {
-        std::int64_t outer = 0;
-        for (unsigned d = 1; d < nd; ++d)
-            outer += (pt[d] % tsz[d]) * mult[d];
-        Coord c = 0;
-        while (c < shape0) {
-            const Coord run_end =
-                std::min(shape0, (c / tile0 + 1) * tile0);
-            cell.assign(pt.begin(), pt.end());
-            cell[0] = c;
-            const BitMatrix &bm =
-                self->tile(layout_.tileOf(cell)).bits();
-            unsigned pos = static_cast<unsigned>(outer + c % tile0);
-            while (c < run_end) {
-                const unsigned clen = static_cast<unsigned>(
-                    std::min<Coord>(run_end - c, 64));
-                for (unsigned b = 0; b < 32; ++b)
-                    bm.row(wl + b).extractTo(&words[b], pos, clen);
-                simd::planesToLanes(k, words.data(), lanes.data());
-                std::memcpy(data.data() + i, lanes.data(),
-                            clen * sizeof(float));
-                c += clen;
-                pos += clen;
-                i += clen;
-            }
-        }
-        unsigned d = 1;
-        for (; d < nd; ++d) {
-            if (++pt[d] < shape[d])
-                break;
-            pt[d] = 0;
-        }
-        if (d >= nd)
-            break;
-    }
+    forEachChunk([&](std::int64_t t, unsigned word,
+                     std::span<const TileRun> runs) {
+        const BitMatrix &bm = self->tile(t).bits();
+        for (unsigned b = 0; b < 32; ++b)
+            planes[b] = bm.row(wl + b).words()[word];
+        simd::planesToLanes(k, planes.data(), lanes.data());
+        for (const TileRun &r : runs)
+            std::memcpy(data.data() + r.dense, lanes.data() + r.bitline % 64,
+                        static_cast<std::size_t>(r.len) * sizeof(float));
+    });
 }
 
 float

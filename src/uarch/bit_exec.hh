@@ -20,6 +20,7 @@
 
 #include <array>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -101,7 +102,9 @@ class BitAccurateFabric
 
     /**
      * Transpose a dense array (lattice-anchored, dim 0 innermost) into
-     * the fabric at wordline slot @p wl.
+     * the fabric at wordline slot @p wl, tile by tile in bitline order.
+     * Bitlines that hold no lattice cell and wordlines outside
+     * [wl, wl + 32) are left untouched.
      */
     void loadArray(std::span<const float> data, unsigned wl);
 
@@ -193,6 +196,15 @@ class BitAccurateFabric
     void executeSegment(const InMemProgram &prog, std::size_t lo,
                         std::size_t hi,
                         const std::vector<const PlannedFault *> &faults);
+    /**
+     * Tile-order transfer walk shared by loadArray and storeArray: every
+     * tile in index order, each 64-bitline word of it that holds a
+     * lattice cell, as fn(tile, word index, that word's visible runs).
+     */
+    using ChunkFn = std::function<void(std::int64_t, unsigned,
+                                       std::span<const TileRun>)>;
+    void forEachChunk(const ChunkFn &fn) const;
+
     /** Bitline index delta for a unit step along @p dim inside a tile. */
     std::int64_t strideInTile(unsigned dim) const;
 

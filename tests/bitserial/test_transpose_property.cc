@@ -1,20 +1,23 @@
 /**
  * @file
  * Property tests for the word-parallel transpose paths (DESIGN.md §10):
- * the chunked bit-transpose in BitAccurateFabric::loadArray/storeArray
- * and the word-level element/range primitives it rests on must round-trip
- * bit-exactly for arbitrary shapes, tile sizes, and alignments — and the
- * bit-serial kernels must stop allocating once their scratch pool is warm.
+ * the tile-order chunked bit-transpose in BitAccurateFabric::loadArray/
+ * storeArray and the word-level element/range primitives it rests on must
+ * match per-element references bit-exactly for arbitrary shapes, tile
+ * sizes, and alignments — and the bit-serial kernels must stop allocating
+ * once their scratch pool is warm.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <vector>
 
 #include "bitserial/bit_matrix.hh"
 #include "bitserial/compute_sram.hh"
 #include "sim/rng.hh"
+#include "tdfg/hyperrect.hh"
 #include "uarch/bit_exec.hh"
 
 namespace infs {
@@ -135,6 +138,142 @@ TEST(TransposeProperty, FabricLoadStoreRoundTripRandomShapes)
             }
             ASSERT_EQ(std::bit_cast<std::uint32_t>(fab.element(pt, 3)),
                       std::bit_cast<std::uint32_t>(in[idx]));
+        }
+    }
+}
+
+/** One tile-order transfer case: a shape and its tile. */
+struct TransferCase {
+    std::vector<Coord> shape;
+    std::vector<Coord> tile;
+};
+
+/** The fixed edge cases plus random rank-1..3 layouts. */
+std::vector<TransferCase>
+transferCases()
+{
+    std::vector<TransferCase> cases = {
+        {{4, 300}, {1, 256}},        // 1x256, partial along dim 1
+        {{5, 40}, {1, 100}},         // 1xk with k beyond the shape
+        {{3, 70}, {1, 64}},          // 1x64, word-aligned rows
+        {{7, 9, 3}, {1, 16, 4}},     // rank 3, tile0 = 1, partial dims
+        {{37}, {200}},               // rank 1, one partial tile
+        {{300}, {100}},              // rank 1, volume not a 64 multiple
+        {{50, 7}, {13, 7}},          // tile volume 91
+        {{130, 3}, {130, 1}},        // one row per tile, 130 bitlines
+        {{20, 6, 5}, {8, 4, 3}},     // every dim partial
+    };
+    Rng rng(16);
+    for (int iter = 0; iter < 30; ++iter) {
+        const unsigned nd = 1 + static_cast<unsigned>(rng.next() % 3);
+        TransferCase c{std::vector<Coord>(nd), std::vector<Coord>(nd)};
+        std::int64_t tvol = 1;
+        for (unsigned d = 0; d < nd; ++d) {
+            c.shape[d] = 1 + static_cast<Coord>(
+                                 rng.next() % (nd == 1 ? 300 : 40 / nd));
+            // Keep the tile volume within the 256 bitlines.
+            const Coord cap = std::max<Coord>(1, 256 / tvol);
+            c.tile[d] = 1 + static_cast<Coord>(
+                                rng.next() % std::min<Coord>(cap, 70));
+            tvol *= c.tile[d];
+        }
+        cases.push_back(std::move(c));
+    }
+    return cases;
+}
+
+/** Every wordline of every tile of @p fab filled with random bits. */
+void
+randomizeTiles(BitAccurateFabric &fab, Rng &rng)
+{
+    for (std::int64_t t = 0; t < fab.layout().numTiles(); ++t) {
+        BitMatrix &bm = fab.tile(t).bits();
+        for (unsigned wl = 0; wl < bm.wordlines(); ++wl)
+            for (unsigned w = 0; w < (bm.bitlines() + 63) / 64; ++w)
+                bm.row(wl).mergeWordMasked(w, rng.next(), ~0ULL);
+    }
+}
+
+/** Lattice coordinate of dense (row-major, dim 0 innermost) index i. */
+std::vector<Coord>
+latticePoint(const std::vector<Coord> &shape, std::int64_t i)
+{
+    std::vector<Coord> pt(shape.size());
+    for (std::size_t d = 0; d < shape.size(); ++d) {
+        pt[d] = i % shape[d];
+        i /= shape[d];
+    }
+    return pt;
+}
+
+TEST(TransposeProperty, TileOrderLoadMatchesPerElementReference)
+{
+    // loadArray must write exactly what one writeElement per lattice
+    // element would: every element at its bitline, and nothing else —
+    // bitlines that hold no cell and wordlines outside the slot keep
+    // their random contents.
+    Rng rng(17);
+    for (const TransferCase &c : transferCases()) {
+        SCOPED_TRACE(::testing::Message()
+                     << "shape " << ::testing::PrintToString(c.shape)
+                     << " tile " << ::testing::PrintToString(c.tile));
+        TiledLayout lay(c.shape, c.tile);
+        BitAccurateFabric fab(lay);
+        randomizeTiles(fab, rng);
+        const unsigned wl = static_cast<unsigned>(rng.next() % 225);
+        std::vector<BitMatrix> ref;
+        for (std::int64_t t = 0; t < lay.numTiles(); ++t)
+            ref.push_back(fab.tile(t).bits());
+
+        const std::int64_t vol = HyperRect::array(c.shape).volume();
+        std::vector<float> in(static_cast<std::size_t>(vol));
+        for (std::int64_t i = 0; i < vol; ++i) {
+            in[static_cast<std::size_t>(i)] = rng.nextFloat(-1e6f, 1e6f);
+            const auto pt = latticePoint(c.shape, i);
+            ref[static_cast<std::size_t>(lay.tileOf(pt))].writeElement(
+                static_cast<unsigned>(lay.positionInTile(pt)), wl, 32,
+                std::bit_cast<std::uint32_t>(
+                    in[static_cast<std::size_t>(i)]));
+        }
+        fab.loadArray(in, wl);
+        for (std::int64_t t = 0; t < lay.numTiles(); ++t) {
+            const BitMatrix &got = fab.tile(t).bits();
+            for (unsigned w = 0; w < got.wordlines(); ++w)
+                ASSERT_TRUE(got.row(w) ==
+                            ref[static_cast<std::size_t>(t)].row(w))
+                    << "tile " << t << " wordline " << w;
+        }
+    }
+}
+
+TEST(TransposeProperty, TileOrderStoreMatchesPerElementReference)
+{
+    // storeArray must read every element from its bitline, whatever the
+    // other bitlines and wordlines hold.
+    Rng rng(18);
+    for (const TransferCase &c : transferCases()) {
+        SCOPED_TRACE(::testing::Message()
+                     << "shape " << ::testing::PrintToString(c.shape)
+                     << " tile " << ::testing::PrintToString(c.tile));
+        TiledLayout lay(c.shape, c.tile);
+        BitAccurateFabric fab(lay);
+        randomizeTiles(fab, rng);
+        const unsigned wl = static_cast<unsigned>(rng.next() % 225);
+        const std::int64_t vol = HyperRect::array(c.shape).volume();
+        std::vector<float> out(static_cast<std::size_t>(vol));
+        fab.storeArray(out, wl);
+        for (std::int64_t i = 0; i < vol; ++i) {
+            const auto pt = latticePoint(c.shape, i);
+            const std::uint64_t want =
+                fab.tile(lay.tileOf(pt))
+                    .bits()
+                    .readElement(
+                        static_cast<unsigned>(lay.positionInTile(pt)), wl,
+                        32);
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                          out[static_cast<std::size_t>(i)]),
+                      want)
+                << "element " << i;
         }
     }
 }

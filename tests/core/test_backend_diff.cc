@@ -202,6 +202,178 @@ TEST(BackendDiff, RandomizedGraphs)
 }
 #endif
 
+/** Fabric checksum of @p job without the cycle replay: the bits the
+ * functional backend must reproduce. */
+std::uint64_t
+fabricChecksum(const BackendJob &job)
+{
+    SystemConfig cfg = testSystemConfig();
+    BitAccurateFabric fab(job.layout, cfg.l3.wordlines, cfg.l3.bitlines);
+    seedJobInputs(fab, job);
+    fab.execute(*job.prog);
+    return checksumJobOutputs(fab, job);
+}
+
+/** A job of hand-built commands over arrays 0 (slot 0) and 1 (slot 32),
+ * both hashed as outputs. */
+BackendJob
+handJob(const TiledLayout &lay, std::vector<InMemCommand> cmds)
+{
+    auto prog = std::make_shared<InMemProgram>();
+    prog->commands = std::move(cmds);
+    prog->arraySlots = {{0, 0}, {1, 32}};
+    prog->outputSlots = {{0, 0}, {1, 32}};
+    prog->recount();
+    BackendJob job;
+    job.layout = lay;
+    job.prog = std::move(prog);
+    job.volume = HyperRect::array(lay.shape()).volume();
+    return job;
+}
+
+InMemCommand
+intraShift(HyperRect tensor, unsigned dim, Coord dist, Coord mask_lo,
+           Coord mask_hi, unsigned wl_src, unsigned wl_dst)
+{
+    InMemCommand c;
+    c.kind = CmdKind::IntraShift;
+    c.tensor = std::move(tensor);
+    c.dim = dim;
+    c.intraTileDist = dist;
+    c.maskLo = mask_lo;
+    c.maskHi = mask_hi;
+    c.wlA = wl_src;
+    c.wlDst = wl_dst;
+    return c;
+}
+
+/** The word model must run @p cmd itself (no fallback) and match the
+ * fabric bit for bit. */
+void
+expectIntraShiftAgrees(const TiledLayout &lay, const InMemCommand &cmd)
+{
+    SCOPED_TRACE(cmd.str());
+    const BackendJob job = handJob(lay, {cmd});
+    SystemConfig cfg = testSystemConfig();
+    BackendResult fun =
+        makeBackend(ExecBackendKind::Functional, cfg)->runJob(job);
+    EXPECT_EQ(fun.fallback, "");
+    EXPECT_EQ(fun.checksum, fabricChecksum(job));
+}
+
+TEST(BackendDiff, IntraShiftHandBuilt)
+{
+    // 20x6 over 8x4 tiles: both dims end in a partial boundary tile, so
+    // some destination bitlines hold no lattice cell.
+    const TiledLayout lay({20, 6}, {8, 4});
+    const HyperRect all = HyperRect::array(lay.shape());
+    const HyperRect part({1, 0}, {19, 5});
+    for (unsigned src : {0u, 32u}) {
+        // Same slot (src == dst) and distinct slots.
+        const unsigned dst = 32;
+        // Dim-0 shifts whose destination wraps into the next tile row.
+        expectIntraShiftAgrees(lay, intraShift(all, 0, 3, 0, 8, src, dst));
+        expectIntraShiftAgrees(lay, intraShift(part, 0, 5, 1, 7, src, dst));
+        // Negative deltas, wrapping back into the previous row.
+        expectIntraShiftAgrees(lay, intraShift(all, 0, -3, 0, 8, src, dst));
+        expectIntraShiftAgrees(lay, intraShift(part, 1, -1, 1, 4, src, dst));
+        // Off the array edge: past the last bitline and before the first.
+        expectIntraShiftAgrees(lay, intraShift(all, 1, 2, 0, 4, src, dst));
+        expectIntraShiftAgrees(lay, intraShift(all, 0, 30, 0, 8, src, dst));
+        expectIntraShiftAgrees(lay, intraShift(all, 0, -30, 0, 8, src, dst));
+        // An empty positional window moves nothing.
+        expectIntraShiftAgrees(lay, intraShift(all, 0, 1, 4, 4, src, dst));
+    }
+    // Rank 3 with tile0 = 1 (one bitline per tile row), partial in
+    // dims 1 and 2.
+    const TiledLayout lay3({3, 10, 5}, {1, 8, 4});
+    const HyperRect all3 = HyperRect::array(lay3.shape());
+    expectIntraShiftAgrees(lay3, intraShift(all3, 1, 3, 0, 8, 0, 32));
+    expectIntraShiftAgrees(lay3, intraShift(all3, 2, -1, 1, 4, 32, 32));
+    expectIntraShiftAgrees(lay3, intraShift(all3, 0, 0, 0, 1, 0, 32));
+}
+
+TEST(BackendDiff, IntraShiftRandomized)
+{
+    Rng rng(4100);
+    for (int iter = 0; iter < 150; ++iter) {
+        const unsigned nd = 1 + rng.nextBounded(3);
+        std::vector<Coord> shape(nd), tile(nd), lo(nd), hi(nd);
+        std::int64_t tvol = 1;
+        for (unsigned d = 0; d < nd; ++d) {
+            shape[d] = 1 + static_cast<Coord>(rng.nextBounded(30));
+            tile[d] = 1 + static_cast<Coord>(rng.nextBounded(
+                              static_cast<unsigned>(std::min<std::int64_t>(
+                                  12, 256 / tvol))));
+            tvol *= tile[d];
+            lo[d] = static_cast<Coord>(
+                rng.nextBounded(static_cast<unsigned>(shape[d])));
+            hi[d] = lo[d] + 1 +
+                    static_cast<Coord>(rng.nextBounded(
+                        static_cast<unsigned>(shape[d] - lo[d] + 2)));
+        }
+        const TiledLayout lay(shape, tile);
+        const unsigned dim = rng.nextBounded(nd);
+        const Coord dist = static_cast<Coord>(rng.nextBounded(
+                               static_cast<unsigned>(2 * tile[dim] + 1))) -
+                           tile[dim];
+        const Coord mask_lo = static_cast<Coord>(
+            rng.nextBounded(static_cast<unsigned>(tile[dim])));
+        const Coord mask_hi =
+            mask_lo + static_cast<Coord>(rng.nextBounded(
+                          static_cast<unsigned>(tile[dim] - mask_lo + 1)));
+        const unsigned src = 32 * rng.nextBounded(2);
+        expectIntraShiftAgrees(
+            lay, intraShift(HyperRect(lo, hi), dim, dist, mask_lo, mask_hi,
+                            src, 32));
+    }
+}
+
+TEST(BackendDiff, FallbackNamesItsReason)
+{
+    // An int32 compute lies outside the word model's value model: the
+    // functional backend runs the bit fabric instead, says why, and
+    // still reproduces the fabric's bits.
+    const TiledLayout lay({64, 4}, {16, 4});
+    InMemCommand c;
+    c.kind = CmdKind::Compute;
+    c.tensor = HyperRect::array(lay.shape());
+    c.op = BitOp::Add;
+    c.dtype = DType::Int32;
+    c.wlA = 0;
+    c.wlB = 32;
+    c.wlDst = 32;
+    const BackendJob job = handJob(lay, {c});
+    SystemConfig cfg = testSystemConfig();
+    BackendResult fun =
+        makeBackend(ExecBackendKind::Functional, cfg)->runJob(job);
+    EXPECT_NE(fun.fallback.find("non-fp32"), std::string::npos)
+        << fun.fallback;
+    EXPECT_TRUE(fun.bitAccurate);
+    EXPECT_EQ(fun.checksum, fabricChecksum(job));
+    BackendResult fab =
+        makeBackend(ExecBackendKind::Fabric, cfg)->runJob(job);
+    EXPECT_EQ(fab.fallback, "");
+}
+
+TEST(BackendDiff, RegistryJobsNeedNoFallback)
+{
+    // Every registry scenario's paper-size job runs on the word model
+    // itself: a silent fallback would hide behind matching checksums and
+    // inflate the functional backend's measured speedup.
+    SystemConfig cfg = defaultSystemConfig();
+    auto fun = makeBackend(ExecBackendKind::Functional, cfg);
+    unsigned planned = 0;
+    for (const BenchScenario &sc : benchRegistry()) {
+        auto job = planPrimaryJob(sc.full(), cfg, nullptr, 0);
+        if (!job)
+            continue;
+        ++planned;
+        EXPECT_EQ(fun->runJob(*job).fallback, "") << sc.name;
+    }
+    EXPECT_GE(planned, 14u);
+}
+
 /** The registry itself: stable names, both factories callable. */
 TEST(BackendDiff, RegistryIsComplete)
 {

@@ -189,6 +189,8 @@ runBackendPass(const Workload &w, ExecBackendKind backend)
     std::printf("  backend %s: checksum 0x%016llx%s", backendName(backend),
                 static_cast<unsigned long long>(r.checksum),
                 r.bitAccurate ? " (bit-accurate)" : "");
+    if (!r.fallback.empty())
+        std::printf("  fell back to the bit fabric: %s", r.fallback.c_str());
     if (r.hasTiming)
         std::printf("  cycles %llu",
                     static_cast<unsigned long long>(r.simCycles));
