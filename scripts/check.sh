@@ -5,13 +5,18 @@
 # analyzer over every seed workload.
 #
 # Usage: scripts/check.sh [--plain-only|--sanitize-only|--lint-only|--lint]
-#                         [--tier1] [--threads N]
+#                         [--tier1|--tsan] [--threads N]
 #                         [--backend fabric|functional|timing]
 #                         [--simd auto|off|portable|avx2|neon]
 #
 # --tier1 builds once and runs only the ctest tier1 label — the fast
 # per-PR suite (functional/timing backends plus the differential subset);
 # the full bit-accurate sweeps stay on the default full run.
+#
+# --tsan builds the host-threading tests under ThreadSanitizer
+# (INFS_TSAN=ON, build-tsan/) and runs them alone: the work-stealing pool,
+# the bank-parallel fabric lanes, the executor at 1 vs N host threads,
+# and concurrent lowering through the sharded JIT memo.
 #
 # --simd exports INFS_SIMD for every ctest invocation (the bitserial
 # layer resolves its kernel table from it) and rides on the bench smoke;
@@ -30,6 +35,7 @@ while [[ $# -gt 0 ]]; do
     case $1 in
         --plain-only|--sanitize-only) mode=$1 ;;
         --tier1) mode=tier1 ;;
+        --tsan) mode=tsan ;;
         --lint) lint=yes ;;
         --lint-only) lint=yes; mode=lint-only ;;
         --threads)
@@ -51,7 +57,8 @@ while [[ $# -gt 0 ]]; do
             esac
             shift ;;
         *) echo "usage: $0 [--plain-only|--sanitize-only|--lint-only|--lint]" \
-                "[--tier1] [--threads N] [--backend NAME] [--simd ISA]" >&2
+                "[--tier1|--tsan] [--threads N] [--backend NAME]" \
+                "[--simd ISA]" >&2
            exit 2 ;;
     esac
     shift
@@ -113,6 +120,17 @@ if [[ $mode == tier1 ]]; then
         bench_smoke build
     fi
     echo "check.sh: tier-1 suite passed"
+    exit 0
+fi
+
+if [[ $mode == tsan ]]; then
+    echo "== ThreadSanitizer build (host-threading tests) =="
+    cmake -B build-tsan -S . -DINFS_TSAN=ON
+    cmake --build build-tsan -j "$jobs" --target test_sim test_jit \
+        test_executor
+    ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
+        -R 'ThreadPool|HostThreads|ParallelFabric|JitThreads'
+    echo "check.sh: TSan suite passed"
     exit 0
 fi
 

@@ -62,9 +62,8 @@ makeBackend(ExecBackendKind kind, const SystemConfig &cfg)
                static_cast<unsigned>(kind));
 }
 
-std::optional<BackendJob>
-planPrimaryJob(const Workload &w, const SystemConfig &cfg,
-               ThreadPool *pool, std::int64_t volume_cap)
+std::optional<TiledLayout>
+primaryLayout(const Workload &w, const SystemConfig &cfg)
 {
     // §4.1 layout choice exactly as the executor resolves it: hints from
     // every tensor phase, one primary layout for the region.
@@ -90,8 +89,18 @@ planPrimaryJob(const Workload &w, const SystemConfig &cfg,
     auto made = TiledLayout::make(w.primaryShape, tile.tile);
     if (!made)
         return std::nullopt;
+    return std::move(*made);
+}
+
+std::optional<BackendJob>
+planPrimaryJob(const Workload &w, const SystemConfig &cfg,
+               std::int64_t volume_cap)
+{
+    auto layout = primaryLayout(w, cfg);
+    if (!layout)
+        return std::nullopt;
     BackendJob job;
-    job.layout = std::move(*made);
+    job.layout = std::move(*layout);
     job.volume = 1;
     for (Coord s : job.layout.shape())
         job.volume *= s;
@@ -100,7 +109,6 @@ planPrimaryJob(const Workload &w, const SystemConfig &cfg,
 
     AddressMap map(cfg.l3, cfg.noc.memCtrls);
     JitCompiler jit(cfg);
-    jit.setThreadPool(pool);
     for (const Phase &p : w.phases) {
         if (!p.buildTdfg)
             continue;

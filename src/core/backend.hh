@@ -105,15 +105,20 @@ std::unique_ptr<ExecBackend> makeBackend(ExecBackendKind kind,
                                          const SystemConfig &cfg);
 
 /**
+ * The primary layout of @p w (§4.1): one tile chosen from all tensor
+ * phases' hints. nullopt when @p w has no tensor phase or no valid tile.
+ */
+std::optional<TiledLayout> primaryLayout(const Workload &w,
+                                         const SystemConfig &cfg);
+
+/**
  * Plan the canonical per-scenario job (shared by infs-bench, infs-verify,
- * and the differential tests): choose the primary layout from all tensor
- * phases' hints (§4.1) and lower the first primary-layout phase.
- * Scenarios whose lattice exceeds @p volume_cap, or with no lowerable
- * primary-layout phase, plan nothing (nullopt).
+ * and the differential tests): lower the first primary-layout phase on
+ * primaryLayout(). Scenarios whose lattice exceeds @p volume_cap, or with
+ * no lowerable primary-layout phase, plan nothing (nullopt).
  */
 std::optional<BackendJob> planPrimaryJob(const Workload &w,
                                          const SystemConfig &cfg,
-                                         ThreadPool *pool,
                                          std::int64_t volume_cap);
 
 /** Cycle replay of a lowered program on private system models (fault

@@ -584,15 +584,15 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
         } else {
             // Changing parameters defeat memoization (gauss_elim, §8).
             // Graphs build sequentially; lowering fans out in bounded
-            // blocks. When a lowering fails, the block may have lowered a
-            // few graphs past the failing iteration speculatively — that
-            // shows in JitStats only; ExecStats and the degradation point
-            // are unchanged (DESIGN.md §10).
+            // blocks of 32 lowerings per thread, so each round of worker
+            // wake-ups is amortized over many whole programs. When a
+            // lowering fails, the block may have lowered graphs past the
+            // failing iteration speculatively — that shows in JitStats
+            // only; ExecStats and the degradation point are unchanged
+            // (DESIGN.md §10).
             ThreadPool &pool = sys_.pool();
             const std::uint64_t block =
-                pool.inlineOnly()
-                    ? 1
-                    : std::max<std::uint64_t>(2 * pool.threads(), 4);
+                pool.inlineOnly() ? 1 : 32 * std::uint64_t{pool.threads()};
             bool degraded = false;
             for (std::uint64_t it0 = 0;
                  it0 < p.iterations && !degraded; it0 += block) {

@@ -70,6 +70,8 @@ struct InMemCommand {
 
     /** One-line rendering for traces and golden tests. */
     std::string str() const;
+
+    bool operator==(const InMemCommand &) const = default;
 };
 
 /**
@@ -96,6 +98,8 @@ struct CmdStats {
         elidedSyncs += o.elidedSyncs;
         bailouts += o.bailouts;
     }
+
+    bool operator==(const CmdStats &) const = default;
 };
 
 /** A fully lowered in-memory program plus lowering statistics. */

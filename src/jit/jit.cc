@@ -215,47 +215,10 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
         return layout.banksFor(r, map);
     };
 
-    // Per-subtensor command generation. Alg. 1's decomposition makes the
-    // subtensors independent once the node's wordlines are allocated, so
-    // each one builds its commands into a private vector — bank-parallel
-    // when a pool is attached (DESIGN.md §10) — and the vectors splice in
-    // decomposition order: the emitted program is identical for any pool
-    // size. @p fn sets its bool out-param to request a pending inter-tile
-    // sync.
-    auto lowerSubs = [&](const std::vector<HyperRect> &subs,
-                         const std::function<void(
-                             const HyperRect &, std::vector<InMemCommand> &,
-                             bool &)> &fn) {
-        if (pool_ != nullptr && !pool_->inlineOnly() && subs.size() > 1) {
-            std::vector<std::vector<InMemCommand>> outs(subs.size());
-            std::vector<char> inter(subs.size(), 0);
-            pool_->parallelFor(
-                static_cast<std::int64_t>(subs.size()),
-                [&](std::int64_t i) {
-                    bool f = false;
-                    fn(subs[static_cast<std::size_t>(i)],
-                       outs[static_cast<std::size_t>(i)], f);
-                    inter[static_cast<std::size_t>(i)] = f ? 1 : 0;
-                });
-            for (std::size_t i = 0; i < subs.size(); ++i) {
-                for (InMemCommand &c : outs[i])
-                    prog.commands.push_back(std::move(c));
-                if (inter[i] != 0)
-                    pending_inter_tile = true;
-            }
-        } else {
-            for (const HyperRect &sub : subs) {
-                std::vector<InMemCommand> out;
-                bool f = false;
-                fn(sub, out, f);
-                for (InMemCommand &c : out)
-                    prog.commands.push_back(std::move(c));
-                if (f)
-                    pending_inter_tile = true;
-            }
-        }
-    };
-
+    // Subtensors lower in Alg. 1 decomposition order on the calling
+    // thread: each yields a handful of commands, far less work than
+    // waking a pool worker, so parallelism lives across whole lowerings
+    // instead (DESIGN.md §10).
     for (NodeId id = 0; id < g.size(); ++id) {
         const TdfgNode &n = g.node(id);
         switch (n.kind) {
@@ -299,9 +262,7 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
             auto subs = tryDecomposeTensor(src_dom, layout.tile());
             if (!subs)
                 return subs.error();
-            lowerSubs(*subs, [&](const HyperRect &sub,
-                                 std::vector<InMemCommand> &out,
-                                 bool &inter) {
+            for (const HyperRect &sub : *subs) {
                 for (InMemCommand c :
                      compileMove(sub, n.dim, n.dist,
                                  layout.tileSize(n.dim))) {
@@ -314,10 +275,10 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
                                               .intersect(HyperRect::array(
                                                   layout.shape()))));
                     if (c.kind == CmdKind::InterShift)
-                        inter = true;
-                    out.push_back(std::move(c));
+                        pending_inter_tile = true;
+                    prog.commands.push_back(std::move(c));
                 }
-            });
+            }
             loc[id] = {dst_wl, true};
             break;
           }
@@ -332,9 +293,7 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
             auto subs = tryDecomposeTensor(src_dom, layout.tile());
             if (!subs)
                 return subs.error();
-            lowerSubs(*subs, [&](const HyperRect &sub,
-                                 std::vector<InMemCommand> &out,
-                                 bool &inter) {
+            for (const HyperRect &sub : *subs) {
                 InMemCommand c;
                 c.kind = CmdKind::BroadcastBl;
                 c.group = id;
@@ -351,9 +310,9 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
                 c.banks = banksOf(sub.boundingUnion(dst));
                 // Broadcasts beyond one tile traverse the H tree/NoC.
                 if (n.count * src_dom.size(n.dim) > layout.tileSize(n.dim))
-                    inter = true;
-                out.push_back(std::move(c));
-            });
+                    pending_inter_tile = true;
+                prog.commands.push_back(std::move(c));
+            }
             loc[id] = {dst_wl, true};
             break;
           }
@@ -376,8 +335,7 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
             auto subs = tryDecomposeTensor(n.domain, layout.tile());
             if (!subs)
                 return subs.error();
-            lowerSubs(*subs, [&](const HyperRect &sub,
-                                 std::vector<InMemCommand> &out, bool &) {
+            for (const HyperRect &sub : *subs) {
                 auto banks = banksOf(sub);
                 unsigned cur_wl = loc[tensor_ops[0]].wl;
                 // Fold further tensor operands pairwise.
@@ -392,7 +350,7 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
                     c.wlB = loc[tensor_ops[i]].wl;
                     c.wlDst = dst_wl;
                     c.banks = banks;
-                    out.push_back(std::move(c));
+                    prog.commands.push_back(std::move(c));
                     cur_wl = dst_wl;
                 }
                 // Fold constants as immediate operands.
@@ -408,7 +366,7 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
                     c.imm = imm;
                     c.wlDst = dst_wl;
                     c.banks = banks;
-                    out.push_back(std::move(c));
+                    prog.commands.push_back(std::move(c));
                     cur_wl = dst_wl;
                 }
                 // Unary non-const compute (e.g. relu): single command.
@@ -423,9 +381,9 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
                     c.wlB = cur_wl;
                     c.wlDst = dst_wl;
                     c.banks = banks;
-                    out.push_back(std::move(c));
+                    prog.commands.push_back(std::move(c));
                 }
-            });
+            }
             loc[id] = {dst_wl, true};
             break;
           }
@@ -467,8 +425,7 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
             auto subs = tryDecomposeTensor(src_dom, layout.tile());
             if (!subs)
                 return subs.error();
-            lowerSubs(*subs, [&](const HyperRect &sub,
-                                 std::vector<InMemCommand> &out, bool &) {
+            for (const HyperRect &sub : *subs) {
                 auto banks = banksOf(sub);
                 unsigned cur_wl = src.wl;
                 Coord live = std::min<Coord>(sub.size(n.dim),
@@ -495,7 +452,7 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
                     sh.wlA = cur_wl;
                     sh.wlDst = tmp_wl;
                     sh.banks = banks;
-                    out.push_back(std::move(sh));
+                    prog.commands.push_back(std::move(sh));
                     InMemCommand c;
                     c.kind = CmdKind::Compute;
                     c.group = id * 64 + 2 * r + 1;
@@ -509,7 +466,7 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
                     c.wlB = tmp_wl;
                     c.wlDst = dst_wl;
                     c.banks = banks;
-                    out.push_back(std::move(c));
+                    prog.commands.push_back(std::move(c));
                     cur_wl = dst_wl;
                     live = half;
                 }
@@ -542,10 +499,10 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
                     sh.wlA = cur_wl;
                     sh.wlDst = tmp_wl;
                     sh.banks = banks;
-                    out.push_back(std::move(sh));
+                    prog.commands.push_back(std::move(sh));
                     InMemCommand sync;
                     sync.kind = CmdKind::Sync;
-                    out.push_back(std::move(sync));
+                    prog.commands.push_back(std::move(sync));
                     InMemCommand c;
                     c.kind = CmdKind::Compute;
                     c.group = id * 64 + 33 + 2 * r;
@@ -565,10 +522,10 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
                     c.wlB = tmp_wl;
                     c.wlDst = dst_wl;
                     c.banks = banks;
-                    out.push_back(std::move(c));
+                    prog.commands.push_back(std::move(c));
                     cur_wl = dst_wl;
                 }
-            });
+            }
             slot_busy[tmp_slot] = false; // Scratch freed after the node.
             loc[id] = {dst_wl, true};
             break;

@@ -107,12 +107,12 @@ class JitCompiler
     }
 
     /**
-     * Attach a host thread pool (nullptr = inline). Per-subtensor command
-     * generation inside one lowering fans out, and tryLower itself
-     * becomes safe to call from concurrent pre-lowering tasks: the memo
-     * cache is sharded by key hash with per-shard locks and the stats
-     * sit behind their own mutex (DESIGN.md §10). Emitted programs are
-     * identical for any pool size.
+     * Attach a host thread pool (nullptr = inline). Only whole lowerings
+     * fan out — the candidates of lowerCandidates — while one lowering
+     * always runs on the calling thread. tryLower is safe to call from
+     * concurrent tasks: the memo cache is sharded by key hash with
+     * per-shard locks and the stats sit behind their own mutex
+     * (DESIGN.md §10). Emitted programs are identical for any pool size.
      */
     void setThreadPool(ThreadPool *pool) { pool_ = pool; }
 

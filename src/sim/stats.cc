@@ -1,52 +1,12 @@
 #include "sim/stats.hh"
 
-#include <cmath>
-
 namespace infs {
-
-void
-Distribution::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        if (v < min_) min_ = v;
-        if (v > max_) max_ = v;
-    }
-    ++count_;
-    sum_ += v;
-    double delta = v - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (v - mean_);
-}
-
-double
-Distribution::stddev() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return std::sqrt(m2_ / static_cast<double>(count_));
-}
-
-void
-Distribution::reset()
-{
-    count_ = 0;
-    sum_ = min_ = max_ = mean_ = m2_ = 0.0;
-}
 
 void
 StatRegistry::add(Counter &c)
 {
     infs_assert(!c.name().empty(), "counter must be named");
     counters_[c.name()] = &c;
-}
-
-void
-StatRegistry::add(Distribution &d)
-{
-    infs_assert(!d.name().empty(), "distribution must be named");
-    dists_[d.name()] = &d;
 }
 
 double
@@ -74,27 +34,6 @@ bool
 StatRegistry::hasCounter(const std::string &name) const
 {
     return counters_.count(name) > 0;
-}
-
-void
-StatRegistry::resetAll()
-{
-    for (auto &[name, c] : counters_)
-        c->reset();
-    for (auto &[name, d] : dists_)
-        d->reset();
-}
-
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    for (const auto &[name, c] : counters_)
-        os << name << " " << c->value() << "\n";
-    for (const auto &[name, d] : dists_) {
-        os << name << ".count " << d->count() << "\n";
-        os << name << ".mean " << d->mean() << "\n";
-        os << name << ".stddev " << d->stddev() << "\n";
-    }
 }
 
 } // namespace infs

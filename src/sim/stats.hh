@@ -1,17 +1,14 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, distributions, and
- * a registry for dumping. Modeled loosely on gem5's Stats but minimal.
+ * Lightweight statistics package: named scalar counters and a registry
+ * for looking them up. Modeled loosely on gem5's Stats but minimal.
  */
 
 #ifndef INFS_SIM_STATS_HH
 #define INFS_SIM_STATS_HH
 
-#include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
-#include <vector>
 
 #include "sim/logging.hh"
 
@@ -36,45 +33,15 @@ class Counter
     double value_ = 0.0;
 };
 
-/** Running distribution: count/sum/min/max/mean/variance (Welford). */
-class Distribution
-{
-  public:
-    Distribution() = default;
-    explicit Distribution(std::string name) : name_(std::move(name)) {}
-
-    void sample(double v);
-
-    const std::string &name() const { return name_; }
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    /** Population standard deviation. */
-    double stddev() const;
-    void reset();
-
-  private:
-    std::string name_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-};
-
 /**
- * A flat registry of statistics keyed by dotted path
- * (e.g. "noc.hops.data"). Owners register references; the registry does
- * not own the stats.
+ * A flat registry of counters keyed by dotted path
+ * (e.g. "fault.injected.sram_bit_flip"). Owners register references; the
+ * registry does not own the counters.
  */
 class StatRegistry
 {
   public:
     void add(Counter &c);
-    void add(Distribution &d);
 
     /** Sum of all counters whose name starts with @p prefix. */
     double sumByPrefix(const std::string &prefix) const;
@@ -85,15 +52,8 @@ class StatRegistry
     /** True when a counter with this exact name is registered. */
     bool hasCounter(const std::string &name) const;
 
-    /** Reset every registered stat to zero. */
-    void resetAll();
-
-    /** Print "name value" lines sorted by name. */
-    void dump(std::ostream &os) const;
-
   private:
     std::map<std::string, Counter *> counters_;
-    std::map<std::string, Distribution *> dists_;
 };
 
 } // namespace infs

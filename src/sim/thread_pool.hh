@@ -3,9 +3,10 @@
  * Work-stealing host thread pool: the simulator's counterpart of the
  * modeled hardware's bank parallelism (DESIGN.md §10). Commands between
  * Sync barriers touch disjoint banks, per-tile SRAM state is independent,
- * and per-subtensor JIT lowering is pure — so the simulator farms that
- * work out to host threads the same way Inf-S farms bit-serial compute
- * out to 64 L3 banks.
+ * and independent regions lower to independent programs — so the
+ * simulator farms that work out to host threads the same way Inf-S farms
+ * bit-serial compute out to 64 L3 banks. A task must outweigh the worker
+ * wake-up it costs: one lowering is a task, one subtensor of it is not.
  *
  * Design rules that keep simulation results bit-exact across pool sizes:
  *  - work is *split* deterministically (by index, never by thread id);

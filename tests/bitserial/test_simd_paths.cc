@@ -293,7 +293,7 @@ TEST_F(SimdPathTest, FabricJobChecksumsIsaInvariant)
         SCOPED_TRACE(name);
         const BenchScenario *sc = findScenario(name);
         ASSERT_NE(sc, nullptr);
-        auto job = planPrimaryJob(sc->quick(), cfg, nullptr, kVolumeCap);
+        auto job = planPrimaryJob(sc->quick(), cfg, kVolumeCap);
         if (!job)
             continue;
         simd::setActive(SimdIsa::Portable);

@@ -79,7 +79,7 @@ diffScenario(const char *name, bool full_size = false)
     ASSERT_NE(sc, nullptr);
     Workload w = full_size ? sc->full() : sc->quick();
     SystemConfig cfg = diffConfig();
-    auto job = planPrimaryJob(w, cfg, nullptr, kDiffVolumeCap);
+    auto job = planPrimaryJob(w, cfg, kDiffVolumeCap);
     if (!job)
         return;
     expectBackendsAgree(*job, name);
@@ -365,7 +365,7 @@ TEST(BackendDiff, RegistryJobsNeedNoFallback)
     auto fun = makeBackend(ExecBackendKind::Functional, cfg);
     unsigned planned = 0;
     for (const BenchScenario &sc : benchRegistry()) {
-        auto job = planPrimaryJob(sc.full(), cfg, nullptr, 0);
+        auto job = planPrimaryJob(sc.full(), cfg, 0);
         if (!job)
             continue;
         ++planned;

@@ -321,11 +321,13 @@ TEST(HostThreads, FunctionalResultsIdentical)
 TEST(HostThreads, GaussElimNonMemoizedPathIdentical)
 {
     // gauss_elim rebuilds its tDFG every iteration (no memo key), so it
-    // exercises the block-parallel per-iteration lowering path.
+    // exercises the block-parallel per-iteration lowering path: one
+    // block at 8 threads, two blocks (64 + 31 iterations) at 2.
     Workload w = makeGaussElim(96);
     w.assumeTransposed = true;
-    expectStatsEqual(runWith(1, w, Paradigm::InfS),
-                     runWith(8, w, Paradigm::InfS));
+    const ExecStats seq = runWith(1, w, Paradigm::InfS);
+    expectStatsEqual(seq, runWith(8, w, Paradigm::InfS));
+    expectStatsEqual(seq, runWith(2, w, Paradigm::InfS));
 }
 
 } // namespace

@@ -111,7 +111,7 @@ rawScenarioJob(const char *name)
     Workload w = sc->quick();
     SystemConfig cfg = testSystemConfig();
     cfg.cmdOpt = false;
-    return planPrimaryJob(w, cfg, nullptr, kVolumeCap);
+    return planPrimaryJob(w, cfg, kVolumeCap);
 }
 
 // ---- property sweep ----------------------------------------------------

@@ -177,7 +177,7 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
         // inputs (bit-accurate when the backend produces bits).
         BackendResult br;
         double backend_ms = 0.0;
-        auto job = planPrimaryJob(w, cfg, &sys.pool(), kJobVolumeCap);
+        auto job = planPrimaryJob(w, cfg, kJobVolumeCap);
         if (job) {
             auto bt0 = std::chrono::steady_clock::now();
             auto be = makeBackend(backend, cfg);

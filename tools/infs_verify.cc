@@ -179,7 +179,7 @@ runBackendPass(const Workload &w, ExecBackendKind backend)
 {
     SystemConfig cfg = testSystemConfig();
     cfg.backend = backend;
-    auto job = planPrimaryJob(w, cfg, nullptr, kJobVolumeCap);
+    auto job = planPrimaryJob(w, cfg, kJobVolumeCap);
     if (!job) {
         std::printf("  backend %s: no lowerable primary job\n",
                     backendName(backend));
