@@ -3,8 +3,9 @@
  * Fat-binary schedule selection (DESIGN.md §14): the tiling policy's
  * candidate enumeration contract, the occupancy-driven selector's cost
  * model and determinism for a fixed FabricStats snapshot, the
- * bit-identity of every candidate schedule's results, and the dispatch
- * provenance the Executor records in ExecStats.
+ * bit-identity of every candidate schedule's results, the dispatch
+ * provenance the Executor records in ExecStats, and the primary layout
+ * (§4.1) that candidate 0 and every planned backend job share.
  */
 
 #include <gtest/gtest.h>
@@ -302,6 +303,72 @@ TEST(ChooseSchedule, SteadyStateDispatchEngages)
     ASSERT_EQ(picked.size(), legacy.size());
     for (ArrayId id = 0; id < static_cast<ArrayId>(picked.size()); ++id)
         EXPECT_EQ(picked.array(id).data, legacy.array(id).data) << id;
+}
+
+/** primaryLayout() is the §4.1 choice the Executor makes and the layout
+ * every planned backend job runs on. */
+TEST(PrimaryLayout, IsTheExecutorsTileAndThePlannedJobsLayout)
+{
+    SystemConfig cfg = testSystemConfig();
+    cfg.fatBinary = false;
+    TilingPolicy policy(cfg.l3);
+    unsigned planned = 0;
+    for (const BenchScenario &sc : benchRegistry()) {
+        SCOPED_TRACE(sc.name);
+        Workload w = sc.quick();
+        auto layout = primaryLayout(w, cfg);
+        TileDecision best =
+            policy.choose(w.primaryShape, w.elemBytes, workloadHints(w));
+        ASSERT_EQ(layout.has_value(), best.valid);
+        if (!layout)
+            continue;
+        EXPECT_EQ(layout->tile(), best.tile);
+        EXPECT_EQ(layout->shape(), w.primaryShape);
+
+        InfinitySystem sys(cfg);
+        ExecStats st = Executor(sys, Paradigm::InfS).run(w);
+        EXPECT_EQ(st.chosenTile, layout->tile());
+
+        auto job = planPrimaryJob(w, cfg, 0);
+        if (!job)
+            continue;
+        ++planned;
+        EXPECT_EQ(job->layout.tile(), layout->tile());
+        EXPECT_EQ(job->layout.shape(), layout->shape());
+        std::int64_t volume = 1;
+        for (Coord s : w.primaryShape)
+            volume *= s;
+        EXPECT_EQ(job->volume, volume);
+        EXPECT_NE(job->prog, nullptr);
+    }
+    EXPECT_GT(planned, 0u);
+}
+
+TEST(PrimaryLayout, NoneWithoutATensorPhase)
+{
+    SystemConfig cfg = testSystemConfig();
+    const BenchScenario *sc = findScenario("vec_add");
+    ASSERT_NE(sc, nullptr);
+    Workload w = sc->quick();
+    ASSERT_TRUE(primaryLayout(w, cfg).has_value());
+    for (Phase &p : w.phases)
+        p.buildTdfg = nullptr;
+    EXPECT_FALSE(primaryLayout(w, cfg).has_value());
+    EXPECT_FALSE(planPrimaryJob(w, cfg, 0).has_value());
+}
+
+TEST(PlanPrimaryJob, VolumeCapPlansNothingAboveIt)
+{
+    SystemConfig cfg = testSystemConfig();
+    const BenchScenario *sc = findScenario("vec_add");
+    ASSERT_NE(sc, nullptr);
+    Workload w = sc->quick();
+    std::int64_t volume = 1;
+    for (Coord s : w.primaryShape)
+        volume *= s;
+    ASSERT_GT(volume, 1);
+    EXPECT_TRUE(planPrimaryJob(w, cfg, volume).has_value());
+    EXPECT_FALSE(planPrimaryJob(w, cfg, volume - 1).has_value());
 }
 
 } // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "jit/jit.hh"
 
 namespace infs {
@@ -329,6 +333,57 @@ TEST(OffloadDecision, PrecompiledJitLowersTheBar)
     OffloadDecision with_jit = decideOffload(s, cfg, false);
     OffloadDecision no_jit = decideOffload(s, cfg, true);
     EXPECT_LT(no_jit.inMemCycles, with_jit.inMemCycles);
+}
+
+TEST(InMemCommand, EqualityComparesEveryField)
+{
+    // Determinism tests compare command streams with ==, so a field the
+    // comparison skipped would let a diverging stream pass.
+    InMemCommand base;
+    base.tensor = HyperRect::interval(0, 64);
+    base.banks = {0, 3};
+    const std::vector<std::pair<const char *,
+                                std::function<void(InMemCommand &)>>>
+        edits = {
+            {"kind", [](InMemCommand &c) { c.kind = CmdKind::Sync; }},
+            {"group", [](InMemCommand &c) { c.group = 1; }},
+            {"tensor",
+             [](InMemCommand &c) { c.tensor = HyperRect::interval(0, 32); }},
+            {"dim", [](InMemCommand &c) { c.dim = 1; }},
+            {"maskLo", [](InMemCommand &c) { c.maskLo = 1; }},
+            {"maskHi", [](InMemCommand &c) { c.maskHi = 1; }},
+            {"interTileDist", [](InMemCommand &c) { c.interTileDist = -1; }},
+            {"intraTileDist", [](InMemCommand &c) { c.intraTileDist = 1; }},
+            {"bcCount", [](InMemCommand &c) { c.bcCount = 2; }},
+            {"bcDist", [](InMemCommand &c) { c.bcDist = 1; }},
+            {"op", [](InMemCommand &c) { c.op = BitOp::Mul; }},
+            {"dtype", [](InMemCommand &c) { c.dtype = DType::Int32; }},
+            {"wlA", [](InMemCommand &c) { c.wlA = 32; }},
+            {"wlB", [](InMemCommand &c) { c.wlB = 32; }},
+            {"wlDst", [](InMemCommand &c) { c.wlDst = 32; }},
+            {"useImm", [](InMemCommand &c) { c.useImm = true; }},
+            {"imm", [](InMemCommand &c) { c.imm = 0.5; }},
+            {"banks", [](InMemCommand &c) { c.banks.push_back(4); }},
+        };
+    InMemCommand copy = base;
+    EXPECT_TRUE(copy == base);
+    for (const auto &[field, edit] : edits) {
+        InMemCommand changed = base;
+        edit(changed);
+        EXPECT_FALSE(changed == base) << field;
+    }
+}
+
+TEST(CmdStats, AccumulateSumsEveryCounter)
+{
+    CmdStats a{1, 2, 3, 4, 5, 6};
+    const CmdStats b{10, 20, 30, 40, 50, 60};
+    a.accumulate(b);
+    EXPECT_TRUE(a == (CmdStats{11, 22, 33, 44, 55, 66}));
+    EXPECT_FALSE(a == b);
+    CmdStats zero;
+    zero.accumulate(CmdStats{});
+    EXPECT_TRUE(zero == CmdStats{});
 }
 
 } // namespace

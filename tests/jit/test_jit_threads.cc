@@ -7,7 +7,10 @@
  * graph, plus one paper-size gauss_elim iteration, lowers to the same
  * program with no pool, with a 4-thread pool, and as concurrent tryLower
  * calls from pool tasks, and concurrent lookups of the sharded memo cache
- * serve those same programs.
+ * serve those same programs. The fat-binary candidate fan-out gets the
+ * same pool-independence check, and the memo's contract (one entry per
+ * key and schedule, no entry for an empty key or a failed lowering)
+ * is pinned under concurrent callers.
  */
 
 #include <gtest/gtest.h>
@@ -183,6 +186,196 @@ TEST(JitThreads, ConcurrentMemoHitsServeTheLoweredPrograms)
         expectSameProgram(cold[i], warm[i], cs[i].name, cold[i].ok());
     EXPECT_EQ(jit.stats().lowerings, after_cold.lowerings);
     EXPECT_EQ(jit.stats().memoHits, after_cold.lowerings);
+}
+
+/** The case named @p prefix + "/..." (first match). */
+const Case &
+caseNamed(const std::string &prefix)
+{
+    for (const Case &c : cases())
+        if (c.name.rfind(prefix + "/", 0) == 0)
+            return c;
+    ADD_FAILURE() << "no case " << prefix;
+    return cases().front();
+}
+
+/** Fat-binary candidate layouts of a few registry scenarios' first
+ * primary-layout graph, as the executor enumerates them. */
+struct CandidateCase {
+    std::string name;
+    TdfgGraph g;
+    std::vector<TiledLayout> layouts;
+};
+
+std::vector<CandidateCase>
+candidateCases()
+{
+    const SystemConfig cfg = testSystemConfig();
+    TilingPolicy policy(cfg.l3);
+    std::vector<CandidateCase> out;
+    for (const char *name :
+         {"vec_add", "array_sum", "mm_outer", "dwt2d", "stencil2d"}) {
+        const BenchScenario *sc = findScenario(name);
+        if (sc == nullptr) {
+            ADD_FAILURE() << "no scenario " << name;
+            continue;
+        }
+        const Case &c = caseNamed(name);
+        const Workload w = sc->full();
+        CandidateCase cc{name, c.g, {}};
+        for (TileDecision &d :
+             policy.candidates(w.primaryShape, w.elemBytes,
+                               LayoutHints::fromGraph(c.g), 4))
+            cc.layouts.emplace_back(w.primaryShape, d.tile);
+        out.push_back(std::move(cc));
+    }
+    return out;
+}
+
+TEST(JitThreads, CandidatesIndependentOfPool)
+{
+    const SystemConfig cfg = testSystemConfig();
+    AddressMap map(cfg.l3, cfg.noc.memCtrls);
+    ThreadPool pool(4);
+    JitCompiler inline_jit(cfg);
+    JitCompiler pooled_jit(cfg);
+    pooled_jit.setThreadPool(&pool);
+    unsigned multi = 0;
+    for (const CandidateCase &cc : candidateCases()) {
+        auto ref = inline_jit.lowerCandidates(cc.g, cc.layouts, map,
+                                              cc.name);
+        auto pooled = pooled_jit.lowerCandidates(cc.g, cc.layouts, map,
+                                                 cc.name);
+        ASSERT_EQ(ref.size(), cc.layouts.size()) << cc.name;
+        ASSERT_EQ(pooled.size(), cc.layouts.size()) << cc.name;
+        unsigned lowered = 0;
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            expectSameProgram(ref[i], pooled[i],
+                              cc.name + " candidate " + std::to_string(i));
+            lowered += ref[i].ok() ? 1 : 0;
+        }
+        multi += lowered > 1 ? 1 : 0;
+    }
+    // Vacuous unless some scenario fanned out over several schedules.
+    EXPECT_GE(multi, 1u);
+    expectSameStats(inline_jit.stats(), pooled_jit.stats(), "candidates");
+}
+
+TEST(JitThreads, CandidatesMemoizePerSchedule)
+{
+    const SystemConfig cfg = testSystemConfig();
+    AddressMap map(cfg.l3, cfg.noc.memCtrls);
+    ThreadPool pool(4);
+    JitCompiler jit(cfg);
+    jit.setThreadPool(&pool);
+    for (const CandidateCase &cc : candidateCases()) {
+        jit.resetStats();
+        auto cold = jit.lowerCandidates(cc.g, cc.layouts, map, cc.name);
+        std::uint64_t ok = 0;
+        for (const ProgOr &p : cold)
+            ok += p.ok() ? 1 : 0;
+        // One memo entry per schedule: no candidate is served another
+        // candidate's program.
+        EXPECT_EQ(jit.stats().lowerings, ok) << cc.name;
+        EXPECT_EQ(jit.stats().memoHits, 0u) << cc.name;
+        auto warm = jit.lowerCandidates(cc.g, cc.layouts, map, cc.name);
+        ASSERT_EQ(warm.size(), cold.size()) << cc.name;
+        for (std::size_t i = 0; i < cold.size(); ++i)
+            expectSameProgram(cold[i], warm[i],
+                              cc.name + " candidate " + std::to_string(i),
+                              cold[i].ok());
+        EXPECT_EQ(jit.stats().lowerings, ok) << cc.name;
+        EXPECT_EQ(jit.stats().memoHits, ok) << cc.name;
+    }
+}
+
+TEST(JitThreads, ConcurrentSameKeyServesOneProgram)
+{
+    // Concurrent pre-lowerings of one region race on a single memo key;
+    // whichever wins, every caller gets the same program and a later
+    // caller gets the cached copy.
+    constexpr unsigned kCallers = 16;
+    const SystemConfig cfg = testSystemConfig();
+    AddressMap map(cfg.l3, cfg.noc.memCtrls);
+    const Case &gauss = cases().back();
+    JitCompiler ref_jit(cfg);
+    const ProgOr ref = ref_jit.tryLower(gauss.g, gauss.layout, map);
+    ASSERT_TRUE(ref.ok()) << ref.error().str();
+
+    ThreadPool pool(4);
+    JitCompiler jit(cfg);
+    jit.setThreadPool(&pool);
+    std::vector<std::optional<ProgOr>> got(kCallers);
+    std::vector<std::function<void()>> tasks;
+    for (unsigned i = 0; i < kCallers; ++i)
+        tasks.push_back([&, i] {
+            got[i] = jit.tryLower(gauss.g, gauss.layout, map, "gauss");
+        });
+    pool.runTasks(std::move(tasks));
+
+    for (unsigned i = 0; i < kCallers; ++i) {
+        ASSERT_TRUE(got[i]->ok()) << got[i]->error().str();
+        expectSameProgram(ref, *got[i], "caller " + std::to_string(i),
+                          (**got[i])->memoized);
+    }
+    const JitStats st = jit.stats();
+    EXPECT_GE(st.lowerings, 1u);
+    EXPECT_EQ(st.lowerings + st.memoHits, kCallers);
+    EXPECT_EQ(st.totalJitTicks, st.lowerings * (*ref)->jitTicks);
+    expectSameProgram(ref, jit.tryLower(gauss.g, gauss.layout, map, "gauss"),
+                      "after the race", true);
+}
+
+TEST(JitThreads, EmptyMemoKeyNeverCaches)
+{
+    // gauss_elim's per-iteration lowerings pass no key: each one is a
+    // cold lowering charged in full.
+    const SystemConfig cfg = testSystemConfig();
+    AddressMap map(cfg.l3, cfg.noc.memCtrls);
+    const Case &gauss = cases().back();
+    JitCompiler jit(cfg);
+    const ProgOr first = jit.tryLower(gauss.g, gauss.layout, map);
+    const ProgOr second = jit.tryLower(gauss.g, gauss.layout, map);
+    ASSERT_TRUE(first.ok()) << first.error().str();
+    expectSameProgram(first, second, "second lowering");
+    EXPECT_GT((*first)->jitTicks, 0u);
+    EXPECT_EQ(jit.stats().lowerings, 2u);
+    EXPECT_EQ(jit.stats().memoHits, 0u);
+    EXPECT_EQ(jit.stats().totalJitTicks, 2 * (*first)->jitTicks);
+}
+
+TEST(JitThreads, ResetStatsKeepsTheMemo)
+{
+    const SystemConfig cfg = testSystemConfig();
+    AddressMap map(cfg.l3, cfg.noc.memCtrls);
+    const Case &gauss = cases().back();
+    JitCompiler jit(cfg);
+    const ProgOr cold = jit.tryLower(gauss.g, gauss.layout, map, "gauss");
+    ASSERT_TRUE(cold.ok()) << cold.error().str();
+    jit.resetStats();
+    expectSameStats(jit.stats(), JitStats{}, "reset");
+    expectSameProgram(cold, jit.tryLower(gauss.g, gauss.layout, map, "gauss"),
+                      "after reset", true);
+    EXPECT_EQ(jit.stats().lowerings, 0u);
+    EXPECT_EQ(jit.stats().memoHits, 1u);
+    EXPECT_EQ(jit.stats().totalJitTicks, 0u);
+}
+
+TEST(JitThreads, FailedLoweringIsNotMemoized)
+{
+    // conv3d's out-of-extent mv fails; a keyed retry must lower (and
+    // fail) again rather than be served a cached entry.
+    const SystemConfig cfg = testSystemConfig();
+    AddressMap map(cfg.l3, cfg.noc.memCtrls);
+    const Case &conv3d = caseNamed("conv3d");
+    JitCompiler jit(cfg);
+    const ProgOr first = jit.tryLower(conv3d.g, conv3d.layout, map, "conv3d");
+    ASSERT_FALSE(first.ok());
+    const ProgOr second =
+        jit.tryLower(conv3d.g, conv3d.layout, map, "conv3d");
+    expectSameProgram(first, second, "retry");
+    EXPECT_EQ(jit.stats().lowerings, 0u);
+    EXPECT_EQ(jit.stats().memoHits, 0u);
 }
 
 } // namespace
