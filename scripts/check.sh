@@ -15,8 +15,8 @@
 #
 # --tsan builds the host-threading tests under ThreadSanitizer
 # (INFS_TSAN=ON, build-tsan/) and runs them alone: the work-stealing pool,
-# the bank-parallel fabric lanes, the executor at 1 vs N host threads,
-# and concurrent lowering through the sharded JIT memo.
+# the executor at 1 vs N host threads, and concurrent lowering through the
+# sharded JIT memo.
 #
 # --simd exports INFS_SIMD for every ctest invocation (the bitserial
 # layer resolves its kernel table from it) and rides on the bench smoke;
@@ -129,7 +129,7 @@ if [[ $mode == tsan ]]; then
     cmake --build build-tsan -j "$jobs" --target test_sim test_jit \
         test_executor
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-        -R 'ThreadPool|HostThreads|ParallelFabric|JitThreads'
+        -R 'ThreadPool|HostThreads|JitThreads'
     echo "check.sh: TSan suite passed"
     exit 0
 fi

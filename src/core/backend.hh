@@ -82,8 +82,9 @@ class ExecBackend
     /** Execute @p job on deterministic inputs (seedJobInputs). */
     virtual BackendResult runJob(const BackendJob &job) = 0;
 
-    /** Host thread pool for bank-parallel sections (nullptr = inline);
-     * results are bit-identical for any pool. */
+    /** Unused by job execution: runJob runs on the calling thread and
+     * replayTiming ignores its pool argument. Kept, with that argument,
+     * only because the benchmark harness calls both. */
     void setThreadPool(ThreadPool *pool) { pool_ = pool; }
 
     /**

@@ -29,7 +29,6 @@ class FabricBackend final : public ExecBackend
         BackendResult res;
         BitAccurateFabric fab(job.layout, cfg_.l3.wordlines,
                               cfg_.l3.bitlines);
-        fab.setThreadPool(pool_);
         seedJobInputs(fab, job);
         fab.execute(*job.prog);
         res.checksum = checksumJobOutputs(fab, job);

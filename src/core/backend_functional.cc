@@ -460,7 +460,6 @@ class FunctionalBackend final : public ExecBackend
             res.fallback = err->str();
             BitAccurateFabric bit(job.layout, cfg_.l3.wordlines,
                                   cfg_.l3.bitlines);
-            bit.setThreadPool(pool_);
             seedJobInputs(bit, job);
             bit.execute(*job.prog);
             res.checksum = checksumJobOutputs(bit, job);

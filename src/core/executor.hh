@@ -74,7 +74,7 @@ struct ExecStats {
     // Dispatch provenance (bench schema v5, DESIGN.md §14).
     /** SIMD kernel table the bitserial layer ran with. */
     SimdIsa simdIsa = SimdIsa::Portable;
-    /** NUMA nodes the host pool pins bank shards across (1 = none). */
+    /** NUMA nodes the host pool pins its workers across (1 = none). */
     unsigned numaNodes = 1;
     /** Fat-binary candidate the dispatcher picked for the primary layout
      * (index into the tiling policy's candidate list); -1 when only one
@@ -105,7 +105,6 @@ class Executor
         : sys_(sys), paradigm_(paradigm),
           backend_(makeBackend(sys.config().backend, sys.config()))
     {
-        backend_->setThreadPool(&sys.pool());
     }
 
     /**

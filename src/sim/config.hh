@@ -266,12 +266,12 @@ struct SystemConfig {
     unsigned fatBinaryCandidates = 3;
 
     /**
-     * Host threads the simulator's parallel engine may use (bank-parallel
-     * fabric execution, per-subtensor JIT lowering, region pre-lowering —
-     * DESIGN.md §10). 0 = `hardware_concurrency`; 1 = exact legacy
-     * single-thread behavior. Simulation results are bit-identical for
-     * every value (the engine shards deterministically and merges in a
-     * fixed order), so this is purely a wall-clock knob.
+     * Host threads the simulator's parallel engine may use (whole
+     * lowerings: fat-binary candidates, region pre-lowering, gauss_elim
+     * blocks — DESIGN.md §10). 0 = `hardware_concurrency`; 1 = exact
+     * legacy single-thread behavior. Simulation results are bit-identical
+     * for every value (parallel loops write per-index slots and merge in
+     * a fixed order), so this is purely a wall-clock knob.
      */
     unsigned hostThreads = 0;
 

@@ -1,9 +1,8 @@
 /**
  * @file
- * Host NUMA topology discovery for bank-shard placement (DESIGN.md §14).
- * The simulator shards fabric bank state across worker threads; on a
- * multi-node host it pins lane partitions to the node whose memory holds
- * their bank shards (first-touch allocation from the pinned worker). On a
+ * Host NUMA topology discovery for worker pinning (DESIGN.md §14). On a
+ * multi-node host the thread pool pins its workers round-robin across the
+ * nodes, so memory a worker first touches stays local to its node. On a
  * single-node host everything here degenerates to "1 node, no pinning" and
  * the thread pool behaves exactly as before.
  */

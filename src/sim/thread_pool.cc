@@ -59,8 +59,8 @@ ThreadPool::pinWorker(std::thread &t, unsigned index) const
     if (nodeCpus_.empty())
         return;
     // Round-robin workers across nodes: worker i serves the deterministic
-    // chunk i of every parallelFor, so bank shards first-touched by worker
-    // i stay local to its node for the whole run.
+    // chunk i of every parallelFor, so memory first-touched by worker i
+    // stays local to its node for the whole run.
     const auto &cpus = nodeCpus_[index % nodeCpus_.size()];
     cpu_set_t set;
     CPU_ZERO(&set);

@@ -20,6 +20,9 @@ BitAccurateFabric::BitAccurateFabric(TiledLayout layout, unsigned wordlines,
     infs_assert(layout_.tileVolume() <= static_cast<std::int64_t>(bitlines),
                 "tile volume %lld exceeds %u bitlines",
                 static_cast<long long>(layout_.tileVolume()), bitlines);
+    infs_assert(layout_.dims() <= MaskKey::kMaxDims,
+                "%u-D layout exceeds the %u-D tile-mask key",
+                layout_.dims(), MaskKey::kMaxDims);
     tiles_.resize(static_cast<std::size_t>(layout_.numTiles()));
 }
 
@@ -28,16 +31,12 @@ BitAccurateFabric::stats() const
 {
     FabricStats s;
     for (std::size_t k = 0; k < s.byKind.size(); ++k) {
-        s.byKind[k].count = kindCount_[k].load(std::memory_order_relaxed);
-        s.byKind[k].wallMs =
-            static_cast<double>(
-                kindNanos_[k].load(std::memory_order_relaxed)) /
-            1e6;
+        s.byKind[k].count = kindCount_[k];
+        s.byKind[k].wallMs = static_cast<double>(kindNanos_[k]) / 1e6;
     }
-    s.maskCacheHits = maskHits_.load(std::memory_order_relaxed);
-    s.maskCacheMisses = maskMisses_.load(std::memory_order_relaxed);
-    for (std::size_t b = 0; b < s.bankOps.size(); ++b)
-        s.bankOps[b] = bankOps_[b].load(std::memory_order_relaxed);
+    s.maskCacheHits = maskHits_;
+    s.maskCacheMisses = maskMisses_;
+    s.bankOps = bankOps_;
     std::uint64_t scratch = 0;
     for (const auto &t : tiles_)
         if (t)
@@ -49,14 +48,11 @@ BitAccurateFabric::stats() const
 void
 BitAccurateFabric::resetStats()
 {
-    for (std::size_t k = 0; k < kindCount_.size(); ++k) {
-        kindCount_[k].store(0, std::memory_order_relaxed);
-        kindNanos_[k].store(0, std::memory_order_relaxed);
-    }
-    maskHits_.store(0, std::memory_order_relaxed);
-    maskMisses_.store(0, std::memory_order_relaxed);
-    for (auto &b : bankOps_)
-        b.store(0, std::memory_order_relaxed);
+    kindCount_ = {};
+    kindNanos_ = {};
+    maskHits_ = 0;
+    maskMisses_ = 0;
+    bankOps_ = {};
     scratchBase_ = 0;
     for (const auto &t : tiles_)
         if (t)
@@ -72,46 +68,6 @@ BitAccurateFabric::tile(std::int64_t t)
     if (!p)
         p = std::make_unique<ComputeSram>(wordlines_, bitlines_);
     return *p;
-}
-
-void
-BitAccurateFabric::ensureTiles(const std::vector<std::int64_t> &tiles)
-{
-    // Allocate through the pool when one is attached: with NUMA pinning
-    // active, the worker that first touches a tile's SRAM pages is the
-    // same worker forEachTile's deterministic chunking later hands that
-    // tile to, so bank shards stay node-local (DESIGN.md §14). Callers
-    // pass unique tile ids, and tiles_ is pre-sized, so concurrent slot
-    // writes are disjoint.
-    if (pool_ != nullptr && !pool_->inlineOnly() && tiles.size() > 1) {
-        pool_->parallelFor(static_cast<std::int64_t>(tiles.size()),
-                           [&](std::int64_t i) {
-                               tile(tiles[static_cast<std::size_t>(i)]);
-                           });
-    } else {
-        for (std::int64_t t : tiles)
-            tile(t);
-    }
-}
-
-void
-BitAccurateFabric::forEachTile(const std::vector<std::int64_t> &tiles,
-                               const std::function<void(std::int64_t)> &fn)
-{
-    // Occupancy accounting: one work unit per tile visit, folded into
-    // bank groups by tile index. Pure function of the command stream.
-    for (std::int64_t t : tiles)
-        bankOps_[static_cast<std::size_t>(t) % FabricStats::kBankSlots]
-            .fetch_add(1, std::memory_order_relaxed);
-    if (pool_ != nullptr && !pool_->inlineOnly() && tiles.size() > 1) {
-        pool_->parallelFor(static_cast<std::int64_t>(tiles.size()),
-                           [&](std::int64_t i) {
-                               fn(tiles[static_cast<std::size_t>(i)]);
-                           });
-    } else {
-        for (std::int64_t t : tiles)
-            fn(t);
-    }
 }
 
 std::int64_t
@@ -222,22 +178,48 @@ BitAccurateFabric::element(const std::vector<Coord> &pt, unsigned wl) const
 std::size_t
 BitAccurateFabric::MaskKeyHash::operator()(const MaskKey &k) const
 {
-    // FNV-1a over the key fields.
+    // FNV-1a over the key fields (unused dims are zero).
     std::uint64_t h = 1469598103934665603ULL;
     auto mix = [&h](std::uint64_t v) {
         h ^= v;
         h *= 1099511628211ULL;
     };
-    mix(static_cast<std::uint64_t>(k.tile));
-    mix(k.positional ? 1u : 0u);
-    mix(k.dim);
+    for (unsigned d = 0; d < MaskKey::kMaxDims; ++d)
+        mix(static_cast<std::uint64_t>(k.lo[d]) << 32 |
+            static_cast<std::uint32_t>(k.hi[d]));
     mix(static_cast<std::uint64_t>(k.maskLo));
     mix(static_cast<std::uint64_t>(k.maskHi));
-    for (Coord c : k.lo)
-        mix(static_cast<std::uint64_t>(c));
-    for (Coord c : k.hi)
-        mix(static_cast<std::uint64_t>(c));
+    mix(k.dim << 1 | (k.positional ? 1u : 0u));
     return static_cast<std::size_t>(h);
+}
+
+BitAccurateFabric::MaskKey
+BitAccurateFabric::maskKey(const InMemCommand &cmd, std::int64_t t,
+                           bool apply_shift_mask) const
+{
+    // Tile indices are linear with dim 0 fastest (TiledLayout::tileOf).
+    MaskKey key;
+    const auto &shape = layout_.shape();
+    const auto &tsz = layout_.tile();
+    const auto &grid = layout_.grid();
+    for (unsigned d = 0; d < layout_.dims(); ++d) {
+        const Coord origin = t % grid[d] * tsz[d];
+        t /= grid[d];
+        const Coord lo = std::max({cmd.tensor.lo(d), origin, Coord{0}});
+        const Coord hi =
+            std::min({cmd.tensor.hi(d), origin + tsz[d], shape[d]});
+        if (hi <= lo)
+            return MaskKey{};
+        key.lo[d] = static_cast<std::int32_t>(lo - origin);
+        key.hi[d] = static_cast<std::int32_t>(hi - origin);
+    }
+    if (apply_shift_mask) {
+        key.positional = true;
+        key.dim = cmd.dim;
+        key.maskLo = cmd.maskLo;
+        key.maskHi = cmd.maskHi;
+    }
+    return key;
 }
 
 BitRow
@@ -318,36 +300,14 @@ const BitRow &
 BitAccurateFabric::tileMask(const InMemCommand &cmd, std::int64_t t,
                             bool apply_shift_mask) const
 {
-    MaskKey key;
-    key.tile = t;
-    key.positional = apply_shift_mask;
-    if (apply_shift_mask) {
-        key.dim = cmd.dim;
-        key.maskLo = cmd.maskLo;
-        key.maskHi = cmd.maskHi;
+    auto [it, fresh] =
+        masks_.try_emplace(maskKey(cmd, t, apply_shift_mask));
+    if (fresh) {
+        ++maskMisses_;
+        it->second = buildTileMask(cmd, t, apply_shift_mask);
+    } else {
+        ++maskHits_;
     }
-    const unsigned nd = cmd.tensor.dims();
-    key.lo.reserve(nd);
-    key.hi.reserve(nd);
-    for (unsigned d = 0; d < nd; ++d) {
-        key.lo.push_back(cmd.tensor.lo(d));
-        key.hi.push_back(cmd.tensor.hi(d));
-    }
-    MaskShard &sh = maskShards_[MaskKeyHash{}(key) % kMaskShards];
-    {
-        std::lock_guard<std::mutex> g(sh.mu);
-        auto it = sh.map.find(key);
-        if (it != sh.map.end()) {
-            maskHits_.fetch_add(1, std::memory_order_relaxed);
-            return it->second;
-        }
-    }
-    // Build outside the lock (cheap, and keeps shard contention low); a
-    // racing builder loses the emplace and both return the first entry.
-    maskMisses_.fetch_add(1, std::memory_order_relaxed);
-    BitRow built = buildTileMask(cmd, t, apply_shift_mask);
-    std::lock_guard<std::mutex> g(sh.mu);
-    auto [it, inserted] = sh.map.emplace(std::move(key), std::move(built));
     return it->second;
 }
 
@@ -355,13 +315,11 @@ void
 BitAccurateFabric::execCompute(const InMemCommand &cmd)
 {
     const bool positional = cmd.maskHi > cmd.maskLo;
-    std::vector<std::int64_t> tiles =
-        layout_.tilesIntersecting(cmd.tensor);
-    ensureTiles(tiles);
-    forEachTile(tiles, [&](std::int64_t t) {
+    for (std::int64_t t : layout_.tilesIntersecting(cmd.tensor)) {
+        countVisit(t);
         const BitRow &mask = tileMask(cmd, t, positional);
         if (!mask.any())
-            return;
+            continue;
         ComputeSram &s = tile(t);
         if (cmd.useImm) {
             s.execBinaryImm(cmd.op, cmd.dtype, cmd.wlA,
@@ -379,7 +337,7 @@ BitAccurateFabric::execCompute(const InMemCommand &cmd)
             s.execBinary(cmd.op, cmd.dtype, cmd.wlA, cmd.wlB, cmd.wlDst,
                          mask);
         }
-    });
+    }
 }
 
 void
@@ -388,15 +346,12 @@ BitAccurateFabric::execIntraShift(const InMemCommand &cmd)
     const std::int64_t stride = strideInTile(cmd.dim);
     const int delta =
         static_cast<int>(cmd.intraTileDist * stride);
-    std::vector<std::int64_t> tiles =
-        layout_.tilesIntersecting(cmd.tensor);
-    ensureTiles(tiles);
-    forEachTile(tiles, [&](std::int64_t t) {
+    for (std::int64_t t : layout_.tilesIntersecting(cmd.tensor)) {
+        countVisit(t);
         const BitRow &mask = tileMask(cmd, t, true);
-        if (!mask.any())
-            return;
-        tile(t).shift(cmd.dtype, cmd.wlA, cmd.wlDst, delta, mask);
-    });
+        if (mask.any())
+            tile(t).shift(cmd.dtype, cmd.wlA, cmd.wlDst, delta, mask);
+    }
 }
 
 void
@@ -655,25 +610,21 @@ BitAccurateFabric::moveRuns(
         &enumerate)
 {
     // Two-phase gather/scatter so overlapping source/destination slots
-    // are safe — and so each phase can fan out: reads are
-    // per-source-tile, writes per-destination-tile, and two threads never
-    // touch the same SRAM array. Each run moves whole bitline word-spans
-    // (extractTo/depositFrom handle arbitrary alignment, so single
-    // elements take the same path as full lines) through a
-    // per-source-tile staging arena.
-    std::vector<std::vector<MoveSegment>> segs(src_tiles.size());
-    std::vector<std::vector<std::uint64_t>> arenas(src_tiles.size());
-    auto gatherTile = [&](std::size_t i) {
-        const std::int64_t st = src_tiles[i];
+    // are safe: every run is staged before any is written. Each run moves
+    // whole bitline word-spans (extractTo/depositFrom handle arbitrary
+    // alignment, so single elements take the same path as full lines)
+    // through one staging arena.
+    std::vector<MoveSegment> segs;
+    std::vector<std::uint64_t> arena;
+    std::unordered_map<std::uint64_t, std::size_t> staged;
+    for (std::int64_t st : src_tiles) {
         HyperRect part = clipped.intersect(layout_.tileRect(st));
         if (part.empty())
-            return;
+            continue;
         const BitMatrix &bm = tile(st).bits();
-        auto &sv = segs[i];
-        auto &ar = arenas[i];
         // Broadcasts enumerate the same source span once per replica;
-        // stage each distinct extraction once and share the arena slot.
-        std::unordered_map<std::uint64_t, std::size_t> staged;
+        // stage each distinct extraction of this tile once and share it.
+        staged.clear();
         enumerate(part, [&](unsigned srcPos, std::int64_t dt,
                             unsigned dstPos, unsigned len, bool fill) {
             // Fill runs and single elements stage as one packed word
@@ -682,72 +633,55 @@ BitAccurateFabric::moveRuns(
             const std::uint64_t key =
                 (elem ? 1ULL << 63 : std::uint64_t(len)) |
                 (std::uint64_t(srcPos) << 32);
-            auto [it, fresh] = staged.emplace(key, ar.size());
+            auto [it, fresh] = staged.emplace(key, arena.size());
             if (fresh) {
                 if (elem) {
-                    ar.push_back(bm.readElement(srcPos, wl_src, bits));
+                    arena.push_back(bm.readElement(srcPos, wl_src, bits));
                 } else {
                     const std::size_t wspan = (len + 63) / 64;
-                    const std::size_t off = ar.size();
-                    ar.resize(off + bits * wspan);
+                    const std::size_t off = arena.size();
+                    arena.resize(off + bits * wspan);
                     for (unsigned b = 0; b < bits; ++b)
                         bm.row(wl_src + b)
-                            .extractTo(ar.data() + off + b * wspan,
+                            .extractTo(arena.data() + off + b * wspan,
                                        srcPos, len);
                 }
             }
-            sv.push_back({dt, dstPos, len, it->second, fill});
+            segs.push_back({dt, dstPos, len, it->second, fill});
         });
-    };
-    if (pool_ != nullptr && !pool_->inlineOnly() && src_tiles.size() > 1) {
-        pool_->parallelFor(static_cast<std::int64_t>(src_tiles.size()),
-                           [&](std::int64_t i) {
-                               gatherTile(static_cast<std::size_t>(i));
-                           });
-    } else {
-        for (std::size_t i = 0; i < src_tiles.size(); ++i)
-            gatherTile(i);
     }
 
-    // Bucket by destination tile (sequential and deterministic: source
-    // order preserved; destination cells are unique, so write order is
-    // irrelevant).
-    std::unordered_map<std::int64_t,
-                       std::vector<std::pair<std::size_t, std::size_t>>>
-        buckets;
-    for (std::size_t i = 0; i < segs.size(); ++i)
-        for (std::size_t k = 0; k < segs[i].size(); ++k)
-            buckets[segs[i][k].dstTile].emplace_back(i, k);
-    std::vector<std::int64_t> dst_tiles;
-    dst_tiles.reserve(buckets.size());
-    for (auto &[dt, v] : buckets)
-        dst_tiles.push_back(dt);
-    std::sort(dst_tiles.begin(), dst_tiles.end());
-    ensureTiles(dst_tiles);
-
-    forEachTile(dst_tiles, [&](std::int64_t dt) {
+    // Scatter one destination tile at a time. The stable sort keeps
+    // source order within a tile (destination cells are unique, so write
+    // order is irrelevant anyway).
+    std::stable_sort(segs.begin(), segs.end(),
+                     [](const MoveSegment &a, const MoveSegment &b) {
+                         return a.dstTile < b.dstTile;
+                     });
+    for (std::size_t i = 0; i < segs.size();) {
+        const std::int64_t dt = segs[i].dstTile;
+        countVisit(dt);
         BitMatrix &bm = tile(dt).bits();
-        for (auto [i, k] : buckets.at(dt)) {
-            const MoveSegment &sg = segs[i][k];
+        for (; i < segs.size() && segs[i].dstTile == dt; ++i) {
+            const MoveSegment &sg = segs[i];
             if (sg.fill) {
-                const std::uint64_t v = arenas[i][sg.arenaOff];
+                const std::uint64_t v = arena[sg.arenaOff];
                 for (unsigned b = 0; b < bits; ++b)
                     bm.row(wl_dst + b)
                         .fillRange(sg.dstPos, sg.dstPos + sg.len,
                                    (v >> b) & 1ULL);
             } else if (sg.len == 1) {
                 bm.writeElement(sg.dstPos, wl_dst, bits,
-                                arenas[i][sg.arenaOff]);
+                                arena[sg.arenaOff]);
             } else {
                 const std::size_t wspan = (sg.len + 63) / 64;
                 for (unsigned b = 0; b < bits; ++b)
                     bm.row(wl_dst + b)
-                        .depositFrom(
-                            arenas[i].data() + sg.arenaOff + b * wspan,
-                            sg.dstPos, sg.len);
+                        .depositFrom(arena.data() + sg.arenaOff + b * wspan,
+                                     sg.dstPos, sg.len);
             }
         }
-    });
+    }
 }
 
 void
@@ -758,10 +692,8 @@ BitAccurateFabric::execInterShift(const InMemCommand &cmd)
     const Coord tile_k = layout_.tile()[cmd.dim];
     const Coord dist = cmd.interTileDist * tile_k + cmd.intraTileDist;
     HyperRect clipped = cmd.tensor.intersect(arrayRect_);
-    std::vector<std::int64_t> src_tiles =
-        layout_.tilesIntersecting(clipped);
-    ensureTiles(src_tiles);
-    moveRuns(src_tiles, clipped, dtypeBits(cmd.dtype), cmd.wlA, cmd.wlDst,
+    moveRuns(layout_.tilesIntersecting(clipped), clipped,
+             dtypeBits(cmd.dtype), cmd.wlA, cmd.wlDst,
              [&](const HyperRect &part, const MoveRunFn &emit) {
                  forEachMoveRun(part, cmd.dim, true, cmd.maskLo,
                                 cmd.maskHi, dist, emit);
@@ -778,8 +710,8 @@ BitAccurateFabric::execBroadcast(const InMemCommand &cmd)
     // run enumeration per replica.
     HyperRect src = cmd.tensor.intersect(arrayRect_);
     const Coord span = cmd.tensor.size(cmd.dim);
-    std::vector<std::int64_t> src_tiles = layout_.tilesIntersecting(src);
-    ensureTiles(src_tiles);
+    const std::vector<std::int64_t> src_tiles =
+        layout_.tilesIntersecting(src);
     if (cmd.dim == 0 && span == 1) {
         // Unit-span dim-0 broadcast (the inner-product pattern): all
         // replicas of one element form a contiguous dim-0 run, scattered
@@ -800,34 +732,14 @@ BitAccurateFabric::execBroadcast(const InMemCommand &cmd)
 void
 BitAccurateFabric::execBroadcastVal(const InMemCommand &cmd)
 {
-    std::vector<std::int64_t> all(
-        static_cast<std::size_t>(layout_.numTiles()));
-    for (std::size_t i = 0; i < all.size(); ++i)
-        all[i] = static_cast<std::int64_t>(i);
-    ensureTiles(all);
-    forEachTile(all, [&](std::int64_t t) {
+    for (std::int64_t t = 0; t < layout_.numTiles(); ++t) {
+        countVisit(t);
         ComputeSram &s = tile(t);
         s.writeImmediate(cmd.dtype,
                          std::bit_cast<std::uint32_t>(
                              static_cast<float>(cmd.imm)),
                          cmd.wlDst, s.fullMask());
-    });
-}
-
-void
-BitAccurateFabric::applyFault(const InMemCommand &cmd,
-                              const PlannedFault &pf)
-{
-    ComputeSram &s = tile(pf.tile);
-    const bool parity_before = s.rowParity(pf.wl);
-    const std::uint64_t good = s.readElement(pf.bl, cmd.wlDst, cmd.dtype);
-    s.flipBit(pf.wl, pf.bl);
-    // Row parity flips on any single-bit upset — detection is certain.
-    infs_assert(s.rowParity(pf.wl) != parity_before,
-                "single-bit flip must flip row parity");
-    // Repair: rewrite the corrupted element (ECC correction / re-read of
-    // the known-good operand).
-    s.writeElement(pf.bl, cmd.wlDst, cmd.dtype, good);
+    }
 }
 
 void
@@ -836,23 +748,30 @@ BitAccurateFabric::injectAndRepair(const InMemCommand &cmd)
     auto touched = layout_.tilesIntersecting(cmd.tensor);
     if (touched.empty())
         return;
-    const unsigned bits = dtypeBits(cmd.dtype);
     // Pick the upset site from the SRAM stream: tile, wordline within the
     // destination slot, bitline.
-    PlannedFault pf;
-    pf.cmdIndex = 0;
-    pf.tile = touched[fault_->draw(FaultDomain::Sram, touched.size())];
-    pf.wl = cmd.wlDst + static_cast<unsigned>(
-                            fault_->draw(FaultDomain::Sram, bits));
-    pf.bl = static_cast<unsigned>(
-        fault_->draw(FaultDomain::Sram, bitlines_));
+    ComputeSram &s =
+        tile(touched[fault_->draw(FaultDomain::Sram, touched.size())]);
+    const unsigned wl =
+        cmd.wlDst + static_cast<unsigned>(fault_->draw(
+                        FaultDomain::Sram, dtypeBits(cmd.dtype)));
+    const unsigned bl =
+        static_cast<unsigned>(fault_->draw(FaultDomain::Sram, bitlines_));
     fault_->recordDetection();
-    applyFault(cmd, pf);
+    const bool parity_before = s.rowParity(wl);
+    const std::uint64_t good = s.readElement(bl, cmd.wlDst, cmd.dtype);
+    s.flipBit(wl, bl);
+    // Row parity flips on any single-bit upset — detection is certain.
+    infs_assert(s.rowParity(wl) != parity_before,
+                "single-bit flip must flip row parity");
+    // Repair: rewrite the corrupted element (ECC correction / re-read of
+    // the known-good operand).
+    s.writeElement(bl, cmd.wlDst, cmd.dtype, good);
     fault_->recordRetry();
 }
 
 void
-BitAccurateFabric::executeNoFault(const InMemCommand &cmd)
+BitAccurateFabric::executeCommand(const InMemCommand &cmd)
 {
     const auto t0 = std::chrono::steady_clock::now();
     switch (cmd.kind) {
@@ -872,208 +791,24 @@ BitAccurateFabric::executeNoFault(const InMemCommand &cmd)
         execBroadcastVal(cmd);
         break;
       case CmdKind::Sync:
-        break; // Ordering only; handled by the segment walk.
+        break;
     }
-    const auto dt = std::chrono::steady_clock::now() - t0;
     const auto k = static_cast<std::size_t>(cmd.kind);
-    kindCount_[k].fetch_add(1, std::memory_order_relaxed);
-    kindNanos_[k].fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                .count()),
-        std::memory_order_relaxed);
-}
-
-void
-BitAccurateFabric::executeCommand(const InMemCommand &cmd)
-{
-    executeNoFault(cmd);
+    ++kindCount_[k];
+    kindNanos_[k] += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
     if (cmd.kind == CmdKind::Compute && fault_ && fault_->sampleSramFlip())
         injectAndRepair(cmd);
-}
-
-std::vector<std::int64_t>
-BitAccurateFabric::touchedTiles(const InMemCommand &cmd) const
-{
-    std::vector<std::int64_t> tiles;
-    auto add = [&](const HyperRect &r) {
-        auto v = layout_.tilesIntersecting(r.intersect(arrayRect_));
-        tiles.insert(tiles.end(), v.begin(), v.end());
-    };
-    switch (cmd.kind) {
-      case CmdKind::Compute:
-      case CmdKind::IntraShift:
-        add(cmd.tensor);
-        break;
-      case CmdKind::InterShift: {
-        add(cmd.tensor);
-        const Coord tile_k = layout_.tile()[cmd.dim];
-        const Coord dist = cmd.interTileDist * tile_k + cmd.intraTileDist;
-        add(cmd.tensor.shifted(cmd.dim, dist));
-        break;
-      }
-      case CmdKind::BroadcastBl: {
-        add(cmd.tensor);
-        const Coord span = cmd.tensor.size(cmd.dim);
-        for (Coord j = 0; j < cmd.bcCount; ++j)
-            add(cmd.tensor.shifted(cmd.dim, cmd.bcDist + j * span));
-        break;
-      }
-      case CmdKind::BroadcastVal: {
-        tiles.resize(static_cast<std::size_t>(layout_.numTiles()));
-        for (std::size_t i = 0; i < tiles.size(); ++i)
-            tiles[i] = static_cast<std::int64_t>(i);
-        break;
-      }
-      case CmdKind::Sync:
-        break;
-    }
-    std::sort(tiles.begin(), tiles.end());
-    tiles.erase(std::unique(tiles.begin(), tiles.end()), tiles.end());
-    return tiles;
-}
-
-void
-BitAccurateFabric::executeSegment(
-    const InMemProgram &prog, std::size_t lo, std::size_t hi,
-    const std::vector<const PlannedFault *> &faults)
-{
-    if (hi <= lo)
-        return;
-    auto runOne = [&](std::size_t i) {
-        const InMemCommand &cmd = prog.commands[i];
-        executeNoFault(cmd);
-        if (faults[i] != nullptr)
-            applyFault(cmd, *faults[i]);
-    };
-    if (pool_ == nullptr || pool_->inlineOnly() || hi - lo == 1) {
-        for (std::size_t i = lo; i < hi; ++i)
-            runOne(i);
-        return;
-    }
-
-    // Lane partition: commands whose touched-tile sets overlap share a
-    // lane and execute in program order; disjoint lanes run concurrently
-    // — the host-side mirror of the banks' independence. Union-find over
-    // tile ownership.
-    const std::size_t n = hi - lo;
-    std::vector<std::vector<std::int64_t>> touched(n);
-    pool_->parallelFor(static_cast<std::int64_t>(n), [&](std::int64_t k) {
-        touched[static_cast<std::size_t>(k)] =
-            touchedTiles(prog.commands[lo + static_cast<std::size_t>(k)]);
-    });
-    std::vector<std::size_t> parent(n);
-    for (std::size_t i = 0; i < n; ++i)
-        parent[i] = i;
-    std::function<std::size_t(std::size_t)> find =
-        [&](std::size_t x) -> std::size_t {
-        while (parent[x] != x) {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        return x;
-    };
-    std::unordered_map<std::int64_t, std::size_t> tile_owner;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::int64_t t : touched[i]) {
-            auto [it, inserted] = tile_owner.emplace(t, i);
-            if (!inserted) {
-                std::size_t a = find(it->second), b = find(i);
-                if (a != b)
-                    parent[b] = a;
-                it->second = find(a);
-            }
-        }
-    }
-    std::unordered_map<std::size_t, std::size_t> root_lane;
-    std::vector<std::vector<std::size_t>> lanes;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::size_t r = find(i);
-        auto [it, inserted] = root_lane.emplace(r, lanes.size());
-        if (inserted)
-            lanes.emplace_back();
-        lanes[it->second].push_back(i);
-    }
-
-    if (hazardCheck_ && lanes.size() > 1) {
-        // Engine self-check (DESIGN.md §10): the lanes about to run
-        // concurrently must have pairwise-disjoint tile sets — the same
-        // disjointness invariant the command hazard analyzer proves at
-        // lowering time (verifyLevel == Full).
-        std::unordered_map<std::int64_t, std::size_t> owner;
-        for (std::size_t l = 0; l < lanes.size(); ++l) {
-            for (std::size_t i : lanes[l]) {
-                for (std::int64_t t : touched[i]) {
-                    auto [it, inserted] = owner.emplace(t, l);
-                    infs_assert(inserted || it->second == l,
-                                "bank-parallel hazard: tile %lld shared "
-                                "by concurrent lanes %zu and %zu",
-                                static_cast<long long>(t), it->second, l);
-                }
-            }
-        }
-    }
-
-    if (lanes.size() == 1) {
-        for (std::size_t i = lo; i < hi; ++i)
-            runOne(i);
-        return;
-    }
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(lanes.size());
-    for (const auto &lane : lanes) {
-        tasks.push_back([&, lane] {
-            for (std::size_t k : lane)
-                runOne(lo + k);
-        });
-    }
-    pool_->runTasks(std::move(tasks));
 }
 
 void
 BitAccurateFabric::execute(const InMemProgram &prog)
 {
-    // Fault pre-sampling: one sequential walk in program order consumes
-    // the RNG streams exactly as the legacy inline path did, so the
-    // injected schedule (and every counter) is bit-identical for any
-    // pool size. The state effects are applied later inside the owning
-    // lane — ordered with respect to every command that shares a tile.
-    std::vector<PlannedFault> planned;
-    std::vector<const PlannedFault *> faults(prog.commands.size(),
-                                             nullptr);
-    if (fault_ != nullptr) {
-        for (std::size_t i = 0; i < prog.commands.size(); ++i) {
-            const InMemCommand &cmd = prog.commands[i];
-            if (cmd.kind != CmdKind::Compute || !fault_->sampleSramFlip())
-                continue;
-            auto touched = layout_.tilesIntersecting(cmd.tensor);
-            if (touched.empty())
-                continue;
-            const unsigned bits = dtypeBits(cmd.dtype);
-            PlannedFault pf;
-            pf.cmdIndex = i;
-            pf.tile =
-                touched[fault_->draw(FaultDomain::Sram, touched.size())];
-            pf.wl = cmd.wlDst + static_cast<unsigned>(
-                                    fault_->draw(FaultDomain::Sram, bits));
-            pf.bl = static_cast<unsigned>(
-                fault_->draw(FaultDomain::Sram, bitlines_));
-            fault_->recordDetection();
-            fault_->recordRetry();
-            planned.push_back(pf);
-        }
-        for (const PlannedFault &pf : planned)
-            faults[pf.cmdIndex] = &pf;
-    }
-
-    std::size_t seg_lo = 0;
-    for (std::size_t i = 0; i <= prog.commands.size(); ++i) {
-        if (i == prog.commands.size() ||
-            prog.commands[i].kind == CmdKind::Sync) {
-            executeSegment(prog, seg_lo, i, faults);
-            seg_lo = i + 1;
-        }
-    }
+    for (const InMemCommand &cmd : prog.commands)
+        if (cmd.kind != CmdKind::Sync)
+            executeCommand(cmd);
 }
 
 } // namespace infs

@@ -7,22 +7,17 @@
  * the tDFG interpreter in tests. It models function, not time (the
  * TensorController owns timing).
  *
- * Execution is bank-parallel on the host (DESIGN.md §10): tiles are
- * independent SRAM arrays, so per-tile work inside one command fans out
- * across a thread pool, and whole commands between two Sync barriers run
- * concurrently when their touched-tile sets are disjoint (lane
- * partitioning — the simulator-side mirror of the hardware's 64
- * independent banks). Results are bit-identical for every pool size.
+ * A program runs start to finish on the calling thread, in program
+ * order (DESIGN.md §10): per-tile tasks are too small to outweigh a
+ * worker wake-up, so the fabric takes no thread pool.
  */
 
 #ifndef INFS_UARCH_BIT_EXEC_HH
 #define INFS_UARCH_BIT_EXEC_HH
 
 #include <array>
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -30,7 +25,6 @@
 #include "bitserial/compute_sram.hh"
 #include "jit/commands.hh"
 #include "jit/tiling.hh"
-#include "sim/thread_pool.hh"
 
 namespace infs {
 
@@ -39,8 +33,8 @@ class FaultInjector;
 /**
  * Host-side execution counters for one fabric: per-command-kind counts and
  * wall time (the CI regression-triage breakdown) plus tile-mask cache
- * effectiveness. Wall time is summed across concurrently executing lanes,
- * so it is CPU time spent in each kind, not elapsed time.
+ * effectiveness. Wall time is the host time spent in each kind on the
+ * thread that ran the program.
  */
 struct FabricStats {
     struct Kind {
@@ -115,17 +109,13 @@ class BitAccurateFabric
     float element(const std::vector<Coord> &pt, unsigned wl) const;
 
     /**
-     * Execute every command of @p prog, bank-parallel when a thread pool
-     * is attached. Between two Sync barriers, commands whose touched-tile
-     * sets are disjoint execute concurrently (each lane in program
-     * order); per-tile work inside a command fans out as well. Fault
-     * sampling is hoisted into a sequential pre-pass in program order, so
-     * the injected schedule — and therefore the result and every counter
-     * — is identical for any pool size.
+     * Execute every command of @p prog in program order on the calling
+     * thread. Sync commands only order commands, so they are skipped and
+     * not counted.
      */
     void execute(const InMemProgram &prog);
 
-    /** Execute one command (inline, legacy single-command entry). */
+    /** Execute one command, then sample and repair its SRAM upset. */
     void executeCommand(const InMemCommand &cmd);
 
     /** Direct access for tests. */
@@ -141,33 +131,18 @@ class BitAccurateFabric
      */
     void attachFaultInjector(FaultInjector *f) { fault_ = f; }
 
-    /** Attach a host thread pool (nullptr = inline execution). */
-    void setThreadPool(ThreadPool *pool) { pool_ = pool; }
-
-    /**
-     * Debug-mode precondition check (DESIGN.md §10): before running a
-     * sync segment's lanes concurrently, re-verify that the lanes'
-     * touched-tile sets really are disjoint — the same invariant the
-     * PR-2 command hazard analyzer proves at lowering time. Aborts on
-     * violation; off by default (the analyzer already gates JIT output
-     * when SystemConfig::verifyLevel == Full).
-     */
-    void setHazardCheck(bool on) { hazardCheck_ = on; }
-
-    /** Tiles (lattice rects intersected, shift targets, broadcast
-     * destinations) command @p cmd reads or writes. Sorted, unique. */
-    std::vector<std::int64_t> touchedTiles(const InMemCommand &cmd) const;
-
     /** Snapshot of the per-command-kind counters and cache stats. */
     FabricStats stats() const;
     void resetStats();
 
     /**
      * Per-tile bitline mask of cmd.tensor cells (shift-mask aware).
-     * Memoized: keyed by (tile, tensor bounds, positional window), built
-     * word-level on first use, served from a sharded thread-safe cache
-     * afterwards (same discipline as the JIT lowering memo). The layout
-     * is immutable after construction, so entries never go stale; the
+     * Memoized by tile-relative geometry: the clip of cmd.tensor against
+     * the array and tile @p t, relative to the tile origin, plus the
+     * positional window (dim, maskLo, maskHi) when @p apply_shift_mask.
+     * The mask depends on nothing else, so every interior tile of a
+     * command shares one entry. Built word-level on first use; the layout
+     * is immutable after construction, so entries never go stale and the
      * returned reference is stable for the fabric's lifetime.
      */
     const BitRow &tileMask(const InMemCommand &cmd, std::int64_t t,
@@ -178,24 +153,9 @@ class BitAccurateFabric
                             bool apply_shift_mask) const;
 
   private:
-    /** Deterministically pre-sampled SRAM upset for one command. */
-    struct PlannedFault {
-        std::size_t cmdIndex;
-        std::int64_t tile;
-        unsigned wl;
-        unsigned bl;
-    };
-
-    /** Apply one pre-sampled upset: flip, detect via parity, repair. */
-    void applyFault(const InMemCommand &cmd, const PlannedFault &pf);
-    /** Sample (legacy inline path) and apply an upset for @p cmd. */
+    /** Sample an upset for @p cmd (tile, wordline, bitline), flip it,
+     * detect it via row parity and repair it. */
     void injectAndRepair(const InMemCommand &cmd);
-    /** Execute @p cmd's state update without fault hooks. */
-    void executeNoFault(const InMemCommand &cmd);
-    /** Run commands [lo, hi) of @p prog as one sync segment. */
-    void executeSegment(const InMemProgram &prog, std::size_t lo,
-                        std::size_t hi,
-                        const std::vector<const PlannedFault *> &faults);
     /**
      * Tile-order transfer walk shared by loadArray and storeArray: every
      * tile in index order, each 64-bitline word of it that holds a
@@ -212,10 +172,6 @@ class BitAccurateFabric
      * the innermost contiguous dimension). */
     BitRow buildTileMask(const InMemCommand &cmd, std::int64_t t,
                          bool apply_shift_mask) const;
-
-    /** Allocate every tile in @p tiles (parallel loops must not race the
-     * lazy allocation in tile()). */
-    void ensureTiles(const std::vector<std::int64_t> &tiles);
 
     /**
      * emit(srcPos, dstTile, dstPos, len, fill) for one coalesced run.
@@ -257,9 +213,8 @@ class BitAccurateFabric
      * Batched gather/scatter of whole bitline word-spans between tiles
      * (replaces the per-element PendingWrite path). @p enumerate is
      * called once per source tile with that tile's clipped part and an
-     * emit callback; staged segment bits flow through per-source-tile
-     * arenas so overlapping source/destination slots stay safe and both
-     * phases fan out across the pool.
+     * emit callback; every run is staged before any is written, so
+     * overlapping source/destination slots stay safe.
      */
     void moveRuns(const std::vector<std::int64_t> &src_tiles,
                   const HyperRect &clipped, unsigned bits, unsigned wl_src,
@@ -273,19 +228,28 @@ class BitAccurateFabric
     void execBroadcast(const InMemCommand &cmd);
     void execBroadcastVal(const InMemCommand &cmd);
 
-    /** parallelFor over @p tiles when a pool is attached, else inline. */
-    void forEachTile(const std::vector<std::int64_t> &tiles,
-                     const std::function<void(std::int64_t)> &fn);
+    /** Occupancy accounting for one per-tile command visit: one work
+     * unit, folded into a bank group by tile index. */
+    void
+    countVisit(std::int64_t t)
+    {
+        ++bankOps_[static_cast<std::size_t>(t) % FabricStats::kBankSlots];
+    }
 
-    /** Everything that identifies one memoized tile mask. */
+    /**
+     * Everything buildTileMask reads: the clip of cmd.tensor against the
+     * array and one tile, relative to that tile's origin, and the
+     * positional window (zero when unused). An empty clip has one
+     * all-zero key.
+     */
     struct MaskKey {
-        std::int64_t tile = 0;
-        bool positional = false;
-        unsigned dim = 0;
+        static constexpr unsigned kMaxDims = 8;
+        std::array<std::int32_t, kMaxDims> lo{};
+        std::array<std::int32_t, kMaxDims> hi{};
         Coord maskLo = 0;
         Coord maskHi = 0;
-        std::vector<Coord> lo; ///< cmd.tensor bounds (clip is derived).
-        std::vector<Coord> hi;
+        unsigned dim = 0;
+        bool positional = false;
 
         bool operator==(const MaskKey &o) const = default;
     };
@@ -294,13 +258,8 @@ class BitAccurateFabric
         std::size_t operator()(const MaskKey &k) const;
     };
 
-    /** Sharded cache (the PR 3 JIT-memo discipline: hash-picked shard,
-     * per-shard lock, node-stable entries). */
-    static constexpr std::size_t kMaskShards = 16;
-    struct MaskShard {
-        std::mutex mu;
-        std::unordered_map<MaskKey, BitRow, MaskKeyHash> map;
-    };
+    MaskKey maskKey(const InMemCommand &cmd, std::int64_t t,
+                    bool apply_shift_mask) const;
 
     TiledLayout layout_;
     unsigned wordlines_;
@@ -309,19 +268,16 @@ class BitAccurateFabric
      * one per command execution. */
     HyperRect arrayRect_;
     FaultInjector *fault_ = nullptr;
-    ThreadPool *pool_ = nullptr;
-    bool hazardCheck_ = false;
     // Lazily allocated tiles (large layouts touch few in tests).
     mutable std::vector<std::unique_ptr<ComputeSram>> tiles_;
 
-    mutable std::array<MaskShard, kMaskShards> maskShards_;
-    mutable std::atomic<std::uint64_t> maskHits_{0};
-    mutable std::atomic<std::uint64_t> maskMisses_{0};
-    mutable std::array<std::atomic<std::uint64_t>, 6> kindCount_{};
-    mutable std::array<std::atomic<std::uint64_t>, 6> kindNanos_{};
+    mutable std::unordered_map<MaskKey, BitRow, MaskKeyHash> masks_;
+    mutable std::uint64_t maskHits_ = 0;
+    mutable std::uint64_t maskMisses_ = 0;
+    std::array<std::uint64_t, 6> kindCount_{};
+    std::array<std::uint64_t, 6> kindNanos_{};
     /** Per-bank-group work-unit counters (FabricStats::bankOps). */
-    std::array<std::atomic<std::uint64_t>, FabricStats::kBankSlots>
-        bankOps_{};
+    std::array<std::uint64_t, FabricStats::kBankSlots> bankOps_{};
     /** Scratch-alloc total at the last resetStats() (snapshots report the
      * delta; tiles never reset their own counters). */
     std::uint64_t scratchBase_ = 0;

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "sim/fault.hh"
 #include "sim/rng.hh"
 #include "tdfg/interp.hh"
 #include "uarch/bit_exec.hh"
@@ -38,6 +42,18 @@ class BitExecTest : public ::testing::Test
             if (id == a)
                 return wl;
         infs_panic("array %d has no output slot", a);
+    }
+
+    /** Every element of @p got has the bit pattern of @p want. */
+    static void
+    expectBitExact(const std::vector<float> &got,
+                   const std::vector<float> &want)
+    {
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                      std::bit_cast<std::uint32_t>(want[i]))
+                << i << ": " << got[i] << " vs " << want[i];
     }
 
     SystemConfig cfg;
@@ -235,6 +251,141 @@ TEST_F(BitExecTest, InTileReductionPartials)
     fab.execute(*prog);
     float total = fab.element({0}, outputSlotOf(*prog, 1));
     EXPECT_NEAR(total, expect, 1e-2);
+}
+
+/** Stencil with inter-tile shifts across 8 tiles: gather/scatter
+ * crossings plus multi-tile computes, bit-exact against the interpreter
+ * over the whole output rect. */
+TEST_F(BitExecTest, StencilAcrossTilesBitExact)
+{
+    const Coord n = 2048;
+    TdfgGraph g(1, "stencil1d");
+    NodeId a0 = g.tensor(0, HyperRect::interval(0, n - 2));
+    NodeId a1 = g.tensor(0, HyperRect::interval(1, n - 1));
+    NodeId a2 = g.tensor(0, HyperRect::interval(2, n));
+    g.output(g.compute(BitOp::Add,
+                       {g.move(a0, 0, 1), a1, g.move(a2, 0, -1)}),
+             1);
+    TiledLayout lay({n}, {256});
+    auto prog = jit.lower(g, lay, map);
+    ASSERT_GT(prog->numInterShift, 0u);
+
+    ArrayStore store;
+    ArrayId A = store.declare("A", {n});
+    store.declare("B", {n});
+    Rng rng(11);
+    for (auto &v : store.array(A).data)
+        v = rng.nextFloat(-8, 8);
+    const std::vector<float> va = store.array(A).data;
+    TdfgInterpreter(store).run(g);
+
+    BitAccurateFabric fab(lay);
+    fab.loadArray(va, slotOf(*prog, 0));
+    fab.execute(*prog);
+    std::vector<float> out(static_cast<std::size_t>(n));
+    fab.storeArray(out, outputSlotOf(*prog, 1));
+    const auto &want = store.array(1).data;
+    expectBitExact({out.begin() + 1, out.end() - 1},
+                   {want.begin() + 1, want.end() - 1});
+}
+
+/** 2-D elementwise chain with an immediate operand across 128 tiles. */
+TEST_F(BitExecTest, BroadcastChainBitExact)
+{
+    const Coord n0 = 64, n1 = 512;
+    TdfgGraph g(2, "bc_chain");
+    NodeId a = g.tensor(0, HyperRect::array({n0, n1}));
+    NodeId b = g.tensor(1, HyperRect::array({n0, n1}));
+    NodeId m = g.compute(BitOp::Mul, {a, b});
+    g.output(g.compute(BitOp::Add, {m, g.constant(0.25)}), 2);
+    TiledLayout lay({n0, n1}, {16, 16}); // Tile volume = 256 bitlines.
+    auto prog = jit.lower(g, lay, map);
+
+    ArrayStore store;
+    ArrayId A = store.declare("A", {n0, n1});
+    ArrayId B = store.declare("B", {n0, n1});
+    store.declare("C", {n0, n1});
+    Rng rng(13);
+    for (auto &v : store.array(A).data)
+        v = rng.nextFloat(-4, 4);
+    for (auto &v : store.array(B).data)
+        v = rng.nextFloat(-4, 4);
+    const std::vector<float> va = store.array(A).data;
+    const std::vector<float> vb = store.array(B).data;
+    TdfgInterpreter(store).run(g);
+
+    BitAccurateFabric fab(lay);
+    fab.loadArray(va, slotOf(*prog, 0));
+    fab.loadArray(vb, slotOf(*prog, 1));
+    fab.execute(*prog);
+    std::vector<float> out(va.size());
+    fab.storeArray(out, outputSlotOf(*prog, 2));
+    expectBitExact(out, store.array(2).data);
+}
+
+/** Faults at rate 1.0: every Compute that touches a tile draws one SRAM
+ * upset, parity detects it, the repair restores it, and the schedule
+ * depends on the seed alone. */
+TEST_F(BitExecTest, FaultsRepairedAndReproducible)
+{
+    const Coord n = 1024;
+    TdfgGraph g(1, "mul_add");
+    NodeId a = g.tensor(0, HyperRect::interval(0, n));
+    NodeId b = g.tensor(1, HyperRect::interval(0, n));
+    g.output(g.compute(BitOp::Add, {g.compute(BitOp::Mul, {a, b}), a}), 2);
+    TiledLayout lay({n}, {256});
+    auto prog = jit.lower(g, lay, map);
+    std::uint64_t computes = 0;
+    for (const InMemCommand &cmd : prog->commands)
+        if (cmd.kind == CmdKind::Compute &&
+            !lay.tilesIntersecting(cmd.tensor).empty())
+            ++computes;
+    ASSERT_GE(computes, 2u);
+
+    ArrayStore store;
+    ArrayId A = store.declare("A", {n});
+    ArrayId B = store.declare("B", {n});
+    store.declare("C", {n});
+    Rng rng(17);
+    for (auto &v : store.array(A).data)
+        v = rng.nextFloat(-10, 10);
+    for (auto &v : store.array(B).data)
+        v = rng.nextFloat(-10, 10);
+    const std::vector<float> va = store.array(A).data;
+    const std::vector<float> vb = store.array(B).data;
+    TdfgInterpreter(store).run(g);
+
+    auto run = [&](FaultStats &fs) {
+        FaultConfig fc;
+        fc.enabled = true;
+        fc.seed = 0x5eed;
+        fc.sramBitFlipRate = 1.0;
+        FaultInjector inj(fc);
+        BitAccurateFabric fab(lay);
+        fab.attachFaultInjector(&inj);
+        fab.loadArray(va, slotOf(*prog, 0));
+        fab.loadArray(vb, slotOf(*prog, 1));
+        fab.execute(*prog);
+        std::vector<float> out(static_cast<std::size_t>(n));
+        fab.storeArray(out, outputSlotOf(*prog, 2));
+        fs = inj.snapshot();
+        return out;
+    };
+
+    FaultStats first, second;
+    expectBitExact(run(first), store.array(2).data);
+    EXPECT_EQ(first.sramBitFlips, computes);
+    EXPECT_EQ(first.detected, computes);
+    EXPECT_EQ(first.retries, computes);
+
+    expectBitExact(run(second), store.array(2).data);
+    EXPECT_EQ(second.sramBitFlips, first.sramBitFlips);
+    EXPECT_EQ(second.nocPacketFaults, first.nocPacketFaults);
+    EXPECT_EQ(second.cmdFaults, first.cmdFaults);
+    EXPECT_EQ(second.detected, first.detected);
+    EXPECT_EQ(second.retries, first.retries);
+    EXPECT_EQ(second.exhausted, first.exhausted);
+    EXPECT_EQ(second.retryCycles, first.retryCycles);
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
- * Differential tests for the sharded tile-mask memo (DESIGN.md §10):
- * every cached mask must equal a fresh uncached build of the same key —
- * including under concurrent lookups from the bank-parallel thread pool,
- * where distinct threads race to insert the same shard entries.
+ * Tests for the tile-mask memo (DESIGN.md §10): every cached mask must
+ * equal a fresh uncached build, and the memo is keyed by tile-relative
+ * geometry — tiles whose clips match relative to their origin share one
+ * entry, while the positional window keeps commands apart.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 
 #include "jit/commands.hh"
 #include "sim/rng.hh"
-#include "sim/thread_pool.hh"
 #include "uarch/bit_exec.hh"
 
 namespace infs {
@@ -87,40 +86,126 @@ TEST(MaskCache, RepeatLookupsHitAndStayStable)
     EXPECT_EQ(warm.maskCacheHits, cold.maskCacheHits + 10);
 }
 
-TEST(MaskCache, ConcurrentLookupsAreDifferentiallyCorrect)
+/** A Compute command over @p tensor with no positional window. */
+InMemCommand
+computeCmd(HyperRect tensor)
 {
-    // Many threads hammer the same small key set through one shared
-    // fabric: racing inserts must converge to one stable entry per key,
-    // and every returned mask must equal its uncached build.
-    TiledLayout lay({96, 40}, {16, 10});
+    InMemCommand cmd;
+    cmd.tensor = std::move(tensor);
+    cmd.wlA = 0;
+    cmd.wlB = 32;
+    cmd.wlDst = 64;
+    return cmd;
+}
+
+TEST(MaskCache, WholeArrayComputeMissesOnce)
+{
+    // 4 x 6 interior tiles, all with the full clip [0,16) x [0,8).
+    TiledLayout lay({64, 48}, {16, 8});
     BitAccurateFabric fab(lay);
-    Rng rng(33);
-    std::vector<InMemCommand> cmds;
-    for (int c = 0; c < 12; ++c)
-        cmds.push_back(randomMaskCmd(rng, {96, 40}, {16, 10}));
-
-    ThreadPool pool(8);
-    const std::int64_t jobs =
-        static_cast<std::int64_t>(cmds.size()) * lay.numTiles() * 4;
-    std::vector<int> bad(static_cast<std::size_t>(jobs), 0);
-    pool.parallelFor(jobs, [&](std::int64_t j) {
-        const auto c = static_cast<std::size_t>(j) % cmds.size();
-        const std::int64_t t =
-            (j / static_cast<std::int64_t>(cmds.size())) % lay.numTiles();
-        const bool shift_mask = (j & 1) != 0;
-        const BitRow &cached = fab.tileMask(cmds[c], t, shift_mask);
-        if (!(cached == fab.tileMaskUncached(cmds[c], t, shift_mask)))
-            bad[static_cast<std::size_t>(j)] = 1;
-    });
-    for (std::int64_t j = 0; j < jobs; ++j)
-        ASSERT_EQ(bad[static_cast<std::size_t>(j)], 0) << "job " << j;
-
-    // Each distinct (cmd, tile, shift_mask) key missed at most a few
-    // times (benign insert races), then everything hit.
+    fab.executeCommand(computeCmd(HyperRect::array({64, 48})));
     const FabricStats s = fab.stats();
-    EXPECT_EQ(s.maskCacheHits + s.maskCacheMisses,
-              static_cast<std::uint64_t>(jobs));
-    EXPECT_GT(s.maskCacheHits, s.maskCacheMisses);
+    EXPECT_EQ(s.maskCacheMisses, 1u);
+    EXPECT_EQ(s.maskCacheHits,
+              static_cast<std::uint64_t>(lay.numTiles()) - 1);
+}
+
+TEST(MaskCache, RaggedShapeMissesOncePerRelativeClip)
+{
+    // A 70 x 45 array on 16 x 8 tiles has ragged last tiles in both dims,
+    // so a tensor cut inside the first and last tiles has at most three
+    // distinct relative clips per dim: first, interior, last.
+    TiledLayout lay({70, 45}, {16, 8});
+    {
+        BitAccurateFabric fab(lay);
+        const HyperRect cut = HyperRect::box2(3, 67, 2, 43);
+        fab.executeCommand(computeCmd(cut));
+        const FabricStats s = fab.stats();
+        EXPECT_EQ(s.maskCacheMisses, 9u);
+        EXPECT_EQ(s.maskCacheHits + s.maskCacheMisses,
+                  static_cast<std::uint64_t>(
+                      lay.countTilesIntersecting(cut)));
+    }
+    {
+        // A tensor overhanging the array clips to the shape: the last
+        // tiles' clips end at the array edge, not the tile edge.
+        BitAccurateFabric fab(lay);
+        const InMemCommand cmd =
+            computeCmd(HyperRect::box2(-5, 80, -3, 50));
+        for (std::int64_t t = 0; t < lay.numTiles(); ++t)
+            ASSERT_EQ(fab.tileMask(cmd, t, false),
+                      fab.tileMaskUncached(cmd, t, false))
+                << "tile " << t;
+        EXPECT_EQ(fab.stats().maskCacheMisses, 4u);
+    }
+    Rng rng(34);
+    for (int c = 0; c < 50; ++c) {
+        BitAccurateFabric fab(lay);
+        const InMemCommand cmd = randomMaskCmd(rng, {70, 45}, {16, 8});
+        for (bool shift_mask : {false, true}) {
+            const FabricStats before = fab.stats();
+            for (std::int64_t t : lay.tilesIntersecting(cmd.tensor))
+                ASSERT_EQ(fab.tileMask(cmd, t, shift_mask),
+                          fab.tileMaskUncached(cmd, t, shift_mask))
+                    << "cmd " << c << " tile " << t;
+            EXPECT_LE(fab.stats().maskCacheMisses - before.maskCacheMisses,
+                      9u)
+                << "cmd " << c << " shift_mask " << shift_mask;
+        }
+    }
+}
+
+TEST(MaskCache, MatchingRelativeClipsShareOneEntry)
+{
+    TiledLayout lay({64, 48}, {16, 8});
+    BitAccurateFabric fab(lay);
+    // [2,14) x [1,7) in tile (0,0) and [34,46) x [25,31) in tile (2,3):
+    // different absolute bounds, the same clip relative to each origin.
+    InMemCommand a = computeCmd(HyperRect::box2(2, 14, 1, 7));
+    InMemCommand b = computeCmd(HyperRect::box2(34, 46, 25, 31));
+    for (InMemCommand *cmd : {&a, &b}) {
+        cmd->dim = 1;
+        cmd->maskLo = 2;
+        cmd->maskHi = 6;
+    }
+    const std::int64_t ta = lay.tileOf({2, 1});
+    const std::int64_t tb = lay.tileOf({34, 25});
+    ASSERT_NE(ta, tb);
+    for (bool shift_mask : {false, true}) {
+        const BitRow &ma = fab.tileMask(a, ta, shift_mask);
+        const BitRow &mb = fab.tileMask(b, tb, shift_mask);
+        EXPECT_EQ(&ma, &mb) << "shift_mask " << shift_mask;
+        EXPECT_EQ(mb, fab.tileMaskUncached(b, tb, shift_mask));
+    }
+    const FabricStats s = fab.stats();
+    EXPECT_EQ(s.maskCacheMisses, 2u);
+    EXPECT_EQ(s.maskCacheHits, 2u);
+}
+
+TEST(MaskCache, PositionalFieldsKeepEntriesApart)
+{
+    TiledLayout lay({64, 48}, {16, 8});
+    BitAccurateFabric fab(lay);
+    InMemCommand base = computeCmd(HyperRect::array({64, 48}));
+    base.dim = 0;
+    base.maskLo = 2;
+    base.maskHi = 6;
+    InMemCommand lo = base, hi = base, dim = base;
+    lo.maskLo = 3;
+    hi.maskHi = 5;
+    dim.dim = 1;
+    const std::int64_t t = lay.tileOf({20, 10});
+    std::vector<BitRow> masks;
+    for (const InMemCommand *cmd : {&base, &lo, &hi, &dim}) {
+        masks.push_back(fab.tileMask(*cmd, t, true));
+        EXPECT_EQ(masks.back(), fab.tileMaskUncached(*cmd, t, true));
+    }
+    const FabricStats s = fab.stats();
+    EXPECT_EQ(s.maskCacheMisses, 4u);
+    EXPECT_EQ(s.maskCacheHits, 0u);
+    for (std::size_t i = 0; i < masks.size(); ++i)
+        for (std::size_t j = i + 1; j < masks.size(); ++j)
+            EXPECT_FALSE(masks[i] == masks[j]) << i << " vs " << j;
 }
 
 } // namespace

@@ -181,7 +181,6 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
         if (job) {
             auto bt0 = std::chrono::steady_clock::now();
             auto be = makeBackend(backend, cfg);
-            be->setThreadPool(&sys.pool());
             br = be->runJob(*job);
             backend_ms = msSince(bt0);
             // The job pass's fabric-side cache counters ride along in
