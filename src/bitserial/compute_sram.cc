@@ -183,53 +183,34 @@ ComputeSram::fpBinary(BitOp op, unsigned wl_a, unsigned wl_b, unsigned wl_dst,
 {
     const unsigned n = 32;
     const simd::SimdKernels &k = simd::active();
-    if (k.blockedFp) {
-        // Blocked bit-plane path (DESIGN.md §14): per 64-bitline word
-        // block, gather the 32 bit planes of each operand, transpose them
-        // to 64 fp32 lanes, apply one IEEE op per lane, transpose back and
-        // scatter under the mask word. Unmasked lanes are computed and
-        // discarded (no fp traps with default rounding/exception state),
-        // so the result bits match the per-element path exactly.
-        const simd::FpOp fop = toFpOp(op);
-        const auto mwords = mask.words();
-        std::uint64_t aplanes[32], bplanes[32], rplanes[32];
-        std::uint32_t alanes[64], blanes[64], rlanes[64];
-        for (std::size_t wi = 0; wi < mwords.size(); ++wi) {
-            const std::uint64_t mword = mwords[wi];
-            if (mword == 0)
-                continue;
-            for (unsigned b = 0; b < n; ++b) {
-                aplanes[b] = bits_.row(wl_a + b).words()[wi];
-                bplanes[b] = bits_.row(wl_b + b).words()[wi];
-            }
-            simd::planesToLanes(k, aplanes, alanes);
-            simd::planesToLanes(k, bplanes, blanes);
-            k.fpLanes(fop, alanes, blanes, rlanes, 64);
-            simd::lanesToPlanes(k, rlanes, rplanes);
-            for (unsigned b = 0; b < n; ++b)
-                bits_.row(wl_dst + b).mergeWordMasked(
-                    static_cast<unsigned>(wi), rplanes[b], mword);
+    // Blocked bit-plane path (DESIGN.md §14): per 64-bitline word block,
+    // gather the 32 bit planes of each operand, transpose them to 64 fp32
+    // lanes, apply one IEEE op per lane, transpose back and scatter under
+    // the mask word. Unmasked lanes are computed and discarded (no fp
+    // traps with default rounding/exception state), so the result bits
+    // match a per-element loop exactly.
+    const simd::FpOp fop = toFpOp(op);
+    const auto mwords = mask.words();
+    std::uint64_t aplanes[32], bplanes[32], rplanes[32];
+    std::uint32_t alanes[64], blanes[64], rlanes[64];
+    for (std::size_t wi = 0; wi < mwords.size(); ++wi) {
+        const std::uint64_t mword = mwords[wi];
+        if (mword == 0)
+            continue;
+        for (unsigned b = 0; b < n; ++b) {
+            aplanes[b] = bits_.row(wl_a + b).words()[wi];
+            bplanes[b] = bits_.row(wl_b + b).words()[wi];
         }
-    } else {
-        forEachSetBit(mask, [&](unsigned bl) {
-            float a = readFloat(bl, wl_a);
-            float b = readFloat(bl, wl_b);
-            float r = 0.0f;
-            switch (op) {
-              case BitOp::Add: r = a + b; break;
-              case BitOp::Sub: r = a - b; break;
-              case BitOp::Mul: r = a * b; break;
-              case BitOp::Div: r = a / b; break;
-              case BitOp::Max: r = a > b ? a : b; break;
-              case BitOp::Min: r = a < b ? a : b; break;
-              default:
-                infs_panic("fpBinary: unsupported op %s", bitOpName(op));
-            }
-            writeFloat(bl, wl_dst, r);
-        });
+        simd::planesToLanes(k, aplanes, alanes);
+        simd::planesToLanes(k, bplanes, blanes);
+        k.fpLanes(fop, alanes, blanes, rlanes, 64);
+        simd::lanesToPlanes(k, rlanes, rplanes);
+        for (unsigned b = 0; b < n; ++b)
+            bits_.row(wl_dst + b).mergeWordMasked(
+                static_cast<unsigned>(wi), rplanes[b], mword);
     }
-    // Charge activations at the bit-serial rate the latency implies —
-    // identical for both host paths; the hardware model is unchanged.
+    // Charge activations at the bit-serial rate the latency implies; the
+    // hardware model does not depend on the host path.
     Tick cycles = lat_.opCycles(op, DType::Fp32);
     stats_.rowReads += 2 * n;
     stats_.rowWrites += n;
@@ -257,29 +238,21 @@ ComputeSram::execBinary(BitOp op, DType t, unsigned wl_a, unsigned wl_b,
             BitRow &lt = scratch(17);
             lt.clear();
             const simd::SimdKernels &k = simd::active();
-            if (k.blockedFp) {
-                const auto mwords = mask.words();
-                std::uint64_t aplanes[32], bplanes[32];
-                std::uint32_t alanes[64], blanes[64];
-                for (std::size_t wi = 0; wi < mwords.size(); ++wi) {
-                    const std::uint64_t mword = mwords[wi];
-                    if (mword == 0)
-                        continue;
-                    for (unsigned b = 0; b < 32; ++b) {
-                        aplanes[b] = bits_.row(wl_a + b).words()[wi];
-                        bplanes[b] = bits_.row(wl_b + b).words()[wi];
-                    }
-                    simd::planesToLanes(k, aplanes, alanes);
-                    simd::planesToLanes(k, bplanes, blanes);
-                    lt.mergeWordMasked(static_cast<unsigned>(wi),
-                                       k.fpLtMask(alanes, blanes, 64),
-                                       mword);
+            const auto mwords = mask.words();
+            std::uint64_t aplanes[32], bplanes[32];
+            std::uint32_t alanes[64], blanes[64];
+            for (std::size_t wi = 0; wi < mwords.size(); ++wi) {
+                const std::uint64_t mword = mwords[wi];
+                if (mword == 0)
+                    continue;
+                for (unsigned b = 0; b < 32; ++b) {
+                    aplanes[b] = bits_.row(wl_a + b).words()[wi];
+                    bplanes[b] = bits_.row(wl_b + b).words()[wi];
                 }
-            } else {
-                forEachSetBit(mask, [&](unsigned bl) {
-                    if (readFloat(bl, wl_a) < readFloat(bl, wl_b))
-                        lt.set(bl, true);
-                });
+                simd::planesToLanes(k, aplanes, alanes);
+                simd::planesToLanes(k, bplanes, blanes);
+                lt.mergeWordMasked(static_cast<unsigned>(wi),
+                                   k.fpLtMask(alanes, blanes, 64), mword);
             }
             driveRow(wl_dst, lt, mask);
             ++stats_.opCount;

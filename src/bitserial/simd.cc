@@ -165,11 +165,10 @@ portFpLtMask(const std::uint32_t *a, const std::uint32_t *b, unsigned n)
 }
 
 constexpr SimdKernels
-makeTable(SimdIsa isa, bool blocked_fp)
+makeTable(SimdIsa isa)
 {
     SimdKernels k;
     k.isa = isa;
-    k.blockedFp = blocked_fp;
     k.rowFullAdder = portRowFullAdder;
     k.rowMaj = portRowMaj;
     k.rowSelect = portRowSelect;
@@ -460,7 +459,7 @@ avx2FpLtMask(const std::uint32_t *a, const std::uint32_t *b, unsigned n)
 SimdKernels
 makeAvx2Table()
 {
-    SimdKernels k = makeTable(SimdIsa::Avx2, true);
+    SimdKernels k = makeTable(SimdIsa::Avx2);
     k.rowFullAdder = avx2RowFullAdder;
     k.rowMaj = avx2RowMaj;
     k.rowSelect = avx2RowSelect;
@@ -645,7 +644,7 @@ neonFpLanes(FpOp op, const std::uint32_t *a, const std::uint32_t *b,
 SimdKernels
 makeNeonTable()
 {
-    SimdKernels k = makeTable(SimdIsa::Neon, true);
+    SimdKernels k = makeTable(SimdIsa::Neon);
     k.rowFullAdder = neonRowFullAdder;
     k.rowMaj = neonRowMaj;
     k.rowSelect = neonRowSelect;
@@ -669,8 +668,7 @@ makeNeonTable()
 
 namespace {
 
-const SimdKernels kOffTable = makeTable(SimdIsa::Off, false);
-const SimdKernels kPortableTable = makeTable(SimdIsa::Portable, true);
+const SimdKernels kPortableTable = makeTable(SimdIsa::Portable);
 #ifdef INFS_SIMD_X86
 const SimdKernels kAvx2Table = makeAvx2Table();
 #endif
@@ -700,7 +698,6 @@ available(SimdIsa isa)
 {
     switch (isa) {
       case SimdIsa::Auto:
-      case SimdIsa::Off:
       case SimdIsa::Portable:
         return true;
       case SimdIsa::Avx2:
@@ -749,8 +746,6 @@ const SimdKernels &
 kernelsFor(SimdIsa isa)
 {
     switch (isa) {
-      case SimdIsa::Off:
-        return kOffTable;
       case SimdIsa::Avx2:
 #ifdef INFS_SIMD_X86
         if (available(SimdIsa::Avx2))

@@ -14,11 +14,6 @@
  *  - block kernels: 32x32 bit-matrix transpose and 64-lane fp32 ops, the
  *    building blocks of the chunked bit transpose (loadArray/storeArray)
  *    and the blocked fpBinary path in ComputeSram.
- *
- * SimdIsa::Off routes the row kernels to the portable code AND disables
- * the blocked fp path entirely (ComputeSram falls back to the legacy
- * per-element loop), so the pre-PR 10 execution path stays reachable and
- * testable from the same binary.
  */
 
 #ifndef INFS_BITSERIAL_SIMD_HH
@@ -36,12 +31,10 @@ enum class FpOp : std::uint8_t { Add, Sub, Mul, Div, Max, Min };
 
 /**
  * One resolved kernel table. All function pointers are non-null; `isa`
- * names the implementation for stats/bench attribution. `blockedFp` is
- * false only for the Off table (legacy per-element fp32 path).
+ * names the implementation for stats/bench attribution.
  */
 struct SimdKernels {
     SimdIsa isa = SimdIsa::Portable;
-    bool blockedFp = true;
 
     /** sum' = sum ^ addend ^ carry; carry' = maj(sum, addend, carry). */
     void (*rowFullAdder)(std::uint64_t *sum, const std::uint64_t *addend,
@@ -94,7 +87,7 @@ struct SimdKernels {
 /** Best ISA the running host supports (compile-time + cpuid). */
 SimdIsa detect();
 
-/** Whether @p isa can execute on this host (Off/Portable always can). */
+/** Whether @p isa can execute on this host (Portable always can). */
 bool available(SimdIsa isa);
 
 /**

@@ -11,6 +11,17 @@
 
 namespace infs {
 
+namespace {
+
+/** Whether @p p has a near-memory stream form. */
+bool
+hasStreamForm(const Phase &p)
+{
+    return !p.streams.empty() || static_cast<bool>(p.buildStreams);
+}
+
+} // namespace
+
 const char *
 paradigmName(Paradigm p)
 {
@@ -64,7 +75,7 @@ Executor::run(const Workload &w, ArrayStore *store)
 }
 
 Tick
-Executor::corePhaseCycles(const Phase &p, unsigned threads, ExecStats &st,
+Executor::corePhaseCycles(const Phase &p, unsigned threads,
                           std::uint64_t iters) const
 {
     const SystemConfig &cfg = sys_.config();
@@ -107,10 +118,30 @@ Executor::corePhaseCycles(const Phase &p, unsigned threads, ExecStats &st,
     sys_.energy().charge(EnergyEvent::L3Access, lines * rep);
 
     Tick overhead = threads > 1 ? p.baseSyncPerIter : 200;
-    (void)st;
     return static_cast<Tick>(
                std::max({compute_cycles, mem_cycles, dram_cycles})) +
            overhead;
+}
+
+void
+Executor::runNearOrCore(const Phase &p, ExecStats &st, bool near_allowed,
+                        std::uint64_t first_iter, std::uint64_t iters)
+{
+    if (near_allowed && hasStreamForm(p)) {
+        std::vector<NearStream> built;
+        for (std::uint64_t i = 0; i < iters; ++i) {
+            if (p.buildStreams)
+                built = p.buildStreams(first_iter + i);
+            NearExecResult r = sys_.nearEngine().run(
+                p.buildStreams ? built : p.streams, 0);
+            st.nearMemCycles += r.cycles;
+            st.cycles += r.cycles;
+        }
+        return;
+    }
+    Tick per_iter = corePhaseCycles(p, sys_.config().numCores(), iters);
+    st.coreCycles += per_iter * iters;
+    st.cycles += per_iter * iters;
 }
 
 void
@@ -119,34 +150,16 @@ Executor::degradeRegion(const Phase &p, ExecStats &st,
                         const Error &err)
 {
     ++st.regionsDegraded;
-    const bool near_ok =
-        !p.streams.empty() || static_cast<bool>(p.buildStreams);
     infs_warn("phase '%s': in-memory region failed (%s); degrading to %s",
               p.name.c_str(), err.str().c_str(),
-              near_ok ? "near-memory streams" : "the core");
-    if (near_ok) {
-        // Near-L3 fallback: the stream form covers the whole phase
-        // (including final reductions), mirroring runNearL3. This is the
-        // In-L3 -> Near-L3 step of the degradation chain, so it applies
-        // even when the paradigm is not fused.
-        for (std::uint64_t i = 0; i < iters; ++i) {
-            NearExecResult r = sys_.nearEngine().run(
-                p.buildStreams ? p.buildStreams(first_iter + i)
-                               : p.streams,
-                0);
-            st.nearMemCycles += r.cycles;
-            st.cycles += r.cycles;
-        }
-    } else {
-        Tick per_iter =
-            corePhaseCycles(p, sys_.config().numCores(), st, iters);
-        st.coreCycles += per_iter * iters;
-        st.cycles += per_iter * iters;
-    }
+              hasStreamForm(p) ? "near-memory streams" : "the core");
+    // The In-L3 -> Near-L3 step of the degradation chain applies even when
+    // the paradigm is not fused.
+    runNearOrCore(p, st, /*near_allowed=*/true, first_iter, iters);
 }
 
 void
-Executor::runBase(const Workload &w, ExecStats &st, unsigned threads)
+Executor::fetchColdData(const Workload &w, ExecStats &st)
 {
     // Cold data comes from DRAM once per workload.
     Bytes dram_bytes = static_cast<Bytes>(
@@ -156,9 +169,15 @@ Executor::runBase(const Workload &w, ExecStats &st, unsigned threads)
         st.dramCycles += t;
         st.cycles += t;
     }
+}
+
+void
+Executor::runBase(const Workload &w, ExecStats &st, unsigned threads)
+{
+    fetchColdData(w, st);
     for (const Phase &p : w.phases) {
         Tick before = st.cycles;
-        Tick per_iter = corePhaseCycles(p, threads, st, p.iterations);
+        Tick per_iter = corePhaseCycles(p, threads, p.iterations);
         st.coreCycles += per_iter * p.iterations;
         st.cycles += per_iter * p.iterations;
         st.phaseCycles.emplace_back(p.name, st.cycles - before);
@@ -168,39 +187,10 @@ Executor::runBase(const Workload &w, ExecStats &st, unsigned threads)
 void
 Executor::runNearL3(const Workload &w, ExecStats &st)
 {
-    Bytes dram_bytes = static_cast<Bytes>(
-        static_cast<double>(w.footprintBytes) * (1.0 - w.l3Residency));
-    if (dram_bytes > 0) {
-        Tick t = sys_.dram().transfer(dram_bytes);
-        st.dramCycles += t;
-        st.cycles += t;
-    }
+    fetchColdData(w, st);
     for (const Phase &p : w.phases) {
         Tick phase_start = st.cycles;
-        bool per_iter_streams = static_cast<bool>(p.buildStreams);
-        if (p.streams.empty() && !per_iter_streams) {
-            // Not offloadable: run in the core.
-            Tick per_iter = corePhaseCycles(
-                p, sys_.config().numCores(), st, p.iterations);
-            st.coreCycles += per_iter * p.iterations;
-            st.cycles += per_iter * p.iterations;
-            st.phaseCycles.emplace_back(p.name, st.cycles - phase_start);
-            continue;
-        }
-        if (per_iter_streams) {
-            for (std::uint64_t it = 0; it < p.iterations; ++it) {
-                NearExecResult r =
-                    sys_.nearEngine().run(p.buildStreams(it), 0);
-                st.nearMemCycles += r.cycles;
-                st.cycles += r.cycles;
-            }
-        } else {
-            for (std::uint64_t it = 0; it < p.iterations; ++it) {
-                NearExecResult r = sys_.nearEngine().run(p.streams, 0);
-                st.nearMemCycles += r.cycles;
-                st.cycles += r.cycles;
-            }
-        }
+        runNearOrCore(p, st, /*near_allowed=*/true, 0, p.iterations);
         st.phaseCycles.emplace_back(p.name, st.cycles - phase_start);
     }
 }
@@ -448,55 +438,17 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
     for (PhasePlan &plan : plans) {
         const Phase &p = *plan.phase;
         Tick phase_start = st.cycles;
-        if (plan.route == Route::Irregular) {
-            // Irregular-only phase: near memory when fused, core when not.
-            if (fused &&
-                (!p.streams.empty() || p.buildStreams)) {
-                if (p.buildStreams) {
-                    for (std::uint64_t it = 0; it < p.iterations; ++it) {
-                        NearExecResult r =
-                            sys_.nearEngine().run(p.buildStreams(it), 0);
-                        st.nearMemCycles += r.cycles;
-                        st.cycles += r.cycles;
-                    }
-                } else {
-                    for (std::uint64_t it = 0; it < p.iterations; ++it) {
-                        NearExecResult r =
-                            sys_.nearEngine().run(p.streams, 0);
-                        st.nearMemCycles += r.cycles;
-                        st.cycles += r.cycles;
-                    }
-                }
-            } else {
-                Tick per_iter = corePhaseCycles(p, cfg.numCores(), st,
-                                                p.iterations);
-                st.coreCycles += per_iter * p.iterations;
-                st.cycles += per_iter * p.iterations;
-            }
+        if (plan.route == Route::Irregular ||
+            plan.route == Route::Fallback) {
+            // No tDFG, no valid phase layout, or Eq. 2 says in-memory does
+            // not pay: fused runs the stream form near memory; In-L3 has
+            // no near-memory support and falls back to the core.
+            runNearOrCore(p, st, fused, 0, p.iterations);
             st.phaseCycles.emplace_back(p.name, st.cycles - phase_start);
             continue;
         }
         if (plan.route == Route::DegradeTdfg) {
             degradeRegion(p, st, 0, p.iterations, plan.error);
-            st.phaseCycles.emplace_back(p.name, st.cycles - phase_start);
-            continue;
-        }
-        if (plan.route == Route::Fallback) {
-            // Eq. 2 says in-memory does not pay (or no valid layout):
-            // fused runs the stream form near memory; In-L3 falls back to
-            // the core.
-            if (fused && !p.streams.empty()) {
-                for (std::uint64_t it = 0; it < p.iterations; ++it) {
-                    NearExecResult r = sys_.nearEngine().run(p.streams, 0);
-                    st.nearMemCycles += r.cycles;
-                    st.cycles += r.cycles;
-                }
-            } else {
-                Tick per_iter = corePhaseCycles(p, cfg.numCores(), st,
-                                                p.iterations);
-                st.coreCycles += per_iter * p.iterations;
-                st.cycles += per_iter * p.iterations;
-            }
             st.phaseCycles.emplace_back(p.name, st.cycles - phase_start);
             continue;
         }
@@ -679,8 +631,8 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
                 Phase residual;
                 residual.coreFlopsPerIter = p.residualFlopsPerIter;
                 residual.coreBytesPerIter = p.residualBytesPerIter;
-                Tick per_iter = corePhaseCycles(
-                    residual, cfg.numCores(), st, p.iterations);
+                Tick per_iter =
+                    corePhaseCycles(residual, cfg.numCores(), p.iterations);
                 st.finalReduceCycles += per_iter * p.iterations;
                 st.cycles += per_iter * p.iterations;
             }

@@ -74,7 +74,7 @@ struct ExecStats {
     // Dispatch provenance (bench schema v5, DESIGN.md §14).
     /** SIMD kernel table the bitserial layer ran with. */
     SimdIsa simdIsa = SimdIsa::Portable;
-    /** NUMA nodes the host pool pins its workers across (1 = none). */
+    /** Always 1; kept only because perfbench/src/driver.cc sets it. */
     unsigned numaNodes = 1;
     /** Fat-binary candidate the dispatcher picked for the primary layout
      * (index into the tiling policy's candidate list); -1 when only one
@@ -127,8 +127,17 @@ class Executor
                      bool jit_enabled);
     /** In-core cost of one phase iteration for the Base paradigms;
      * traffic and energy are charged for all @p iters at once. */
-    Tick corePhaseCycles(const Phase &p, unsigned threads, ExecStats &st,
+    Tick corePhaseCycles(const Phase &p, unsigned threads,
                          std::uint64_t iters) const;
+
+    /**
+     * Run iterations [@p first_iter, first_iter + iters) of @p p off the
+     * fabric: near memory when @p near_allowed and the phase has a stream
+     * form (`streams` or per-iteration `buildStreams`), else in the core.
+     * Every near-memory/core fallback of the executor goes through here.
+     */
+    void runNearOrCore(const Phase &p, ExecStats &st, bool near_allowed,
+                       std::uint64_t first_iter, std::uint64_t iters);
 
     /**
      * Graceful degradation of an in-memory region that failed (lowering
@@ -140,6 +149,9 @@ class Executor
     void degradeRegion(const Phase &p, ExecStats &st,
                        std::uint64_t first_iter, std::uint64_t iters,
                        const Error &err);
+
+    /** Charge the workload's cold (non-L3-resident) bytes from DRAM. */
+    void fetchColdData(const Workload &w, ExecStats &st);
 
     void finalizeStats(ExecStats &st) const;
 

@@ -60,7 +60,6 @@ simdIsaName(SimdIsa isa)
 {
     switch (isa) {
       case SimdIsa::Auto: return "auto";
-      case SimdIsa::Off: return "off";
       case SimdIsa::Portable: return "portable";
       case SimdIsa::Avx2: return "avx2";
       case SimdIsa::Neon: return "neon";
@@ -73,8 +72,6 @@ parseSimdIsaName(const std::string &name, SimdIsa &out)
 {
     if (name == "auto") {
         out = SimdIsa::Auto;
-    } else if (name == "off") {
-        out = SimdIsa::Off;
     } else if (name == "portable") {
         out = SimdIsa::Portable;
     } else if (name == "avx2") {

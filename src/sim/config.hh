@@ -170,13 +170,12 @@ bool parseBackendName(const std::string &name, ExecBackendKind &out);
  */
 enum class SimdIsa : std::uint8_t {
     Auto,     ///< Resolve from INFS_SIMD, else detect the best available.
-    Off,      ///< Legacy inline word loops (no dispatch-layer kernels).
     Portable, ///< Dispatch-layer kernels in portable scalar code.
     Avx2,     ///< x86 AVX2 kernels (requires hardware support).
     Neon,     ///< AArch64 NEON kernels (requires hardware support).
 };
 
-/** Human-readable ISA name ("auto"/"off"/"portable"/"avx2"/"neon"). */
+/** Human-readable ISA name ("auto"/"portable"/"avx2"/"neon"). */
 const char *simdIsaName(SimdIsa isa);
 
 /** Parse an ISA name; returns false (leaving @p out untouched) on an
@@ -240,17 +239,6 @@ struct SystemConfig {
      * from the INFS_SIMD environment variable, then cpuid detection.
      * Every path produces byte-identical bits and identical ExecStats. */
     SimdIsa simd = SimdIsa::Auto;
-
-    /**
-     * NUMA-aware placement (DESIGN.md §14): pin thread-pool workers
-     * round-robin across the NUMA nodes of the host and construct bank
-     * shards (fabric tiles) on the workers that will execute them, so
-     * first-touch allocation lands tile state on the node that computes
-     * it. On single-node hosts (or with the knob off) behavior is exactly
-     * today's: no affinity calls, identical results either way — NUMA
-     * placement is purely a wall-clock knob like hostThreads.
-     */
-    bool numaAware = true;
 
     /**
      * Fat-binary schedule selection (DESIGN.md §14): the JIT lowers up to

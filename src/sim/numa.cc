@@ -1,36 +1,8 @@
 #include "sim/numa.hh"
 
-#include <algorithm>
 #include <cstdio>
-#include <string>
 
 namespace infs {
-
-std::vector<unsigned>
-parseCpuList(const std::string &list)
-{
-    std::vector<unsigned> cpus;
-    std::size_t pos = 0;
-    while (pos < list.size()) {
-        std::size_t end = list.find(',', pos);
-        if (end == std::string::npos)
-            end = list.size();
-        const std::string chunk = list.substr(pos, end - pos);
-        pos = end + 1;
-        if (chunk.empty())
-            continue;
-        unsigned lo = 0, hi = 0;
-        if (std::sscanf(chunk.c_str(), "%u-%u", &lo, &hi) == 2) {
-            if (hi < lo || hi - lo > 4096)
-                continue;
-            for (unsigned c = lo; c <= hi; ++c)
-                cpus.push_back(c);
-        } else if (std::sscanf(chunk.c_str(), "%u", &lo) == 1) {
-            cpus.push_back(lo);
-        }
-    }
-    return cpus;
-}
 
 namespace {
 
@@ -38,28 +10,19 @@ NumaTopology
 discover()
 {
     NumaTopology topo;
+    unsigned n = 0;
 #ifdef __linux__
-    for (unsigned n = 0; n < 1024; ++n) {
+    for (; n < 1024; ++n) {
         char path[96];
         std::snprintf(path, sizeof(path),
                       "/sys/devices/system/node/node%u/cpulist", n);
         std::FILE *f = std::fopen(path, "r");
         if (f == nullptr)
             break;
-        char buf[4096];
-        std::string list;
-        if (std::fgets(buf, sizeof(buf), f) != nullptr)
-            list = buf;
         std::fclose(f);
-        while (!list.empty() &&
-               (list.back() == '\n' || list.back() == '\r'))
-            list.pop_back();
-        topo.nodeCpus.push_back(parseCpuList(list));
     }
 #endif
-    if (topo.nodeCpus.empty())
-        topo.nodeCpus.emplace_back();
-    topo.nodes = static_cast<unsigned>(topo.nodeCpus.size());
+    topo.nodes = n == 0 ? 1 : n;
     return topo;
 }
 

@@ -1,13 +1,6 @@
 #include "sim/thread_pool.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace infs {
 
@@ -38,45 +31,6 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::setNumaPinning(std::vector<std::vector<unsigned>> node_cpus)
-{
-    std::lock_guard<std::mutex> lk(startMu_);
-    if (started_.load(std::memory_order_relaxed))
-        return; // Workers already placed; too late to move them.
-    // Drop nodes with no CPUs (memory-only nodes take no workers); a
-    // single remaining node means pinning buys nothing.
-    std::erase_if(node_cpus,
-                  [](const std::vector<unsigned> &c) { return c.empty(); });
-    if (node_cpus.size() <= 1)
-        return;
-    nodeCpus_ = std::move(node_cpus);
-}
-
-void
-ThreadPool::pinWorker(std::thread &t, unsigned index) const
-{
-#ifdef __linux__
-    if (nodeCpus_.empty())
-        return;
-    // Round-robin workers across nodes: worker i serves the deterministic
-    // chunk i of every parallelFor, so memory first-touched by worker i
-    // stays local to its node for the whole run.
-    const auto &cpus = nodeCpus_[index % nodeCpus_.size()];
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    for (unsigned c : cpus) {
-        if (c < CPU_SETSIZE)
-            CPU_SET(c, &set);
-    }
-    if (CPU_COUNT(&set) > 0)
-        pthread_setaffinity_np(t.native_handle(), sizeof(set), &set);
-#else
-    (void)t;
-    (void)index;
-#endif
-}
-
-void
 ThreadPool::startWorkers()
 {
     if (started_.load(std::memory_order_acquire))
@@ -89,10 +43,8 @@ ThreadPool::startWorkers()
     for (unsigned i = 0; i < n_workers; ++i)
         queues_.push_back(std::make_unique<WorkerQueue>());
     workers_.reserve(n_workers);
-    for (unsigned i = 0; i < n_workers; ++i) {
+    for (unsigned i = 0; i < n_workers; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
-        pinWorker(workers_.back(), i);
-    }
     started_.store(true, std::memory_order_release);
 }
 

@@ -61,23 +61,9 @@ class ThreadPool
     /** True when the pool executes everything inline (size 1). */
     bool inlineOnly() const { return threads_ <= 1; }
 
-    /**
-     * Pin future worker threads round-robin across the given per-node CPU
-     * sets (DESIGN.md §14). Must be called before the first parallel call
-     * (workers spawn lazily); ignored once workers exist, on single-node
-     * sets, or on non-Linux hosts. Pinning changes only *where* workers
-     * run — chunking stays a pure function of (n, grain, threads), so
-     * results remain bit-exact.
-     */
-    void setNumaPinning(std::vector<std::vector<unsigned>> node_cpus);
-
-    /** NUMA nodes the pool pins across (1 = no pinning). */
-    unsigned numaNodes() const
-    {
-        return nodeCpus_.empty()
-                   ? 1u
-                   : static_cast<unsigned>(nodeCpus_.size());
-    }
+    /** Always 1: the pool never pins workers. Kept only because
+     * perfbench/src/driver.cc reports it. */
+    unsigned numaNodes() const { return 1; }
 
     /**
      * Run @p fn(i) for every i in [0, n). Blocks until all iterations
@@ -120,8 +106,6 @@ class ThreadPool
     };
 
     void startWorkers();
-    /** Apply the node-local CPU mask for worker @p index (Linux only). */
-    void pinWorker(std::thread &t, unsigned index) const;
     void workerLoop(unsigned self);
     /** Pop from own queue (back) or steal from a victim (front). */
     bool tryTake(unsigned self, Task &out);
@@ -131,8 +115,6 @@ class ThreadPool
     void submit(std::vector<Task> &&tasks);
 
     unsigned threads_ = 1;
-    /** Per-node CPU sets for worker pinning; empty = no pinning. */
-    std::vector<std::vector<unsigned>> nodeCpus_;
     std::atomic<bool> started_{false};
     std::atomic<bool> stopping_{false};
     std::atomic<std::uint64_t> stolen_{0};

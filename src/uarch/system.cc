@@ -6,7 +6,6 @@
 #include "analysis/verify_cmds.hh"
 #include "analysis/verify_tdfg.hh"
 #include "bitserial/simd.hh"
-#include "sim/numa.hh"
 
 namespace infs {
 
@@ -21,11 +20,6 @@ InfinitySystem::InfinitySystem(SystemConfig cfg)
     // (process-global: the last constructed system wins, which is the
     // single-system reality of every tool and test binary).
     simd::setActive(cfg_.simd);
-    // On multi-node hosts, pin workers round-robin across nodes so bank
-    // shards stay local to the worker that owns them (DESIGN.md §14);
-    // single-node hosts take the legacy unpinned path.
-    if (cfg_.numaAware)
-        pool_.setNumaPinning(numaTopology().nodeCpus);
 
     jit_.setThreadPool(&pool_);
     if (fault_.enabled())

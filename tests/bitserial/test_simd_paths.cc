@@ -1,11 +1,12 @@
 /**
  * @file
  * Differential certification of the SIMD dispatch layer (DESIGN.md §14):
- * every kernel table reachable on this host — Off, Portable, and the
- * native one (AVX2 on x86, NEON on arm) — must be bit-identical to the
- * portable table at every level: raw row kernels, the 32x32 transpose,
- * the 64-lane fp32 block ops, ComputeSram's fp path (blocked vs legacy),
- * and whole lowered-job checksums on the fabric backend. The same binary
+ * every kernel table reachable on this host — Portable and the native
+ * one (AVX2 on x86, NEON on arm) — must be bit-identical to the portable
+ * table at every level: raw row kernels, the 32x32 transpose, the 64-lane
+ * fp32 block ops, ComputeSram's blocked fp path (also checked against
+ * plain host float arithmetic), and whole lowered-job checksums on the
+ * fabric backend. The same binary
  * re-certifies any single path when ctest runs under a forced INFS_SIMD
  * (scripts/check.sh --simd), because InfinitySystem resolves Auto from
  * the environment.
@@ -33,7 +34,7 @@ namespace {
 std::vector<SimdIsa>
 reachableIsas()
 {
-    std::vector<SimdIsa> out{SimdIsa::Portable, SimdIsa::Off};
+    std::vector<SimdIsa> out{SimdIsa::Portable};
     for (SimdIsa isa : {SimdIsa::Avx2, SimdIsa::Neon})
         if (simd::available(isa))
             out.push_back(isa);
@@ -224,10 +225,32 @@ expectStatsEqual(const SramOpStats &got, const SramOpStats &want)
     EXPECT_EQ(got.opCount, want.opCount);
 }
 
+/** Plain host float arithmetic on raw fp32 bit patterns: the scalar
+ * reference the bit-plane fp path must reproduce bit for bit. */
+std::uint32_t
+hostFp(BitOp op, std::uint32_t a_bits, std::uint32_t b_bits)
+{
+    const float a = std::bit_cast<float>(a_bits);
+    const float b = std::bit_cast<float>(b_bits);
+    float r = 0.0f;
+    switch (op) {
+      case BitOp::Add: r = a + b; break;
+      case BitOp::Sub: r = a - b; break;
+      case BitOp::Mul: r = a * b; break;
+      case BitOp::Div: r = a / b; break;
+      case BitOp::Max: r = a > b ? a : b; break;
+      case BitOp::Min: r = a < b ? a : b; break;
+      default: ADD_FAILURE() << "no host reference for " << bitOpName(op);
+    }
+    return std::bit_cast<std::uint32_t>(r);
+}
+
 /**
- * ComputeSram fp32 compute under every ISA, including Off (the legacy
- * per-element path with blockedFp disabled): result bit patterns, cycle
- * costs, and SramOpStats must all be identical to the portable run.
+ * ComputeSram fp32 compute under every ISA, under a full and a partial
+ * mask: every masked lane must equal plain host float arithmetic on the
+ * same operands bit for bit, every unmasked lane must keep its prior
+ * value, and CmpLt must equal a host `<`. Result bits, cycle costs and
+ * SramOpStats must also be identical to the portable run.
  */
 TEST_F(SimdPathTest, ComputeSramFp32PathsAreBitIdentical)
 {
@@ -239,31 +262,58 @@ TEST_F(SimdPathTest, ComputeSramFp32PathsAreBitIdentical)
     Rng rng(0x5FA3);
     const auto a = awkwardFloats(rng, 100);
     const auto b = awkwardFloats(rng, 100);
+    constexpr std::uint32_t kSentinel = 0xDEADBEEFu;
 
     auto run_with = [&](SimdIsa isa) {
+        SCOPED_TRACE(simdIsaName(isa));
         simd::setActive(isa);
         ComputeSram sram(256, 128);
-        BitRow mask = sram.fullMask();
-        // A partial mask too: the blocked path must merge untouched
-        // lanes exactly as the legacy path leaves them.
-        BitRow half = mask;
+        const BitRow full = sram.fullMask();
+        // A partial mask too: the blocked path computes whole 64-lane
+        // blocks and must leave the unmasked lanes untouched.
+        BitRow half = full;
         for (unsigned i = 0; i < sram.bitlines(); i += 2)
             half.set(i, false);
+        const BitRow *const masks[] = {&full, &half};
+        const auto lane_a = [&](unsigned i) { return a[i % a.size()]; };
+        const auto lane_b = [&](unsigned i) { return b[i % b.size()]; };
         for (unsigned i = 0; i < sram.bitlines(); ++i) {
-            sram.writeElement(i, 0, DType::Fp32, a[i % a.size()]);
-            sram.writeElement(i, 32, DType::Fp32, b[i % b.size()]);
+            sram.writeElement(i, 0, DType::Fp32, lane_a(i));
+            sram.writeElement(i, 32, DType::Fp32, lane_b(i));
         }
         Run r;
         for (BitOp op : {BitOp::Add, BitOp::Sub, BitOp::Mul, BitOp::Div,
-                         BitOp::Max, BitOp::Min})
-            r.costs.push_back(sram.execBinary(op, DType::Fp32, 0, 32, 64,
-                                              op == BitOp::Mul ? half
-                                                               : mask));
-        r.costs.push_back(
-            sram.execBinary(BitOp::CmpLt, DType::Fp32, 0, 32, 96, mask));
-        for (unsigned i = 0; i < sram.bitlines(); ++i) {
-            r.bits.push_back(sram.readElement(i, 64, DType::Fp32));
-            r.bits.push_back(sram.readElement(i, 96, DType::Fp32));
+                         BitOp::Max, BitOp::Min}) {
+            for (const BitRow *mask : masks) {
+                for (unsigned i = 0; i < sram.bitlines(); ++i)
+                    sram.writeElement(i, 64, DType::Fp32, kSentinel);
+                r.costs.push_back(
+                    sram.execBinary(op, DType::Fp32, 0, 32, 64, *mask));
+                for (unsigned i = 0; i < sram.bitlines(); ++i) {
+                    const std::uint64_t got =
+                        sram.readElement(i, 64, DType::Fp32);
+                    const std::uint64_t want =
+                        mask->get(i) ? hostFp(op, lane_a(i), lane_b(i))
+                                     : kSentinel;
+                    EXPECT_EQ(got, want)
+                        << bitOpName(op) << " lane " << i;
+                    r.bits.push_back(got);
+                }
+            }
+        }
+        for (const BitRow *mask : masks) {
+            for (unsigned i = 0; i < sram.bitlines(); ++i)
+                sram.bits().set(96, i, true);
+            r.costs.push_back(
+                sram.execBinary(BitOp::CmpLt, DType::Fp32, 0, 32, 96, *mask));
+            for (unsigned i = 0; i < sram.bitlines(); ++i) {
+                const bool got = sram.bits().get(96, i);
+                const bool want =
+                    !mask->get(i) || std::bit_cast<float>(lane_a(i)) <
+                                         std::bit_cast<float>(lane_b(i));
+                EXPECT_EQ(got, want) << "CmpLt lane " << i;
+                r.bits.push_back(got);
+            }
         }
         r.stats = sram.stats();
         return r;

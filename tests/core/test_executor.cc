@@ -159,6 +159,29 @@ TEST_F(ParadigmTest, GaussInMemOpsWithinTotalOps)
     }
 }
 
+TEST(ExecutorFallback, EqTwoRejectedGaussRunsNearMemory)
+{
+    // gauss_elim builds its near-memory streams per iteration. When Eq. 2
+    // keeps its shrinking region out of memory, Inf-S must run those
+    // streams near memory exactly as Near-L3 does, not in the core.
+    struct Case {
+        SystemConfig cfg;
+        Coord n;
+    };
+    for (const Case &c : {Case{testSystemConfig(), 96},
+                          Case{defaultSystemConfig(), 64}}) {
+        SCOPED_TRACE(c.n);
+        InfinitySystem sys(c.cfg);
+        Workload w = makeGaussElim(c.n);
+        ExecStats infs = runOn(sys, Paradigm::InfS, w);
+        ExecStats near = runOn(sys, Paradigm::NearL3, w);
+        EXPECT_EQ(infs.inMemOps, 0u);
+        EXPECT_EQ(infs.coreCycles, 0u);
+        EXPECT_GT(infs.nearMemCycles, 0u);
+        EXPECT_EQ(infs.cycles, near.cycles);
+    }
+}
+
 TEST_F(ParadigmTest, InMemOpFractionNearOne)
 {
     // Fig 14 dots: nearly all ops execute in bitlines for the dense

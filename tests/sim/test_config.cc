@@ -69,6 +69,26 @@ TEST(SystemConfig, UnknownBackendNameRejected)
     EXPECT_EQ(parsed, ExecBackendKind::Timing);
 }
 
+TEST(SystemConfig, SimdIsaNamesRoundTrip)
+{
+    for (SimdIsa isa : {SimdIsa::Auto, SimdIsa::Portable, SimdIsa::Avx2,
+                        SimdIsa::Neon}) {
+        SimdIsa parsed = SimdIsa::Auto;
+        ASSERT_TRUE(parseSimdIsaName(simdIsaName(isa), parsed));
+        EXPECT_EQ(parsed, isa);
+    }
+}
+
+TEST(SystemConfig, OffSimdIsaNameRejected)
+{
+    // "off" named a per-element fp path that no longer exists.
+    SimdIsa parsed = SimdIsa::Neon;
+    EXPECT_FALSE(parseSimdIsaName("off", parsed));
+    EXPECT_FALSE(parseSimdIsaName("", parsed));
+    // A failed parse leaves the out-parameter untouched.
+    EXPECT_EQ(parsed, SimdIsa::Neon);
+}
+
 TEST(SystemConfig, DefaultBackendIsFabric)
 {
     EXPECT_EQ(testSystemConfig().backend, ExecBackendKind::Fabric);

@@ -87,7 +87,7 @@ struct Row {
     CmdStats cmd; ///< Command-optimizer counters (exec run + job pass).
     FabricStats fabric; ///< Per-command-kind breakdown (fabric backend).
     SimdIsa simdIsa = SimdIsa::Portable; ///< Resolved SIMD kernel table.
-    unsigned numaNodes = 1;    ///< NUMA nodes the pool pins across.
+    unsigned numaNodes = 1;    ///< Always 1; the pool never pins.
     int scheduleId = -1;       ///< Fat-binary pick (-1 = single schedule).
     unsigned scheduleCandidates = 0; ///< Candidates the dispatcher saw.
     std::vector<AblationRow> ablation; ///< Filled in --ablate mode.
@@ -387,7 +387,7 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [--quick|--full] [--backend fabric|functional|timing]\n"
-        "       [--simd auto|off|portable|avx2|neon] [--threads N]\n"
+        "       [--simd auto|portable|avx2|neon] [--threads N]\n"
         "       [--repeat N] [--json out.json]\n"
         "       [--no-cmdopt] [--ablate] [--list-scenarios] "
         "[workload...]\n"
@@ -407,8 +407,7 @@ usage(const char *argv0)
         "running.\n"
         "--simd pins the bitserial SIMD kernel table (default auto = "
         "detect;\n"
-        "  every value is bit-identical — off also disables the blocked "
-        "fp path).\n"
+        "  every value is bit-identical).\n"
         "  Unknown values exit 2 before running.\n"
         "--threads 0 uses all hardware threads; simulated results are "
         "identical for any value.\n"
