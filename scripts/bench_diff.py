@@ -37,14 +37,17 @@ Gates, all on machine-independent quantities (DESIGN.md section 10):
 
 Wall-clock fields are reported for context and never gate the
 regression check (only the explicit opt-in improvement gate above may
-read one). Accepts the infs-bench-v1 through -v5 schemas (v2 added
+read one). Accepts the infs-bench-v1 through -v6 schemas (v2 added
 repeat/median timing and fabric breakdowns; v3 adds the top-level
 `backend` and per-row `backend_sim_cycles`; v4 adds `job_sim_cycles`,
 `cmd_stats`, and optional ablation rows; v5 adds `simd_isa`,
 `numa_nodes`, and per-row schedule provenance, none of which gate
-here). Files older than v3 are fabric-backend by definition. --expect-backend fails fast when CURRENT was produced by a
-different backend than the pipeline intended (a mis-wired CI lane would
-otherwise silently skip the checksum gate). Exit status: 0 within
+here; v6 is the `--paper` artifact: checksum-free rows named
+workload@paradigm[/variant] whose sim_cycles gate like any other).
+Files older than v3 are fabric-backend by definition. --expect-backend
+fails fast when CURRENT was produced by a different backend than the
+pipeline intended (a mis-wired CI lane would otherwise silently skip the
+checksum gate). Exit status: 0 within
 budget, 1 regression or checksum mismatch, 2 usage/schema error.
 """
 
@@ -53,7 +56,7 @@ import json
 import sys
 
 KNOWN_SCHEMAS = ("infs-bench-v1", "infs-bench-v2", "infs-bench-v3",
-                 "infs-bench-v4", "infs-bench-v5")
+                 "infs-bench-v4", "infs-bench-v5", "infs-bench-v6")
 
 # Backends whose checksums are certified identical to the bit-accurate
 # fabric (see tests/core/test_backend_diff.cc).

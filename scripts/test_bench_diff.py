@@ -96,6 +96,14 @@ class BenchDiffTest(unittest.TestCase):
         data["numa_nodes"] = 2
         self.assertEqual(self.run_diff(data, data).returncode, 0)
 
+    def test_v6_paper_artifact_gates_sim_cycles(self):
+        # --paper rows carry no checksum; sim_cycles still gate.
+        def paper(cycles):
+            return {"schema": "infs-bench-v6", "mode": "paper", "workloads":
+                    [{"name": "a@Inf-S", "sim_cycles": cycles, "wall_ms": 1}]}
+        self.assertEqual(self.run_diff(paper(9), paper(9)).returncode, 0)
+        self.assertEqual(self.run_diff(paper(9), paper(99)).returncode, 1)
+
     def test_v2_baseline_vs_v3_current_mix(self):
         # Upgrading the bench tool must not invalidate old baselines.
         base = bench_file([row("vec_add")], schema="infs-bench-v2",

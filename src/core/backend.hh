@@ -112,6 +112,11 @@ std::unique_ptr<ExecBackend> makeBackend(ExecBackendKind kind,
 std::optional<TiledLayout> primaryLayout(const Workload &w,
                                          const SystemConfig &cfg);
 
+/** Lattice-volume cap for the tools' per-scenario job pass: bit-serial
+ * simulation is O(volume x bits) per command, so larger scenarios would
+ * take minutes on the fabric backend and skip the pass instead. */
+inline constexpr std::int64_t kJobVolumeCap = 1 << 18;
+
 /**
  * Plan the canonical per-scenario job (shared by infs-bench, infs-verify,
  * and the differential tests): lower the first primary-layout phase on

@@ -69,13 +69,6 @@ nsToTicks(double ns, double ghz = 2.0)
     return static_cast<Tick>(ns * ghz);
 }
 
-/** Convert ticks to microseconds at the given core frequency. */
-constexpr double
-ticksToUs(Tick t, double ghz = 2.0)
-{
-    return static_cast<double>(t) / (ghz * 1e3);
-}
-
 } // namespace infs
 
 #endif // INFS_SIM_TYPES_HH

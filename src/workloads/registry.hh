@@ -1,9 +1,10 @@
 /**
  * @file
- * The shared seed-scenario registry: the 17 bench scenarios with their
- * tier-1 (quick) and paper-scale (full) factories. infs-bench,
- * infs-verify, and the backend differential tests all consume this one
- * table so scenario names and sizes cannot drift between tools.
+ * The shared scenario registry: the 17 bench scenarios with their
+ * tier-1 (quick), larger (full) and paper (Table 3 / Fig 2 / Fig 19)
+ * factories. infs-bench, infs-verify, and the backend differential tests
+ * all consume this one table so scenario names and sizes cannot drift
+ * between tools.
  */
 
 #ifndef INFS_WORKLOADS_REGISTRY_HH
@@ -17,11 +18,14 @@
 
 namespace infs {
 
-/** One named scenario with its two size points. */
+/** One named scenario with its three size points. */
 struct BenchScenario {
     const char *name;
     std::function<Workload()> quick; ///< Tier-1 sizes (CI smoke).
-    std::function<Workload()> full;  ///< Larger sizes for real timing.
+    std::function<Workload()> full;  ///< Larger, still test-machine sizes.
+    /** The paper's sizes: Table 3 for the kernels, 4096 points for
+     * PointNet++, and Fig 2's largest (4M) point for vec_add/array_sum. */
+    std::function<Workload()> paper;
 };
 
 /** The 17 seed scenarios. */

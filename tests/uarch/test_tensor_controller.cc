@@ -149,6 +149,31 @@ TEST_F(TcTest, LotSingleThreadLock)
     EXPECT_TRUE(sys.lot().lock(2));
 }
 
+TEST_F(TcTest, DisjointGroupsOverlap)
+{
+    // The boundary decomposition of a 5-point stencil2d emits commands
+    // on disjoint tiles in shared groups that execute concurrently;
+    // giving every command its own group serializes them.
+    const Coord n = 64;
+    TdfgGraph g(2, "stencil2d");
+    HyperRect inner = HyperRect::box2(1, n - 1, 1, n - 1);
+    NodeId acc = g.tensor(0, inner);
+    for (unsigned dim = 0; dim < 2; ++dim)
+        for (Coord d : {Coord(-1), Coord(1)}) {
+            NodeId t = g.tensor(0, inner.shifted(dim, d));
+            acc = g.compute(BitOp::Add, {acc, g.move(t, dim, -d)});
+        }
+    g.output(acc, 1);
+    TiledLayout lay({n, n}, {16, 16});
+    auto prog = sys.jit().lower(g, lay, sys.map());
+    Tick overlapped = sys.tensorController().execute(*prog, lay, 0).cycles;
+    InMemProgram serial = *prog;
+    for (unsigned i = 0; i < serial.commands.size(); ++i)
+        serial.commands[i].group = i;
+    Tick serialized = sys.tensorController().execute(serial, lay, 0).cycles;
+    EXPECT_GT(serialized, overlapped);
+}
+
 TEST_F(TcTest, ResetStatsClearsEverything)
 {
     TiledLayout lay;

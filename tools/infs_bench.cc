@@ -15,6 +15,12 @@
  *  - checksum       FNV-1a over the job output bit patterns
  *  - speedup_vs_1t  wall-clock speedup vs a --threads 1 rerun
  *
+ * `--paper` instead runs every paper-tier configuration once on
+ * defaultSystemConfig() (schema infs-bench-v6, mode "paper"): one row per
+ * workload x paradigm x variant carrying the ExecStats fields the figures
+ * read, plus a top-level `machine` object (Table 2 summary, Eq. 1, §8
+ * area). scripts/figures.py renders every paper figure from that file.
+ *
  * Simulated quantities are identical for any --threads value; only the
  * wall-clock fields change (DESIGN.md §10). The functional backend's
  * checksums are byte-identical to the fabric's (DESIGN.md §12), so
@@ -37,6 +43,7 @@
 #include "egraph/egraph.hh"
 #include "uarch/system.hh"
 #include "workloads/registry.hh"
+#include "workloads/workloads.hh"
 
 namespace {
 
@@ -131,12 +138,6 @@ msSince(std::chrono::steady_clock::time_point t0)
                std::chrono::steady_clock::now() - t0)
         .count();
 }
-
-/** Cap on lattice volume for the per-scenario job pass: bit-serial
- * simulation is O(volume x bits) per command, so paper-scale workloads
- * would take minutes on the fabric backend. Scenarios above the cap skip
- * the job pass (checksum falls back to the functional store hash). */
-constexpr std::int64_t kJobVolumeCap = 1 << 18;
 
 /**
  * One full measurement of a workload at a given thread count: one untimed
@@ -381,6 +382,217 @@ writeJson(std::FILE *f, const std::vector<Row> &rows, bool quick,
     std::fprintf(f, "  ]\n}\n");
 }
 
+/** One paper-tier run: a workload under one paradigm on the Table 2
+ * machine, with the JIT counters of its system. */
+struct PaperRow {
+    /** workload@paradigm, plus "/tile=AxB.." or "/memo_off" when the run
+     * departs from the workload as authored. */
+    std::string name;
+    double wallMs = 0.0;
+    ExecStats st;
+    JitStats jit;
+};
+
+PaperRow
+paperRun(const std::string &workload, const std::string &variant,
+         const Workload &w, Paradigm p, unsigned threads)
+{
+    SystemConfig cfg = defaultSystemConfig();
+    cfg.hostThreads = threads;
+    InfinitySystem sys(cfg);
+    PaperRow r;
+    r.name = workload + "@" + paradigmName(p) +
+             (variant.empty() ? "" : "/" + variant);
+    auto t0 = std::chrono::steady_clock::now();
+    r.st = Executor(sys, p).run(w);
+    r.wallMs = msSince(t0);
+    r.jit = sys.jit().stats();
+    return r;
+}
+
+/** Every paper-tier configuration, each run once: Table 3 and PointNet++
+ * under the five paradigms (Figs 11-15, 18-19, JIT overheads), Fig 2's
+ * size sweep, the Fig 16/17 forced-tile sweeps, and stencil2d with JIT
+ * memoization off. */
+std::vector<PaperRow>
+paperRuns(unsigned threads)
+{
+    const Paradigm five[] = {Paradigm::Base, Paradigm::NearL3,
+                             Paradigm::InL3, Paradigm::InfS,
+                             Paradigm::InfSNoJit};
+    std::vector<PaperRow> rows;
+    auto add = [&](PaperRow r) {
+        std::printf("%-36s cycles %12llu  wall %8.2f ms\n",
+                    r.name.c_str(),
+                    static_cast<unsigned long long>(r.st.cycles), r.wallMs);
+        rows.push_back(std::move(r));
+    };
+    auto paper = [](const char *name) { return findScenario(name)->paper(); };
+
+    for (const BenchScenario &sc : benchRegistry()) {
+        if (sc.name == std::string("vec_add") ||
+            sc.name == std::string("array_sum"))
+            continue; // Fig 2's sweep below.
+        for (Paradigm p : five)
+            add(paperRun(sc.name, "", sc.paper(), p, threads));
+    }
+
+    // Fig 2: data cached in L3 and already transposed, per the paper.
+    const std::pair<const char *, Workload (*)(Coord)> fig2[] = {
+        {"vec_add", makeVecAdd}, {"array_sum", makeArraySum}};
+    for (const auto &[name, make] : fig2)
+        for (Coord n = 16 << 10; n <= 4 << 20; n *= 4) {
+            Workload w = make(n);
+            w.assumeTransposed = true;
+            const std::string label =
+                std::string(name) + "/" + std::to_string(n >> 10) + "k";
+            for (Paradigm p : {Paradigm::Base1T, Paradigm::Base,
+                               Paradigm::NearL3, Paradigm::InL3})
+                add(paperRun(label, "", w, p, threads));
+        }
+
+    // Fig 16/17: forced tiles of 256 elements under Inf-S.
+    auto forced = [&](const char *name, std::vector<Coord> tile) {
+        Workload w = paper(name);
+        std::string v = "tile=";
+        for (std::size_t d = 0; d < tile.size(); ++d)
+            v += (d ? "x" : "") + std::to_string(tile[d]);
+        w.forceTile = std::move(tile);
+        add(paperRun(name, v, w, Paradigm::InfS, threads));
+    };
+    for (const char *name : {"stencil2d", "dwt2d", "gauss_elim", "conv2d",
+                             "mm_outer", "kmeans_outer", "gather_mlp_outer"})
+        for (Coord x = 256; x >= 1; x /= 2)
+            forced(name, {x, 256 / x});
+    for (const char *name : {"stencil3d", "conv3d"})
+        for (Coord x = 256; x >= 1; x /= 4)
+            for (Coord y = 1; x * y <= 256; y *= 4)
+                forced(name, {x, y, 256 / (x * y)});
+
+    // JIT memoization ablation: re-lower every stencil2d sweep.
+    Workload w = paper("stencil2d");
+    for (Phase &ph : w.phases)
+        ph.sameTdfgEachIter = false;
+    add(paperRun("stencil2d", "memo_off", w, Paradigm::InfS, threads));
+    return rows;
+}
+
+/** Write one `"key": value` pair; doubles read back bit-identical. */
+void
+writeReal(std::FILE *f, const char *key, double v, const char *sep = ", ")
+{
+    std::fprintf(f, "\"%s\": %.17g%s", key, v, sep);
+}
+
+void
+writeCount(std::FILE *f, const char *key, std::uint64_t v,
+           const char *sep = ", ")
+{
+    std::fprintf(f, "\"%s\": %llu%s", key,
+                 static_cast<unsigned long long>(v), sep);
+}
+
+/** The machine facts the paper quotes outside the figures: the Table 2
+ * summary, Eq. 1 (analytic and a bit-serial add probe) and §8 area. */
+void
+writeMachine(std::FILE *f)
+{
+    const SystemConfig cfg = defaultSystemConfig();
+    const LatencyTable lat;
+    const double bitlines = double(cfg.l3.totalBitlines());
+
+    // Eq. 1 probe: one fp32 add command across every bitline.
+    InfinitySystem sys(cfg);
+    const Coord n = static_cast<Coord>(cfg.l3.totalBitlines());
+    TdfgGraph g(1, "peak_probe");
+    NodeId a = g.tensor(0, HyperRect::interval(0, n));
+    NodeId b = g.tensor(1, HyperRect::interval(0, n));
+    g.output(g.compute(BitOp::Add, {a, b}), 2);
+    TiledLayout lay({n}, {Coord(cfg.l3.bitlines)});
+    auto prog = sys.jit().lower(g, lay, sys.map());
+    InMemExecResult probe = sys.tensorController().execute(*prog, lay, 0);
+
+    const AreaModel area;
+    std::fprintf(f, "  \"machine\": {\n");
+    std::fprintf(f, "    \"summary\": \"%s\",\n", cfg.summary().c_str());
+    std::fprintf(f, "    ");
+    writeReal(f, "ghz", cfg.core.ghz, ",\n    ");
+    writeReal(f, "in_mem_peak_ops_per_cycle",
+              bitlines / double(lat.opCycles(BitOp::Add, DType::Int32)),
+              ",\n    ");
+    writeReal(f, "fp32_peak_ops_per_cycle", bitlines / double(lat.fp32Add),
+              ",\n    ");
+    writeReal(f, "base_peak_ops_per_cycle", cfg.basePeakOpsPerCycle(),
+              ",\n    ");
+    writeCount(f, "probe_in_mem_ops", probe.inMemOps);
+    writeCount(f, "probe_cycles", probe.cycles, ",\n    ");
+    writeCount(f, "compute_arrays", cfg.l3.totalComputeArrays(), ",\n    ");
+    writeReal(f, "area_baseline_mm2", area.baselineMm2);
+    writeReal(f, "area_in_memory_mm2", area.inMemoryMm2);
+    writeReal(f, "area_near_memory_mm2", area.nearMemoryMm2, "\n");
+    std::fprintf(f, "  },\n");
+}
+
+void
+writePaperJson(std::FILE *f, const std::vector<PaperRow> &rows,
+               unsigned threads)
+{
+    std::fprintf(f, "{\n");
+    std::fprintf(f, "  \"schema\": \"infs-bench-v6\",\n");
+    std::fprintf(f, "  \"mode\": \"paper\",\n");
+    std::fprintf(f, "  \"threads\": %u,\n", threads);
+    writeMachine(f);
+    std::fprintf(f, "  \"workloads\": [\n");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const PaperRow &r = rows[i];
+        const ExecStats &st = r.st;
+        std::fprintf(f, "    {\"name\": \"%s\", ", r.name.c_str());
+        writeCount(f, "sim_cycles", st.cycles);
+        std::fprintf(f, "\"wall_ms\": %.3f,\n     \"cycles\": {", r.wallMs);
+        writeCount(f, "dram", st.dramCycles);
+        writeCount(f, "jit", st.jitCycles);
+        writeCount(f, "move", st.moveCycles);
+        writeCount(f, "compute", st.computeCycles);
+        writeCount(f, "final_reduce", st.finalReduceCycles);
+        writeCount(f, "mix", st.mixCycles);
+        writeCount(f, "near", st.nearMemCycles);
+        writeCount(f, "core", st.coreCycles);
+        writeCount(f, "sync", st.syncCycles, "},\n     ");
+        std::fprintf(f, "\"noc_hop_bytes\": {");
+        const auto &hop = st.nocHopBytes;
+        writeReal(f, "control", hop[unsigned(TrafficClass::Control)]);
+        writeReal(f, "data", hop[unsigned(TrafficClass::Data)]);
+        writeReal(f, "offload", hop[unsigned(TrafficClass::Offload)]);
+        writeReal(f, "inter_tile", hop[unsigned(TrafficClass::InterTile)],
+                  "},\n     ");
+        writeReal(f, "noc_utilization", st.nocUtilization);
+        writeReal(f, "intra_tile_bytes", st.intraTileBytes);
+        writeReal(f, "inter_tile_bytes", st.interTileBytes);
+        writeReal(f, "inter_tile_noc_bytes", st.interTileNocBytes,
+                  ",\n     ");
+        writeReal(f, "energy_j", st.energyJoules);
+        writeCount(f, "total_ops", st.totalOps);
+        writeCount(f, "in_mem_ops", st.inMemOps);
+        writeCount(f, "regions_degraded", st.regionsDegraded, ",\n     ");
+        std::fprintf(f, "\"chosen_tile\": [");
+        for (std::size_t d = 0; d < st.chosenTile.size(); ++d)
+            std::fprintf(f, "%s%lld", d ? ", " : "",
+                         static_cast<long long>(st.chosenTile[d]));
+        std::fprintf(f, "], \"schedule_id\": %d, ", st.scheduleId);
+        writeCount(f, "schedule_candidates", st.scheduleCandidates);
+        writeCount(f, "lowerings", r.jit.lowerings);
+        writeCount(f, "memo_hits", r.jit.memoHits, ",\n     ");
+        std::fprintf(f, "\"phase_cycles\": [");
+        for (std::size_t k = 0; k < st.phaseCycles.size(); ++k)
+            std::fprintf(f, "%s[\"%s\", %llu]", k ? ", " : "",
+                         st.phaseCycles[k].first.c_str(),
+                         static_cast<unsigned long long>(
+                             st.phaseCycles[k].second));
+        std::fprintf(f, "]}%s\n", i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]\n}\n");
+}
+
 int
 usage(const char *argv0)
 {
@@ -391,8 +603,12 @@ usage(const char *argv0)
         "       [--repeat N] [--json out.json]\n"
         "       [--no-cmdopt] [--ablate] [--list-scenarios] "
         "[workload...]\n"
+        "       %s --paper [--threads N] [--json out.json]\n"
         "Benchmark the seed workloads; default --quick over the whole "
         "registry.\n"
+        "--paper runs every paper-tier configuration once on the Table 2 "
+        "machine\n"
+        "  for scripts/figures.py; it accepts only --threads and --json.\n"
         "--no-cmdopt disables the lowered-command optimizer "
         "(SystemConfig::cmdOpt).\n"
         "--ablate adds per-scenario rows for the optimization stack "
@@ -413,7 +629,7 @@ usage(const char *argv0)
         "identical for any value.\n"
         "--repeat N (default 3) runs N timed iterations after one "
         "untimed warmup and reports medians plus min/max.\n",
-        argv0);
+        argv0, argv0);
     return 2;
 }
 
@@ -423,6 +639,8 @@ int
 main(int argc, char **argv)
 {
     bool quick = true;
+    bool paper = false;
+    bool tuned = false; // Any option --paper does not accept.
     unsigned threads = 0;
     unsigned repeat = 3;
     bool ablate = false;
@@ -433,11 +651,14 @@ main(int argc, char **argv)
     std::vector<std::string> names;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--quick") {
-            quick = true;
-        } else if (arg == "--full") {
-            quick = false;
-        } else if (arg == "--no-cmdopt") {
+        if (arg == "--quick" || arg == "--full" || arg == "--paper") {
+            quick = arg == "--quick";
+            paper = arg == "--paper";
+            continue;
+        }
+        if (arg != "--threads" && arg != "--json")
+            tuned = true;
+        if (arg == "--no-cmdopt") {
             knobs.cmdOpt = false;
         } else if (arg == "--ablate") {
             ablate = true;
@@ -474,6 +695,8 @@ main(int argc, char **argv)
         }
     }
 
+    if (paper && tuned)
+        return usage(argv[0]);
     // Fail loudly BEFORE running anything: a typo'd scenario must not
     // silently bench nothing (CI would gate on an empty row set).
     for (const std::string &name : names) {
@@ -484,6 +707,26 @@ main(int argc, char **argv)
                          name.c_str());
             return usage(argv[0]);
         }
+    }
+
+    auto writeOut = [&](auto &&write) {
+        if (json_path.empty())
+            return 0;
+        std::FILE *f = std::fopen(json_path.c_str(), "w");
+        if (!f) {
+            std::fprintf(stderr, "cannot open %s for writing\n",
+                         json_path.c_str());
+            return 2;
+        }
+        write(f);
+        std::fclose(f);
+        std::printf("wrote %s\n", json_path.c_str());
+        return 0;
+    };
+    if (paper) {
+        std::vector<PaperRow> rows = paperRuns(threads);
+        return writeOut(
+            [&](std::FILE *f) { writePaperJson(f, rows, threads); });
     }
 
     std::printf("backend: %s\n", backendName(backend));
@@ -546,16 +789,7 @@ main(int argc, char **argv)
         rows.push_back(std::move(row));
     }
 
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s for writing\n",
-                         json_path.c_str());
-            return 2;
-        }
+    return writeOut([&](std::FILE *f) {
         writeJson(f, rows, quick, threads, repeat, backend, knobs);
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
-    }
-    return 0;
+    });
 }

@@ -166,9 +166,6 @@ verifyWorkload(const Workload &w, VerifyLevel level, bool verbose,
     return n_diags;
 }
 
-/** Cap matching infs-bench: backends skip outsized job passes. */
-constexpr std::int64_t kJobVolumeCap = 1 << 18;
-
 /**
  * Execute the workload's primary lowered job on @p backend and print the
  * result. Purely informational (checksums are pinned by the differential
