@@ -2,34 +2,13 @@
 
 #include <array>
 
+#include "core/plan.hh"
 #include "energy/energy.hh"
 #include "mem/address_map.hh"
 #include "noc/mesh.hh"
-#include "tdfg/interp.hh"
 #include "uarch/tensor_controller.hh"
 
 namespace infs {
-
-void
-ExecBackend::runWorkloadFunctional(const Workload &w,
-                                   ArrayStore &store) const
-{
-    if (w.setup)
-        w.setup(store);
-    for (const Phase &p : w.phases) {
-        for (std::uint64_t it = 0; it < p.iterations; ++it) {
-            if (p.functionalFallback) {
-                // Overrides the interpreter when set (it may stage data
-                // and invoke the interpreter itself).
-                p.functionalFallback(store, it);
-            } else if (p.buildTdfg) {
-                TdfgGraph g = p.buildTdfg(it);
-                TdfgInterpreter interp(store);
-                interp.run(g);
-            }
-        }
-    }
-}
 
 // Factories defined in backend_fabric.cc / backend_functional.cc /
 // backend_timing.cc; registered here.
@@ -62,60 +41,27 @@ makeBackend(ExecBackendKind kind, const SystemConfig &cfg)
                static_cast<unsigned>(kind));
 }
 
-std::optional<TiledLayout>
-primaryLayout(const Workload &w, const SystemConfig &cfg)
-{
-    // §4.1 layout choice exactly as the executor resolves it: hints from
-    // every tensor phase, one primary layout for the region.
-    LayoutHints hints;
-    bool have_tdfg = false;
-    for (const Phase &p : w.phases) {
-        if (!p.buildTdfg)
-            continue;
-        LayoutHints h = LayoutHints::fromGraph(p.buildTdfg(0));
-        hints.shiftDims.insert(h.shiftDims.begin(), h.shiftDims.end());
-        hints.broadcastDims.insert(h.broadcastDims.begin(),
-                                   h.broadcastDims.end());
-        if (h.reduceDim)
-            hints.reduceDim = h.reduceDim;
-        have_tdfg = true;
-    }
-    if (!have_tdfg)
-        return std::nullopt;
-    TilingPolicy policy(cfg.l3);
-    TileDecision tile = policy.choose(w.primaryShape, w.elemBytes, hints);
-    if (!tile.valid)
-        return std::nullopt;
-    auto made = TiledLayout::make(w.primaryShape, tile.tile);
-    if (!made)
-        return std::nullopt;
-    return std::move(*made);
-}
-
 std::optional<BackendJob>
 planPrimaryJob(const Workload &w, const SystemConfig &cfg,
                std::int64_t volume_cap)
 {
-    auto layout = primaryLayout(w, cfg);
-    if (!layout)
-        return std::nullopt;
     BackendJob job;
-    job.layout = std::move(*layout);
     job.volume = 1;
-    for (Coord s : job.layout.shape())
+    for (Coord s : w.primaryShape)
         job.volume *= s;
     if (volume_cap > 0 && job.volume > volume_cap)
         return std::nullopt;
+    RegionPlan plan = planRegion(w, cfg, /*jit_enabled=*/true);
+    if (!plan.layout)
+        return std::nullopt;
+    job.layout = std::move(*plan.layout);
 
     AddressMap map(cfg.l3, cfg.noc.memCtrls);
     JitCompiler jit(cfg);
-    for (const Phase &p : w.phases) {
-        if (!p.buildTdfg)
+    for (const PhasePlan &pp : plan.phases) {
+        if (!pp.onPrimary)
             continue;
-        TdfgGraph g = p.buildTdfg(0);
-        if (!p.latticeShape.empty() || g.dims() != job.layout.dims())
-            continue; // Primary-layout phases only.
-        auto prog_or = jit.tryLower(g, job.layout, map);
+        auto prog_or = jit.tryLower(*pp.g0, job.layout, map);
         if (!prog_or)
             continue;
         job.prog = *prog_or;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Execution backends: the Executor and the tools run lowered in-memory
- * jobs through one ExecBackend chosen by SystemConfig::backend.
+ * Execution backends: the tools run lowered in-memory jobs through one
+ * ExecBackend chosen by SystemConfig::backend. The Executor runs none; it
+ * times regions through TensorController::execute.
  *
  * Three implementations are registered (DESIGN.md §12):
  *  - fabric:     the bit-accurate SRAM fabric plus the cycle replay —
@@ -34,7 +35,6 @@
 #include "sim/config.hh"
 #include "sim/rng.hh"
 #include "sim/thread_pool.hh"
-#include "tdfg/array_store.hh"
 #include "uarch/bit_exec.hh"
 
 namespace infs {
@@ -87,15 +87,6 @@ class ExecBackend
      * only because the benchmark harness calls both. */
     void setThreadPool(ThreadPool *pool) { pool_ = pool; }
 
-    /**
-     * Workload-level functional co-simulation on an ArrayStore: the
-     * reference tDFG-interpreter path every backend shares (promoted from
-     * the Executor's private runFunctional). This is semantics-only —
-     * reduction order may differ from the lowered tree reductions, so its
-     * results are reference values, not fabric bit patterns.
-     */
-    void runWorkloadFunctional(const Workload &w, ArrayStore &store) const;
-
   protected:
     SystemConfig cfg_;
     ThreadPool *pool_ = nullptr;
@@ -105,13 +96,6 @@ class ExecBackend
 std::unique_ptr<ExecBackend> makeBackend(ExecBackendKind kind,
                                          const SystemConfig &cfg);
 
-/**
- * The primary layout of @p w (§4.1): one tile chosen from all tensor
- * phases' hints. nullopt when @p w has no tensor phase or no valid tile.
- */
-std::optional<TiledLayout> primaryLayout(const Workload &w,
-                                         const SystemConfig &cfg);
-
 /** Lattice-volume cap for the tools' per-scenario job pass: bit-serial
  * simulation is O(volume x bits) per command, so larger scenarios would
  * take minutes on the fabric backend and skip the pass instead. */
@@ -119,9 +103,10 @@ inline constexpr std::int64_t kJobVolumeCap = 1 << 18;
 
 /**
  * Plan the canonical per-scenario job (shared by infs-bench, infs-verify,
- * and the differential tests): lower the first primary-layout phase on
- * primaryLayout(). Scenarios whose lattice exceeds @p volume_cap, or with
- * no lowerable primary-layout phase, plan nothing (nullopt).
+ * and the differential tests): lower the first primary-layout phase of
+ * planRegion() on its primary layout. Scenarios whose lattice exceeds
+ * @p volume_cap, or with no lowerable primary-layout phase, plan nothing
+ * (nullopt).
  */
 std::optional<BackendJob> planPrimaryJob(const Workload &w,
                                          const SystemConfig &cfg,

@@ -5,8 +5,8 @@
 #include <functional>
 #include <optional>
 
-#include "analysis/verify_tdfg.hh"
 #include "bitserial/simd.hh"
+#include "core/plan.hh"
 #include "tdfg/interp.hh"
 
 namespace infs {
@@ -36,12 +36,32 @@ paradigmName(Paradigm p)
     return "?";
 }
 
+void
+runWorkloadFunctional(const Workload &w, ArrayStore &store)
+{
+    if (w.setup)
+        w.setup(store);
+    for (const Phase &p : w.phases) {
+        for (std::uint64_t it = 0; it < p.iterations; ++it) {
+            if (p.functionalFallback) {
+                // Overrides the interpreter when set (it may stage data
+                // and invoke the interpreter itself).
+                p.functionalFallback(store, it);
+            } else if (p.buildTdfg) {
+                TdfgGraph g = p.buildTdfg(it);
+                TdfgInterpreter interp(store);
+                interp.run(g);
+            }
+        }
+    }
+}
+
 ExecStats
 Executor::run(const Workload &w, ArrayStore *store)
 {
     sys_.resetStats();
     if (store != nullptr)
-        backend_->runWorkloadFunctional(w, *store);
+        runWorkloadFunctional(w, *store);
 
     ExecStats st;
     st.backend = sys_.config().backend;
@@ -205,50 +225,16 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
     if (w.assumeTransposed)
         jit_enabled = false;
 
-    // §4.1: pick the transposed layout from the first tensor phase's
-    // hints; one primary layout serves all arrays of the region. Each
-    // phase's first-iteration graph is built once here and reused by the
-    // plan below.
-    LayoutHints hints;
-    bool have_tdfg = false;
-    std::vector<std::optional<TdfgGraph>> first_graphs(w.phases.size());
-    for (std::size_t i = 0; i < w.phases.size(); ++i) {
-        const Phase &p = w.phases[i];
-        if (p.buildTdfg) {
-            const TdfgGraph &g = first_graphs[i].emplace(p.buildTdfg(0));
-            LayoutHints h = LayoutHints::fromGraph(g);
-            hints.shiftDims.insert(h.shiftDims.begin(), h.shiftDims.end());
-            hints.broadcastDims.insert(h.broadcastDims.begin(),
-                                       h.broadcastDims.end());
-            if (h.reduceDim)
-                hints.reduceDim = h.reduceDim;
-            have_tdfg = true;
-        }
+    // ---- Plan (DESIGN.md §10): layout and route of every phase, pure
+    // checks only, so the JIT work of independent regions can fan out
+    // before the sequential timing walk below.
+    RegionPlan plan = planRegion(w, cfg, jit_enabled);
+    if (plan.layoutError) {
+        infs_warn("workload '%s': %s; disabling in-memory execution",
+                  w.name.c_str(), plan.layoutError->str().c_str());
+        ++st.regionsDegraded;
     }
-    TilingPolicy policy(cfg.l3);
-    TileDecision tile;
-    if (!w.forceTile.empty()) {
-        tile.valid = w.forceTile.size() == w.primaryShape.size();
-        tile.tile = w.forceTile;
-    } else if (have_tdfg) {
-        tile = policy.choose(w.primaryShape, w.elemBytes, hints);
-    }
-    TiledLayout layout;
-    if (tile.valid) {
-        auto made = TiledLayout::make(w.primaryShape, tile.tile);
-        if (!made) {
-            // A forced tile violating the layout constraints is a
-            // recoverable user error, not a crash: degrade the whole
-            // region to the fallback paradigm below.
-            infs_warn("workload '%s': %s; disabling in-memory execution",
-                      w.name.c_str(), made.error().str().c_str());
-            ++st.regionsDegraded;
-            tile.valid = false;
-        } else {
-            layout = std::move(*made);
-        }
-    }
-    if (!have_tdfg || !tile.valid) {
+    if (!plan.layout) {
         // In-memory computing disabled (§4.1): fall back to near-memory
         // when fused, else to the core.
         if (fused)
@@ -257,28 +243,7 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
             runBase(w, st, cfg.numCores());
         return;
     }
-    st.chosenTile = tile.tile;
-
-    // Fat-binary candidate schedules (DESIGN.md §14): when enabled, every
-    // memoized primary-layout phase lowers each candidate and the
-    // dispatcher below picks one per phase from replayed makespans and
-    // the occupancy observed so far. Candidates share the winner's
-    // reduce-dim tile size, so any pick is bit-identical. Deliberately
-    // independent of jit_enabled: steady-state runs (data transposed,
-    // commands precompiled) are exactly where a fat binary applies — the
-    // schedules were lowered ahead of time and only the dispatch-time
-    // pick remains. Only the chosen program's jitTicks are ever charged,
-    // and only when jit_enabled, so timing semantics are unchanged.
-    std::vector<TiledLayout> candLayouts;
-    if (cfg.fatBinary && w.forceTile.empty() &&
-        cfg.fatBinaryCandidates > 1) {
-        for (TileDecision &d :
-             policy.candidates(w.primaryShape, w.elemBytes, hints,
-                               cfg.fatBinaryCandidates))
-            candLayouts.emplace_back(w.primaryShape, d.tile);
-        if (candLayouts.size() <= 1)
-            candLayouts.clear();
-    }
+    st.chosenTile = plan.layout->tile();
 
     // Data preparation (§5.2) happens lazily, at the first phase that
     // actually commits to in-memory execution (small regions that Eq. 2
@@ -304,127 +269,39 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
         cfg.l3.totalBitlines());
     waves = std::max<Tick>(waves, 1);
 
-    // ---- Plan (DESIGN.md §10): resolve each phase's route with the pure
-    // checks only — graph invariants, layout choice, Eq. 2 — so the JIT
-    // work of independent regions can fan out before the sequential
-    // timing walk below. The checks are side-effect free; hoisting them
-    // is behavior-identical to the former in-loop order.
-    enum class Route {
-        Irregular,   ///< No tDFG: near memory (fused) or the core.
-        DegradeTdfg, ///< Graph verification failed; degrade the region.
-        Fallback,    ///< No valid phase layout, or Eq. 2 said no.
-        InMemory,    ///< Offloaded to the fabric.
+    // ---- Pre-lower memoized regions bank-parallel (DESIGN.md §10). Each
+    // lowers exactly once here; the timing walk consumes the cold program
+    // directly, so the JIT time lands on the same iteration and JitStats
+    // match the sequential order. Fat-binary candidates (DESIGN.md §14)
+    // lower for every primary-layout phase, even when jit_enabled is off:
+    // a steady-state fat binary was lowered ahead of time and only the
+    // dispatch-time pick remains. Only the chosen program's jitTicks are
+    // ever charged.
+    using ProgOr = Expected<std::shared_ptr<const InMemProgram>>;
+    struct Lowered {
+        std::optional<ProgOr> prog; ///< Candidate 0 when candidates exist.
+        /** One program per candidate layout, index-aligned. */
+        std::vector<ProgOr> candProgs;
     };
-    struct PhasePlan {
-        const Phase *phase = nullptr;
-        Route route = Route::Irregular;
-        Error error;          ///< DegradeTdfg diagnostic.
-        // Rank-1 placeholder until the phase's graph is built (TdfgGraph
-        // has no empty state).
-        TdfgGraph g0{1};      ///< First-iteration graph (set when built).
-        bool usesOwnLayout = false;
-        TiledLayout ownLayout; ///< Phase-specific layout when set.
-        std::string memoKey;   ///< Non-empty on the memoized path.
-        /** Pre-lowered program (memoized path), set bank-parallel. */
-        std::optional<Expected<std::shared_ptr<const InMemProgram>>> prog;
-        /** Fat-binary: one program per candidate layout, index-aligned
-         * with candLayouts (primary-layout memoized phases only). */
-        std::vector<Expected<std::shared_ptr<const InMemProgram>>>
-            candProgs;
-    };
-    std::vector<PhasePlan> plans;
-    plans.reserve(w.phases.size());
-    for (std::size_t i = 0; i < w.phases.size(); ++i) {
-        const Phase &p = w.phases[i];
-        PhasePlan plan;
-        plan.phase = &p;
-        if (!p.buildTdfg) {
-            plans.push_back(std::move(plan));
-            continue;
-        }
-        plan.g0 = std::move(*first_graphs[i]);
-
-        // Pre-offload verification (DESIGN.md §9): a graph that fails its
-        // invariants never reaches the offload decision or the JIT.
-        if (cfg.verifyLevel != VerifyLevel::Off) {
-            if (auto ok = checkTdfg(plan.g0); !ok) {
-                plan.route = Route::DegradeTdfg;
-                plan.error = ok.error();
-                plans.push_back(std::move(plan));
-                continue;
-            }
-        }
-
-        // Phases whose lattice rank differs from the workload layout get
-        // their own layout (or fall back when none is valid).
-        if (!p.latticeShape.empty() || plan.g0.dims() != layout.dims()) {
-            std::vector<Coord> shape =
-                p.latticeShape.empty() ? w.primaryShape : p.latticeShape;
-            TileDecision td;
-            if (shape.size() == plan.g0.dims())
-                td = policy.choose(shape, w.elemBytes,
-                                   LayoutHints::fromGraph(plan.g0));
-            if (!td.valid) {
-                plan.route = Route::Fallback;
-                plans.push_back(std::move(plan));
-                continue;
-            }
-            plan.ownLayout = TiledLayout(shape, td.tile);
-            plan.usesOwnLayout = true;
-        }
-
-        TdfgSummary summary = plan.g0.summarize();
-        // Eq. 2 (§4.3): Inf-S chooses between in- and near-memory; In-L3
-        // (no near-memory support) between in-memory and the core. The
-        // Fig 2 steady-state mode forces in-memory to plot the paradigm
-        // itself.
-        OffloadDecision dec = decideOffload(summary, cfg, !jit_enabled);
-        if (!w.assumeTransposed && !dec.inMemory) {
-            plan.route = Route::Fallback;
-            plans.push_back(std::move(plan));
-            continue;
-        }
-        plan.route = Route::InMemory;
-        if (p.sameTdfgEachIter)
-            plan.memoKey = w.name + "/" + p.name;
-        plans.push_back(std::move(plan));
-    }
-
-    // ---- Pre-lower independent regions bank-parallel (DESIGN.md §10).
-    // Each memoized phase lowers exactly once here; the timing walk
-    // consumes the cold program directly, so the JIT time lands on the
-    // same iteration and JitStats match the sequential order.
+    std::vector<Lowered> lowered(plan.phases.size());
     {
-        std::vector<PhasePlan *> jobs;
-        for (PhasePlan &plan : plans)
-            if (plan.route == Route::InMemory && !plan.memoKey.empty())
-                jobs.push_back(&plan);
-        auto lowerOne = [&](PhasePlan *plan) {
-            if (!plan->usesOwnLayout && !candLayouts.empty()) {
-                plan->candProgs = sys_.jit().lowerCandidates(
-                    plan->g0, candLayouts, sys_.map(), plan->memoKey);
-                // Candidate 0 is the policy winner — the legacy choice —
-                // so the degradation path below is unchanged when it
-                // fails.
-                plan->prog = plan->candProgs.front();
-            } else {
-                const TiledLayout &use_layout =
-                    plan->usesOwnLayout ? plan->ownLayout : layout;
-                plan->prog = sys_.jit().tryLower(
-                    plan->g0, use_layout, sys_.map(), plan->memoKey);
-            }
-        };
-        ThreadPool &pool = sys_.pool();
-        if (pool.inlineOnly() || jobs.size() <= 1) {
-            for (PhasePlan *job : jobs)
-                lowerOne(job);
-        } else {
-            std::vector<std::function<void()>> tasks;
-            tasks.reserve(jobs.size());
-            for (PhasePlan *job : jobs)
-                tasks.push_back([&lowerOne, job] { lowerOne(job); });
-            pool.runTasks(std::move(tasks));
+        std::vector<std::function<void()>> tasks;
+        for (std::size_t i = 0; i < plan.phases.size(); ++i) {
+            const PhasePlan &pp = plan.phases[i];
+            if (pp.route != Route::InMemory || pp.memoKey.empty())
+                continue;
+            tasks.push_back([this, &plan, &pp, &l = lowered[i]] {
+                if (pp.onPrimary && !plan.candidates.empty()) {
+                    l.candProgs = sys_.jit().lowerCandidates(
+                        *pp.g0, plan.candidates, sys_.map(), pp.memoKey);
+                    l.prog = l.candProgs.front();
+                } else {
+                    l.prog = sys_.jit().tryLower(*pp.g0, *plan.layoutOf(pp),
+                                                 sys_.map(), pp.memoKey);
+                }
+            });
         }
+        sys_.pool().runTasks(std::move(tasks));
     }
 
     // ---- Sequential timing walk: all simulated-time, traffic, energy,
@@ -435,68 +312,73 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
     // the fat-binary dispatcher of later phases (empty history means the
     // cost reduces to the replayed makespan alone).
     FabricStats observed;
-    for (PhasePlan &plan : plans) {
-        const Phase &p = *plan.phase;
-        Tick phase_start = st.cycles;
-        if (plan.route == Route::Irregular ||
-            plan.route == Route::Fallback) {
-            // No tDFG, no valid phase layout, or Eq. 2 says in-memory does
-            // not pay: fused runs the stream form near memory; In-L3 has
-            // no near-memory support and falls back to the core.
-            runNearOrCore(p, st, fused, 0, p.iterations);
-            st.phaseCycles.emplace_back(p.name, st.cycles - phase_start);
-            continue;
-        }
-        if (plan.route == Route::DegradeTdfg) {
-            degradeRegion(p, st, 0, p.iterations, plan.error);
-            st.phaseCycles.emplace_back(p.name, st.cycles - phase_start);
-            continue;
-        }
 
-        const TiledLayout &use_layout =
-            plan.usesOwnLayout ? plan.ownLayout : layout;
+    // The one lowered-region step: iterations [first_iter, first_iter +
+    // repeat) of @p p run @p prog_or on @p layout. A failed lowering or a
+    // fault past the retry budget degrades the rest of the phase instead;
+    // returns false then.
+    auto runLowered = [&](const Phase &p, const ProgOr &prog_or,
+                          const TiledLayout &layout,
+                          std::uint64_t first_iter, std::uint64_t repeat) {
+        const std::uint64_t rest = p.iterations - first_iter;
+        if (!prog_or) {
+            degradeRegion(p, st, first_iter, rest, prog_or.error());
+            return false;
+        }
+        const InMemProgram &prog = **prog_or;
+        if (jit_enabled) {
+            st.jitCycles += prog.jitTicks;
+            st.cycles += prog.jitTicks;
+        }
+        InMemExecResult r =
+            sys_.tensorController().execute(prog, layout, 0, repeat);
+        if (r.failed) {
+            // The aborted attempt (including its retry time) is sunk
+            // cost; the region then reruns on the fallback path.
+            st.cycles += r.cycles;
+            degradeRegion(p, st, first_iter, rest,
+                          Error{ErrCode::CommandFailed,
+                                "in-memory command fault persisted past "
+                                "the retry budget"});
+            return false;
+        }
+        st.computeCycles += r.computeCycles * waves;
+        st.moveCycles += r.moveCycles * waves;
+        st.syncCycles += r.syncCycles * waves;
+        st.cycles += r.cycles * waves;
+        st.inMemOps += r.inMemOps;
+        st.intraTileBytes += r.intraTileBytes;
+        st.interTileBytes += r.interTileBytes;
+        st.interTileNocBytes += r.interTileNocBytes;
+        for (std::size_t b = 0; b < r.bankBusy.size(); ++b)
+            observed.bankOps[b % FabricStats::kBankSlots] +=
+                static_cast<std::uint64_t>(r.bankBusy[b]);
+        return true;
+    };
+
+    // Every iteration of an in-memory phase; false when it degraded.
+    auto runInMemoryPhase = [&](PhasePlan &pp, Lowered &l) {
+        const Phase &p = *pp.phase;
+        const TiledLayout &layout = *plan.layoutOf(pp);
         prepareOnce();
-        auto accumulate = [&](const InMemExecResult &r) {
-            st.computeCycles += r.computeCycles * waves;
-            st.moveCycles += r.moveCycles * waves;
-            st.syncCycles += r.syncCycles * waves;
-            st.cycles += r.cycles * waves;
-            st.inMemOps += r.inMemOps;
-            st.intraTileBytes += r.intraTileBytes;
-            st.interTileBytes += r.interTileBytes;
-            st.interTileNocBytes += r.interTileNocBytes;
-            for (std::size_t b = 0; b < r.bankBusy.size(); ++b)
-                observed.bankOps[b % FabricStats::kBankSlots] +=
-                    static_cast<std::uint64_t>(r.bankBusy[b]);
-        };
-
-        if (!plan.memoKey.empty()) {
+        if (!pp.memoKey.empty()) {
             // The first iteration pays the JIT; the rest reuse the
             // memoized program (§4.2). Lowered bank-parallel above.
-            auto &prog_or = *plan.prog;
-            if (!prog_or) {
-                degradeRegion(p, st, 0, p.iterations, prog_or.error());
-                st.phaseCycles.emplace_back(p.name,
-                                            st.cycles - phase_start);
-                continue;
-            }
-            std::shared_ptr<const InMemProgram> prog = *prog_or;
-            const TiledLayout *exec_layout = &use_layout;
-            if (!plan.candProgs.empty()) {
+            ProgOr prog = *l.prog;
+            const TiledLayout *exec_layout = &layout;
+            if (prog && !l.candProgs.empty()) {
                 // Fat-binary dispatch (DESIGN.md §14): probe each cleanly
                 // lowered candidate's makespan on private replay models,
-                // then pick with the occupancy observed so far. Only the
-                // chosen program's JIT time is charged below — the others
-                // were lowered ahead of dispatch (that is the fat binary).
+                // then pick with the occupancy observed so far.
                 std::vector<ScheduleCandidate> cands;
                 std::vector<unsigned> ids;
-                for (unsigned c = 0; c < plan.candProgs.size(); ++c) {
-                    if (!plan.candProgs[c])
+                for (unsigned c = 0; c < l.candProgs.size(); ++c) {
+                    if (!l.candProgs[c])
                         continue; // Candidate failed to lower: drop it.
                     ScheduleCandidate sc;
-                    sc.layout = candLayouts[c];
-                    sc.prog = *plan.candProgs[c];
-                    BackendJob job{candLayouts[c], sc.prog, primary_elems};
+                    sc.layout = plan.candidates[c];
+                    sc.prog = *l.candProgs[c];
+                    BackendJob job{sc.layout, sc.prog, primary_elems};
                     sc.replayCycles =
                         replayTiming(cfg, job, &sys_.pool()).simCycles;
                     cands.push_back(std::move(sc));
@@ -505,7 +387,7 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
                 if (cands.size() > 1) {
                     unsigned pick = chooseSchedule(cands, observed);
                     prog = cands[pick].prog;
-                    exec_layout = &candLayouts[ids[pick]];
+                    exec_layout = &plan.candidates[ids[pick]];
                     if (st.scheduleId < 0) {
                         st.scheduleId = static_cast<int>(ids[pick]);
                         st.scheduleCandidates =
@@ -514,105 +396,57 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
                     }
                 }
             }
-            if (jit_enabled) {
-                st.jitCycles += prog->jitTicks;
-                st.cycles += prog->jitTicks;
-            }
-            InMemExecResult r = sys_.tensorController().execute(
-                *prog, *exec_layout, 0, p.iterations);
-            if (r.failed) {
-                // The aborted attempt (including its retry time) is sunk
-                // cost; the region then reruns on the fallback path.
-                st.cycles += r.cycles;
-                degradeRegion(p, st, 0, p.iterations,
-                              Error{ErrCode::CommandFailed,
-                                    "in-memory command fault persisted "
-                                    "past the retry budget"});
-                st.phaseCycles.emplace_back(p.name,
-                                            st.cycles - phase_start);
-                continue;
-            }
-            accumulate(r);
-        } else {
-            // Changing parameters defeat memoization (gauss_elim, §8).
-            // Graphs build sequentially; lowering fans out in bounded
-            // blocks of 32 lowerings per thread, so each round of worker
-            // wake-ups is amortized over many whole programs. When a
-            // lowering fails, the block may have lowered graphs past the
-            // failing iteration speculatively — that shows in JitStats
-            // only; ExecStats and the degradation point are unchanged
-            // (DESIGN.md §10).
-            ThreadPool &pool = sys_.pool();
-            const std::uint64_t block =
-                pool.inlineOnly() ? 1 : 32 * std::uint64_t{pool.threads()};
-            bool degraded = false;
-            for (std::uint64_t it0 = 0;
-                 it0 < p.iterations && !degraded; it0 += block) {
-                const std::uint64_t n =
-                    std::min<std::uint64_t>(block, p.iterations - it0);
-                std::vector<TdfgGraph> graphs;
-                graphs.reserve(n);
-                for (std::uint64_t k = 0; k < n; ++k) {
-                    graphs.push_back(it0 + k == 0
-                                         ? std::move(plan.g0)
-                                         : p.buildTdfg(it0 + k));
-                }
-                using ProgOr =
-                    Expected<std::shared_ptr<const InMemProgram>>;
-                std::vector<std::optional<ProgOr>> progs(n);
-                auto lowerK = [&](std::uint64_t k) {
-                    progs[k] = sys_.jit().tryLower(graphs[k], use_layout,
-                                                   sys_.map());
-                };
-                if (pool.inlineOnly() || n == 1) {
-                    for (std::uint64_t k = 0; k < n; ++k)
-                        lowerK(k);
-                } else {
-                    std::vector<std::function<void()>> tasks;
-                    tasks.reserve(n);
-                    for (std::uint64_t k = 0; k < n; ++k)
-                        tasks.push_back([&lowerK, k] { lowerK(k); });
-                    pool.runTasks(std::move(tasks));
-                }
-                for (std::uint64_t k = 0; k < n; ++k) {
-                    const std::uint64_t it = it0 + k;
-                    ProgOr &prog_or = *progs[k];
-                    if (!prog_or) {
-                        degradeRegion(p, st, it, p.iterations - it,
-                                      prog_or.error());
-                        degraded = true;
-                        break;
-                    }
-                    const auto &prog = *prog_or;
-                    if (jit_enabled) {
-                        st.jitCycles += prog->jitTicks;
-                        st.cycles += prog->jitTicks;
-                    }
-                    InMemExecResult r = sys_.tensorController().execute(
-                        *prog, use_layout, 0);
-                    if (r.failed) {
-                        st.cycles += r.cycles;
-                        degradeRegion(p, st, it, p.iterations - it,
-                                      Error{ErrCode::CommandFailed,
-                                            "in-memory command fault "
-                                            "persisted past the retry "
-                                            "budget"});
-                        degraded = true;
-                        break;
-                    }
-                    accumulate(r);
-                }
-            }
-            if (degraded) {
-                st.phaseCycles.emplace_back(p.name,
-                                            st.cycles - phase_start);
-                continue;
-            }
+            return runLowered(p, prog, *exec_layout, 0, p.iterations);
         }
+        // Changing parameters defeat memoization (gauss_elim, §8). Graphs
+        // build sequentially; lowering fans out in bounded blocks of 32
+        // lowerings per thread, so each round of worker wake-ups is
+        // amortized over many whole programs. When a lowering fails, the
+        // block may have lowered graphs past the failing iteration
+        // speculatively — that shows in JitStats only; ExecStats and the
+        // degradation point are unchanged (DESIGN.md §10).
+        ThreadPool &pool = sys_.pool();
+        const std::uint64_t block =
+            pool.inlineOnly() ? 1 : 32 * std::uint64_t{pool.threads()};
+        for (std::uint64_t it0 = 0; it0 < p.iterations; it0 += block) {
+            const std::uint64_t n =
+                std::min<std::uint64_t>(block, p.iterations - it0);
+            std::vector<TdfgGraph> graphs;
+            graphs.reserve(n);
+            for (std::uint64_t k = 0; k < n; ++k)
+                graphs.push_back(it0 + k == 0 ? std::move(*pp.g0)
+                                              : p.buildTdfg(it0 + k));
+            std::vector<std::optional<ProgOr>> progs(n);
+            std::vector<std::function<void()>> tasks;
+            tasks.reserve(n);
+            for (std::uint64_t k = 0; k < n; ++k)
+                tasks.push_back([&, k] {
+                    progs[k] =
+                        sys_.jit().tryLower(graphs[k], layout, sys_.map());
+                });
+            pool.runTasks(std::move(tasks));
+            for (std::uint64_t k = 0; k < n; ++k)
+                if (!runLowered(p, *progs[k], layout, it0 + k, 1))
+                    return false;
+        }
+        return true;
+    };
 
-        // Residual work: final reductions / irregular updates coupled to
-        // the in-memory part.
-        if (!p.residualStreams.empty()) {
+    for (std::size_t i = 0; i < plan.phases.size(); ++i) {
+        PhasePlan &pp = plan.phases[i];
+        const Phase &p = *pp.phase;
+        Tick phase_start = st.cycles;
+        if (pp.route == Route::Irregular || pp.route == Route::Fallback) {
+            // No tDFG, no valid phase layout, or Eq. 2 says in-memory does
+            // not pay: fused runs the stream form near memory; In-L3 has
+            // no near-memory support and falls back to the core.
+            runNearOrCore(p, st, fused, 0, p.iterations);
+        } else if (pp.route == Route::DegradeTdfg) {
+            degradeRegion(p, st, 0, p.iterations, pp.error);
+        } else if (runInMemoryPhase(pp, lowered[i]) &&
+                   !p.residualStreams.empty()) {
+            // Residual work: final reductions / irregular updates coupled
+            // to the in-memory part.
             if (fused) {
                 bool any_reduce = false;
                 for (const NearStream &s : p.residualStreams)

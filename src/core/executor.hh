@@ -102,8 +102,7 @@ class Executor
 {
   public:
     Executor(InfinitySystem &sys, Paradigm paradigm)
-        : sys_(sys), paradigm_(paradigm),
-          backend_(makeBackend(sys.config().backend, sys.config()))
+        : sys_(sys), paradigm_(paradigm)
     {
     }
 
@@ -116,9 +115,6 @@ class Executor
     ExecStats run(const Workload &w, ArrayStore *store = nullptr);
 
     Paradigm paradigm() const { return paradigm_; }
-
-    /** The execution backend this run drives (SystemConfig::backend). */
-    ExecBackend &backend() { return *backend_; }
 
   private:
     void runBase(const Workload &w, ExecStats &st, unsigned threads);
@@ -157,8 +153,16 @@ class Executor
 
     InfinitySystem &sys_;
     Paradigm paradigm_;
-    std::unique_ptr<ExecBackend> backend_;
 };
+
+/**
+ * Workload-level functional co-simulation on an ArrayStore: the reference
+ * tDFG-interpreter path Executor::run takes when given a store. This is
+ * semantics-only — reduction order may differ from the lowered tree
+ * reductions, so its results are reference values, not fabric bit
+ * patterns.
+ */
+void runWorkloadFunctional(const Workload &w, ArrayStore &store);
 
 } // namespace infs
 

@@ -664,17 +664,16 @@ JitCompiler::lowerCandidates(const TdfgGraph &g,
         return memo_key + "@" + sig;
     };
     std::vector<std::optional<ProgOr>> out(layouts.size());
-    auto one = [&](std::size_t c) {
-        out[c] = tryLower(g, layouts[c], map, candKey(layouts[c]));
-    };
-    if (pool_ == nullptr || pool_->inlineOnly() || layouts.size() <= 1) {
-        for (std::size_t c = 0; c < layouts.size(); ++c)
-            one(c);
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(layouts.size());
+    for (std::size_t c = 0; c < layouts.size(); ++c)
+        tasks.push_back([&, c] {
+            out[c] = tryLower(g, layouts[c], map, candKey(layouts[c]));
+        });
+    if (pool_ == nullptr) {
+        for (auto &task : tasks)
+            task();
     } else {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(layouts.size());
-        for (std::size_t c = 0; c < layouts.size(); ++c)
-            tasks.push_back([&one, c] { one(c); });
         pool_->runTasks(std::move(tasks));
     }
     std::vector<ProgOr> res;
@@ -689,7 +688,6 @@ decideOffload(const TdfgSummary &summary, const SystemConfig &cfg,
               bool jit_precompiled)
 {
     OffloadDecision d;
-    LatencyTable lat;
     // LHS: N_elem x N_op / TP_core.
     double n_ops = summary.numCompute + summary.numReduce;
     d.coreCycles = static_cast<double>(summary.maxTensorElems) * n_ops /
@@ -697,7 +695,6 @@ decideOffload(const TdfgSummary &summary, const SystemConfig &cfg,
     // RHS: sum of op latencies (fully parallel, no N_elem) + JIT time.
     // The summary carries the aggregate op cycles (per-op-kind counts x
     // latencies) the compiler embeds as hints (§4.3).
-    (void)lat;
     double op_lat = static_cast<double>(summary.opCycles);
     double jit = jit_precompiled
                      ? 0.0

@@ -16,6 +16,7 @@
 #include "bitserial/simd.hh"
 #include "core/backend.hh"
 #include "core/executor.hh"
+#include "core/plan.hh"
 #include "jit/jit.hh"
 #include "uarch/bit_exec.hh"
 #include "workloads/registry.hh"
@@ -23,25 +24,6 @@
 
 namespace infs {
 namespace {
-
-/** Layout hints exactly as planPrimaryJob / the Executor derive them:
- * merged over every tensor phase of the workload. */
-LayoutHints
-workloadHints(const Workload &w)
-{
-    LayoutHints hints;
-    for (const Phase &p : w.phases) {
-        if (!p.buildTdfg)
-            continue;
-        LayoutHints h = LayoutHints::fromGraph(p.buildTdfg(0));
-        hints.shiftDims.insert(h.shiftDims.begin(), h.shiftDims.end());
-        hints.broadcastDims.insert(h.broadcastDims.begin(),
-                                   h.broadcastDims.end());
-        if (h.reduceDim)
-            hints.reduceDim = h.reduceDim;
-    }
-    return hints;
-}
 
 TEST(TilingCandidates, WinnerFirstPinnedAndBounded)
 {
@@ -52,7 +34,7 @@ TEST(TilingCandidates, WinnerFirstPinnedAndBounded)
         const BenchScenario *sc = findScenario(name);
         ASSERT_NE(sc, nullptr);
         Workload w = sc->quick();
-        LayoutHints hints = workloadHints(w);
+        const LayoutHints hints = planRegion(w, cfg, true).hints;
         TileDecision best = policy.choose(w.primaryShape, w.elemBytes,
                                           hints);
         if (!best.valid)
@@ -159,9 +141,9 @@ TEST(ChooseSchedule, EveryCandidateChecksumIdentical)
 {
     constexpr std::int64_t kVolumeCap = 1 << 16;
     SystemConfig cfg = testSystemConfig();
+    cfg.fatBinaryCandidates = 3;
     AddressMap map(cfg.l3, cfg.noc.memCtrls);
     JitCompiler jit(cfg);
-    TilingPolicy policy(cfg.l3);
     unsigned multi = 0;
     for (const char *name : {"vec_add", "array_sum", "mm_outer", "dwt2d",
                              "stencil1d"}) {
@@ -169,31 +151,24 @@ TEST(ChooseSchedule, EveryCandidateChecksumIdentical)
         const BenchScenario *sc = findScenario(name);
         ASSERT_NE(sc, nullptr);
         Workload w = sc->quick();
-        LayoutHints hints = workloadHints(w);
         std::int64_t volume = 1;
         for (Coord s : w.primaryShape)
             volume *= s;
         if (volume > kVolumeCap)
             continue;
-        std::vector<TiledLayout> layouts;
-        for (TileDecision &d :
-             policy.candidates(w.primaryShape, w.elemBytes, hints, 3))
-            layouts.emplace_back(w.primaryShape, d.tile);
-        if (layouts.empty())
-            continue;
+        RegionPlan plan = planRegion(w, cfg, true);
+        const std::vector<TiledLayout> &layouts = plan.candidates;
         // First primary-layout tDFG phase, as planPrimaryJob picks it.
-        const Phase *phase = nullptr;
-        for (const Phase &p : w.phases) {
-            if (!p.buildTdfg || !p.latticeShape.empty())
-                continue;
-            if (p.buildTdfg(0).dims() == layouts.front().dims()) {
-                phase = &p;
+        const PhasePlan *phase = nullptr;
+        for (const PhasePlan &pp : plan.phases) {
+            if (pp.onPrimary) {
+                phase = &pp;
                 break;
             }
         }
-        if (!phase)
+        if (layouts.empty() || !phase)
             continue;
-        TdfgGraph g = phase->buildTdfg(0);
+        const TdfgGraph &g = *phase->g0;
         auto progs = jit.lowerCandidates(g, layouts, map, "");
         ASSERT_EQ(progs.size(), layouts.size());
         bool have_ref = false;
@@ -305,8 +280,8 @@ TEST(ChooseSchedule, SteadyStateDispatchEngages)
         EXPECT_EQ(picked.array(id).data, legacy.array(id).data) << id;
 }
 
-/** primaryLayout() is the §4.1 choice the Executor makes and the layout
- * every planned backend job runs on. */
+/** The plan's primary layout is the §4.1 choice the Executor makes and
+ * the layout every planned backend job runs on. */
 TEST(PrimaryLayout, IsTheExecutorsTileAndThePlannedJobsLayout)
 {
     SystemConfig cfg = testSystemConfig();
@@ -316,9 +291,10 @@ TEST(PrimaryLayout, IsTheExecutorsTileAndThePlannedJobsLayout)
     for (const BenchScenario &sc : benchRegistry()) {
         SCOPED_TRACE(sc.name);
         Workload w = sc.quick();
-        auto layout = primaryLayout(w, cfg);
+        RegionPlan plan = planRegion(w, cfg, true);
+        const auto &layout = plan.layout;
         TileDecision best =
-            policy.choose(w.primaryShape, w.elemBytes, workloadHints(w));
+            policy.choose(w.primaryShape, w.elemBytes, plan.hints);
         ASSERT_EQ(layout.has_value(), best.valid);
         if (!layout)
             continue;
@@ -350,11 +326,53 @@ TEST(PrimaryLayout, NoneWithoutATensorPhase)
     const BenchScenario *sc = findScenario("vec_add");
     ASSERT_NE(sc, nullptr);
     Workload w = sc->quick();
-    ASSERT_TRUE(primaryLayout(w, cfg).has_value());
+    ASSERT_TRUE(planRegion(w, cfg, true).layout.has_value());
     for (Phase &p : w.phases)
         p.buildTdfg = nullptr;
-    EXPECT_FALSE(primaryLayout(w, cfg).has_value());
+    EXPECT_FALSE(planRegion(w, cfg, true).layout.has_value());
     EXPECT_FALSE(planPrimaryJob(w, cfg, 0).has_value());
+}
+
+/**
+ * DESIGN.md §11: every tile the plan chooses — primary, phase-own and
+ * fat-binary candidate — satisfies the §4.1 constraints: (1) the tile
+ * fills one SRAM array's bitlines, (2) T0 * W mod L == 0 (W compute
+ * arrays per bank, L elements per line), and the tiled dimension aligns
+ * to the line (S0 mod L == 0). Forced tiles are user input and exempt.
+ */
+TEST(RegionPlan, ChosenTilesSatisfyTheLayoutConstraints)
+{
+    unsigned checked = 0;
+    for (const SystemConfig &cfg :
+         {testSystemConfig(), defaultSystemConfig()}) {
+        const std::int64_t W = static_cast<std::int64_t>(
+            cfg.l3.computeWays * cfg.l3.arraysPerWay);
+        for (const BenchScenario &sc : benchRegistry()) {
+            for (const auto &make : {sc.quick, sc.full, sc.paper}) {
+                const Workload w = make();
+                SCOPED_TRACE(w.name);
+                const std::int64_t L =
+                    static_cast<std::int64_t>(lineBytes / w.elemBytes);
+                auto check = [&](const TiledLayout &layout) {
+                    const std::vector<Coord> &t = layout.tile();
+                    ASSERT_FALSE(t.empty());
+                    EXPECT_EQ(layout.tileVolume(), cfg.l3.bitlines);
+                    EXPECT_EQ(t[0] * W % L, 0) << "tile[0] " << t[0];
+                    EXPECT_EQ(layout.shape()[0] % L, 0);
+                    ++checked;
+                };
+                RegionPlan plan = planRegion(w, cfg, true);
+                if (plan.layout && w.forceTile.empty())
+                    check(*plan.layout);
+                for (const TiledLayout &c : plan.candidates)
+                    check(c);
+                for (const PhasePlan &pp : plan.phases)
+                    if (pp.ownLayout)
+                        check(*pp.ownLayout);
+            }
+        }
+    }
+    EXPECT_GT(checked, 0u);
 }
 
 TEST(PlanPrimaryJob, VolumeCapPlansNothingAboveIt)

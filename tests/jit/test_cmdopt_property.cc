@@ -24,6 +24,7 @@
 
 #include "analysis/verify_cmds.hh"
 #include "core/backend.hh"
+#include "core/executor.hh"
 #include "jit/cmdopt.hh"
 #include "jit/jit.hh"
 #include "mem/address_map.hh"
@@ -278,6 +279,31 @@ TEST(CmdOptScenario, SyncElisionSwitchedOff)
     EXPECT_EQ(st.elidedSyncs, 0u);
     EXPECT_EQ(prog.numSync, raw->prog->numSync);
     EXPECT_GT(st.fusedMoves, 0u); // The other passes still ran.
+}
+
+/**
+ * The end-to-end floor sync elision must keep (DESIGN.md §13): Inf-S runs
+ * the two PointNet++ scenarios, the quick registry workloads Eq. 2 keeps
+ * in memory, in at least 0.5 % fewer simulated cycles with elision on
+ * than off.
+ */
+TEST(CmdOptScenario, SyncElisionSavesCyclesOnPointNet)
+{
+    for (const char *name : {"pointnet_ssg", "pointnet_msg"}) {
+        SCOPED_TRACE(name);
+        const BenchScenario *sc = findScenario(name);
+        ASSERT_NE(sc, nullptr);
+        auto cycles = [&](bool elide) {
+            SystemConfig cfg = testSystemConfig();
+            cfg.cmdOptSyncElision = elide;
+            InfinitySystem sys(cfg);
+            return static_cast<double>(
+                Executor(sys, Paradigm::InfS).run(sc->quick()).cycles);
+        };
+        const double off = cycles(false);
+        const double on = cycles(true);
+        EXPECT_LE(on, off * (1.0 - 0.005)) << on << " vs " << off;
+    }
 }
 
 // ---- hand-crafted single-rule cases -----------------------------------

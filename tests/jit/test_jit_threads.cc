@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "core/backend.hh"
+#include "core/plan.hh"
 #include "jit/jit.hh"
 #include "mem/address_map.hh"
 #include "sim/thread_pool.hh"
@@ -49,16 +49,11 @@ cases()
         std::vector<Case> out;
         auto add = [&](const std::string &name, const Workload &w,
                        std::uint64_t iter) {
-            auto layout = primaryLayout(w, cfg);
-            if (!layout)
-                return;
-            for (const Phase &p : w.phases) {
-                if (!p.buildTdfg || !p.latticeShape.empty())
-                    continue;
-                TdfgGraph g = p.buildTdfg(iter);
-                if (g.dims() == layout->dims())
-                    out.push_back({name + "/" + p.name, std::move(g),
-                                   *layout});
+            RegionPlan plan = planRegion(w, cfg, /*jit_enabled=*/true);
+            for (const PhasePlan &pp : plan.phases) {
+                if (pp.onPrimary)
+                    out.push_back({name + "/" + pp.phase->name,
+                                   pp.phase->buildTdfg(iter), *plan.layout});
             }
         };
         for (const BenchScenario &sc : benchRegistry())

@@ -454,14 +454,20 @@ TEST(Degradation, PersistentCommandFaultExhaustsRetriesAndDegrades)
 
 TEST(Degradation, InvalidForcedTileDegradesInsteadOfAborting)
 {
-    InfinitySystem sys(testSystemConfig());
-    Workload w = makeVecAdd(4096);
-    w.forceTile = {0}; // Violates the layout constraint (tile > 0).
-    Executor exec(sys, Paradigm::InfS);
-    ExecStats st = exec.run(w);
-    EXPECT_EQ(st.regionsDegraded, 1u);
-    EXPECT_GT(st.nearMemCycles, 0u); // Whole workload fell to Near-L3.
-    EXPECT_EQ(st.computeCycles, 0u);
+    // A zero-sized tile violates tile > 0; a 2-D tile on the 1-D lattice
+    // has the wrong rank. Both are counted, neither aborts.
+    for (std::vector<Coord> tile : {std::vector<Coord>{0},
+                                    std::vector<Coord>{16, 16}}) {
+        SCOPED_TRACE(tile.size());
+        InfinitySystem sys(testSystemConfig());
+        Workload w = makeVecAdd(4096);
+        w.forceTile = tile;
+        Executor exec(sys, Paradigm::InfS);
+        ExecStats st = exec.run(w);
+        EXPECT_EQ(st.regionsDegraded, 1u);
+        EXPECT_GT(st.nearMemCycles, 0u); // Whole workload fell to Near-L3.
+        EXPECT_EQ(st.computeCycles, 0u);
+    }
 }
 
 } // namespace

@@ -25,6 +25,7 @@
 #include "analysis/verify_tdfg.hh"
 #include "core/backend.hh"
 #include "core/executor.hh"
+#include "core/plan.hh"
 #include "egraph/egraph.hh"
 #include "jit/cmdopt.hh"
 #include "jit/jit.hh"
@@ -61,43 +62,17 @@ verifyWorkload(const Workload &w, VerifyLevel level, bool verbose,
         std::printf("  %s\n", rep.str().c_str());
     };
 
-    // Replicate the executor's layout choice (§4.1): hints from every
-    // tensor phase, one primary layout for the region.
-    LayoutHints hints;
-    bool have_tdfg = false;
-    for (const Phase &p : w.phases) {
-        if (!p.buildTdfg)
-            continue;
-        LayoutHints h = LayoutHints::fromGraph(p.buildTdfg(0));
-        hints.shiftDims.insert(h.shiftDims.begin(), h.shiftDims.end());
-        hints.broadcastDims.insert(h.broadcastDims.begin(),
-                                   h.broadcastDims.end());
-        if (h.reduceDim)
-            hints.reduceDim = h.reduceDim;
-        have_tdfg = true;
-    }
-    if (!have_tdfg) {
-        if (verbose)
-            std::printf("  no tensor phases; nothing to verify\n");
-        return 0;
-    }
-    TilingPolicy policy(cfg.l3);
-    TileDecision tile = policy.choose(w.primaryShape, w.elemBytes, hints);
-    TiledLayout layout;
-    bool have_layout = false;
-    if (tile.valid) {
-        if (auto made = TiledLayout::make(w.primaryShape, tile.tile)) {
-            layout = std::move(*made);
-            have_layout = true;
-        }
-    }
-
+    // Lower each phase on the layout the executor's plan gives it (§4.1).
+    RegionPlan plan = planRegion(w, cfg, /*jit_enabled=*/true);
     AddressMap map(cfg.l3, cfg.noc.memCtrls);
     JitCompiler jit(cfg);
-    for (const Phase &p : w.phases) {
-        if (!p.buildTdfg)
+    bool have_tdfg = false;
+    for (const PhasePlan &pp : plan.phases) {
+        if (!pp.g0)
             continue;
-        TdfgGraph g0 = p.buildTdfg(0);
+        have_tdfg = true;
+        const Phase &p = *pp.phase;
+        const TdfgGraph &g0 = *pp.g0;
         report(verifyTdfg(g0), "tdfg '" + g0.name() + "'");
 
         // After e-graph optimization the extracted graph must still
@@ -115,25 +90,7 @@ verifyWorkload(const Workload &w, VerifyLevel level, bool verbose,
 
         if (level != VerifyLevel::Full)
             continue;
-
-        // Phase-local layout exactly as the executor resolves it.
-        const TiledLayout *use_layout = have_layout ? &layout : nullptr;
-        TiledLayout phase_layout;
-        if (!p.latticeShape.empty() || g0.dims() != layout.dims()) {
-            std::vector<Coord> shape =
-                p.latticeShape.empty() ? w.primaryShape : p.latticeShape;
-            TileDecision td;
-            if (shape.size() == g0.dims())
-                td = policy.choose(shape, w.elemBytes,
-                                   LayoutHints::fromGraph(g0));
-            use_layout = nullptr;
-            if (td.valid) {
-                if (auto made = TiledLayout::make(shape, td.tile)) {
-                    phase_layout = std::move(*made);
-                    use_layout = &phase_layout;
-                }
-            }
-        }
+        const TiledLayout *use_layout = plan.layoutOf(pp);
         if (use_layout == nullptr) {
             if (verbose)
                 std::printf("  phase '%s': no in-memory layout; the "
@@ -163,6 +120,8 @@ verifyWorkload(const Workload &w, VerifyLevel level, bool verbose,
                    "phase '" + p.name + "' optimized commands");
         }
     }
+    if (!have_tdfg && verbose)
+        std::printf("  no tensor phases; nothing to verify\n");
     return n_diags;
 }
 
