@@ -7,90 +7,24 @@
 #include <unordered_map>
 #include <vector>
 
+#include "jit/cmd_effect.hh"
+
 namespace infs {
 
 namespace {
 
-/**
- * One analyzable command with its effects resolved against the layout.
- * Dependences are bank-granular: a command only reads/writes cells whose
- * owning bank appears in its bank list (per-bank synchronous issue, §4.2),
- * so the rects here are over-approximations the bank filter tightens.
- */
+/** One analyzable command with its effect resolved by the command model
+ * (jit/cmd_effect.hh). */
 struct Rec {
     std::size_t idx = 0;
     const InMemCommand *c = nullptr;
-    HyperRect src;     ///< Read region, clamped to the array bounds.
-    HyperRect dst;     ///< Written region, clamped to the array bounds.
-    /** Inter-tile effect: the write lands in other banks asynchronously
-     * and becomes visible only after a Sync (InterShift always; a
-     * BroadcastBl whose replication escapes one tile). */
-    bool async = false;
-    std::vector<BankId> banks; ///< Sorted copy of the command's banks.
+    CmdEffect e;
 };
 
 std::string
 cmdWhere(std::size_t idx, const InMemCommand &c)
 {
     return "cmd " + std::to_string(idx) + " (" + c.str() + ")";
-}
-
-/** Wordline slots a command reads (slot = start wordline). */
-std::vector<unsigned>
-readSlots(const InMemCommand &c)
-{
-    switch (c.kind) {
-      case CmdKind::IntraShift:
-      case CmdKind::InterShift:
-      case CmdKind::BroadcastBl:
-        return {c.wlA};
-      case CmdKind::Compute:
-        return c.useImm ? std::vector<unsigned>{c.wlA}
-                        : std::vector<unsigned>{c.wlA, c.wlB};
-      case CmdKind::BroadcastVal:
-      case CmdKind::Sync:
-        return {};
-    }
-    return {};
-}
-
-bool
-sortedIntersects(const std::vector<BankId> &a, const std::vector<BankId> &b)
-{
-    auto ia = a.begin();
-    auto ib = b.begin();
-    while (ia != a.end() && ib != b.end()) {
-        if (*ia < *ib)
-            ++ia;
-        else if (*ib < *ia)
-            ++ib;
-        else
-            return true;
-    }
-    return false;
-}
-
-/**
- * Same-group commands restating one logical effect over different windows
- * (the reduce lowering emits its cross-tile rounds once per subtensor)
- * are exempt from the disjointness check when every effect parameter
- * matches — only the window rect may differ.
- */
-bool
-sameEffectParams(const InMemCommand &a, const InMemCommand &b)
-{
-    return a.kind == b.kind && a.dim == b.dim && a.maskLo == b.maskLo &&
-           a.maskHi == b.maskHi && a.interTileDist == b.interTileDist &&
-           a.intraTileDist == b.intraTileDist && a.bcCount == b.bcCount &&
-           a.bcDist == b.bcDist && a.op == b.op && a.useImm == b.useImm &&
-           a.imm == b.imm && a.wlA == b.wlA && a.wlB == b.wlB &&
-           a.wlDst == b.wlDst;
-}
-
-bool
-isShift(CmdKind k)
-{
-    return k == CmdKind::IntraShift || k == CmdKind::InterShift;
 }
 
 } // namespace
@@ -102,9 +36,7 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
     VerifyReport rep("commands");
     const unsigned dims = layout.dims();
     const unsigned bits = dtypeBits(cfg.tensor.elemType);
-    const unsigned raw_slots = bits ? cfg.l3.wordlines / bits : 0;
-    // Mirror JitCompiler::numSlots(): the top slot is reserved.
-    const unsigned num_slots = raw_slots > 1 ? raw_slots - 1 : 0;
+    const unsigned num_slots = wordlineSlots(cfg);
     const unsigned wl_cap = num_slots * bits;
     const HyperRect array_rect = HyperRect::array(layout.shape());
 
@@ -183,18 +115,14 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
                         " != layout rank " + std::to_string(dims));
             continue;
         }
-        const HyperRect region = c.tensor.intersect(array_rect);
-        if (region.empty()) {
+        if (c.tensor.intersect(array_rect).empty()) {
             rep.add(VerifyCode::CmdEmptyTensor, where(),
                     "tensor " + c.tensor.str() +
                         " does not intersect the array bounds");
             continue;
         }
 
-        const bool uses_dim = isShift(c.kind) ||
-                              c.kind == CmdKind::BroadcastBl ||
-                              (c.kind == CmdKind::Compute &&
-                               c.maskHi > c.maskLo);
+        const bool uses_dim = usesDim(c);
         if (uses_dim && c.dim >= dims) {
             rep.add(VerifyCode::CmdDimOutOfRank, where(),
                     "dim " + std::to_string(c.dim) + " out of layout rank " +
@@ -261,47 +189,8 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
         if (rep.size() != before)
             continue; // Statically broken: exclude from hazard analysis.
 
-        Rec r;
-        r.idx = i;
-        r.c = &c;
-        r.src = region;
-        switch (c.kind) {
-          case CmdKind::IntraShift:
-          case CmdKind::InterShift:
-            r.dst = c.tensor
-                        .shifted(c.dim, c.interTileDist * tile_k +
-                                            c.intraTileDist)
-                        .intersect(array_rect);
-            r.async = c.kind == CmdKind::InterShift;
-            break;
-          case CmdKind::BroadcastBl: {
-            const Coord span = c.tensor.size(c.dim);
-            r.dst = c.tensor
-                        .withDim(c.dim, c.tensor.lo(c.dim) + c.bcDist,
-                                 c.tensor.lo(c.dim) + c.bcDist +
-                                     c.bcCount * span)
-                        .intersect(array_rect);
-            r.async = c.bcCount * span > tile_k;
-            break;
-          }
-          default:
-            r.dst = region;
-            break;
-        }
-        r.banks = c.banks;
-        std::sort(r.banks.begin(), r.banks.end());
-        recs.push_back(std::move(r));
+        recs.push_back({i, &c, effectOf(c, layout, array_rect)});
     }
-
-    auto syncBetween = [&](std::size_t a, std::size_t b) {
-        auto it = std::upper_bound(syncs.begin(), syncs.end(), a);
-        return it != syncs.end() && *it < b;
-    };
-    auto depBanks = [&](const HyperRect &overlap) {
-        std::vector<BankId> banks = layout.banksFor(overlap, map);
-        std::sort(banks.begin(), banks.end());
-        return banks;
-    };
 
     // ---- (a) Alg. 1 disjointness within each command group.
     {
@@ -329,7 +218,9 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
                     if (isShift(a.kind) && isShift(b.kind) &&
                         (a.maskHi <= b.maskLo || b.maskHi <= a.maskLo))
                         continue;
-                    if (sameEffectParams(a, b))
+                    // The reduce lowering restates one cross-tile round
+                    // per subtensor: only the window differs.
+                    if (sameEffect(a, b))
                         continue;
                     rep.add(VerifyCode::IntraGroupOverlap,
                             cmdWhere(members[j]->idx, b),
@@ -344,7 +235,7 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
     // ---- (c) Asynchronous inter-tile effects need a Sync before any
     // dependent command (per-bank issue does not order cross-bank data).
     for (const Rec &w : recs) {
-        if (!w.async)
+        if (!w.e.async)
             continue;
         auto next_sync = std::upper_bound(syncs.begin(), syncs.end(), w.idx);
         const std::size_t bound = next_sync != syncs.end()
@@ -353,32 +244,24 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
         for (const Rec &r : recs) {
             if (r.idx <= w.idx || r.idx >= bound)
                 continue;
-            if (r.c->group == w.c->group)
-                continue;
-            bool reads = false;
-            for (unsigned s : readSlots(*r.c))
-                reads |= s == w.c->wlDst;
-            if (reads) {
-                const HyperRect o = w.dst.intersect(r.src);
-                if (!o.empty() && sortedIntersects(depBanks(o), r.banks)) {
-                    rep.add(r.c->kind == CmdKind::Compute
-                                ? VerifyCode::MissingSync
-                                : VerifyCode::RawHazard,
-                            cmdWhere(r.idx, *r.c),
-                            "consumes wl " + std::to_string(w.c->wlDst) +
-                                " from " + cmdWhere(w.idx, *w.c) +
-                                " with no Sync in between");
-                    continue;
-                }
-            }
-            if (r.c->wlDst == w.c->wlDst) {
-                const HyperRect o = w.dst.intersect(r.dst);
-                if (!o.empty() && sortedIntersects(depBanks(o), r.banks)) {
-                    rep.add(VerifyCode::WawHazard, cmdWhere(r.idx, *r.c),
-                            "overwrites wl " + std::to_string(w.c->wlDst) +
-                                " written by " + cmdWhere(w.idx, *w.c) +
-                                " with no Sync in between");
-                }
+            switch (asyncDependence(*w.c, w.e, *r.c, r.e, layout, map)) {
+              case CmdDep::Raw:
+                rep.add(r.c->kind == CmdKind::Compute
+                            ? VerifyCode::MissingSync
+                            : VerifyCode::RawHazard,
+                        cmdWhere(r.idx, *r.c),
+                        "consumes wl " + std::to_string(w.c->wlDst) +
+                            " from " + cmdWhere(w.idx, *w.c) +
+                            " with no Sync in between");
+                break;
+              case CmdDep::Waw:
+                rep.add(VerifyCode::WawHazard, cmdWhere(r.idx, *r.c),
+                        "overwrites wl " + std::to_string(w.c->wlDst) +
+                            " written by " + cmdWhere(w.idx, *w.c) +
+                            " with no Sync in between");
+                break;
+              case CmdDep::None:
+                break;
             }
         }
     }
@@ -401,15 +284,16 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
                     const Rec &w = **wi;
                     if (w.idx >= r.idx || w.c->group == r.c->group)
                         continue;
-                    const HyperRect o = w.dst.intersect(r.src);
+                    const HyperRect o = w.e.dst.intersect(r.e.src);
                     if (o.empty())
                         continue;
-                    std::vector<BankId> dep = depBanks(o);
-                    if (!sortedIntersects(dep, r.banks))
+                    const std::vector<BankId> dep =
+                        dependenceBanks(o, layout, map);
+                    if (!sortedIntersects(dep, r.e.banks))
                         continue; // Cells the reader never touches.
                     // Most recent relevant writer decides; older writers
                     // are shadowed. Async writers were handled above.
-                    if (!w.async && !sortedIntersects(dep, w.banks)) {
+                    if (!w.e.async && !sortedIntersects(dep, w.e.banks)) {
                         rep.add(VerifyCode::RawHazard, cmdWhere(r.idx, *r.c),
                                 "reads wl " + std::to_string(s) + " over " +
                                     o.str() + " from " +

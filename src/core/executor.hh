@@ -82,12 +82,6 @@ struct ExecStats {
     int scheduleId = -1;
     /** Candidate schedules lowered for the primary layout. */
     unsigned scheduleCandidates = 0;
-    /** Fabric-side cache effectiveness, copied from FabricStats when a
-     * bit-accurate fabric ran this workload (bench path); 0 under the
-     * pure timing walk. */
-    std::uint64_t maskCacheHits = 0;
-    std::uint64_t maskCacheMisses = 0;
-    std::uint64_t scratchAllocs = 0;
 
     /** Fraction of element ops executed in bitlines. */
     double

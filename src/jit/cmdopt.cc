@@ -1,192 +1,34 @@
 #include "jit/cmdopt.hh"
 
 #include <algorithm>
-#include <cstdint>
 #include <vector>
+
+#include "jit/cmd_effect.hh"
 
 namespace infs {
 
-namespace {
-
-/**
- * Per-command effect record, resolved against the layout exactly as the
- * hazard analyzer resolves it (src/analysis/verify_cmds.cc): clamped
- * read/write regions, the asynchronous-inter-tile flag, and a sorted bank
- * list. Every rewrite condition below is stated over these records so the
- * pass licenses itself with the same dependence facts the analyzer checks.
- */
-struct Eff {
-    HyperRect src;     ///< Read region, clamped to the array bounds.
-    HyperRect dst;     ///< Written region, clamped to the array bounds.
-    bool async = false; ///< Write lands in other banks after a Sync only.
-    std::vector<BankId> banks; ///< Sorted copy of the command's banks.
-};
-
-/** Wordline slots a command reads (mirror of the analyzer's readSlots). */
-std::vector<unsigned>
-readSlots(const InMemCommand &c)
-{
-    switch (c.kind) {
-      case CmdKind::IntraShift:
-      case CmdKind::InterShift:
-      case CmdKind::BroadcastBl:
-        return {c.wlA};
-      case CmdKind::Compute:
-        return c.useImm ? std::vector<unsigned>{c.wlA}
-                        : std::vector<unsigned>{c.wlA, c.wlB};
-      case CmdKind::BroadcastVal:
-      case CmdKind::Sync:
-        return {};
-    }
-    return {};
-}
-
-bool
-sortedIntersects(const std::vector<BankId> &a, const std::vector<BankId> &b)
-{
-    auto ia = a.begin();
-    auto ib = b.begin();
-    while (ia != a.end() && ib != b.end()) {
-        if (*ia < *ib)
-            ++ia;
-        else if (*ib < *ia)
-            ++ib;
-        else
-            return true;
-    }
-    return false;
-}
-
-bool
-isShift(CmdKind k)
-{
-    return k == CmdKind::IntraShift || k == CmdKind::InterShift;
-}
-
-Eff
-effectOf(const InMemCommand &c, const TiledLayout &layout,
-         const HyperRect &array_rect)
-{
-    Eff e;
-    e.src = c.tensor.intersect(array_rect);
-    switch (c.kind) {
-      case CmdKind::IntraShift:
-      case CmdKind::InterShift: {
-        const Coord tile_k = layout.tileSize(c.dim);
-        e.dst = c.tensor
-                    .shifted(c.dim,
-                             c.interTileDist * tile_k + c.intraTileDist)
-                    .intersect(array_rect);
-        e.async = c.kind == CmdKind::InterShift;
-        break;
-      }
-      case CmdKind::BroadcastBl: {
-        const Coord span = c.tensor.size(c.dim);
-        e.dst = c.tensor
-                    .withDim(c.dim, c.tensor.lo(c.dim) + c.bcDist,
-                             c.tensor.lo(c.dim) + c.bcDist +
-                                 c.bcCount * span)
-                    .intersect(array_rect);
-        e.async = c.bcCount * span > layout.tileSize(c.dim);
-        break;
-      }
-      default:
-        e.dst = e.src;
-        break;
-    }
-    e.banks = c.banks;
-    std::sort(e.banks.begin(), e.banks.end());
-    return e;
-}
-
-/** All fields that define a command's byte-level effect except the window
- * rect and the bank list (the analyzer's sameEffectParams plus dtype). */
-bool
-sameEffect(const InMemCommand &a, const InMemCommand &b)
-{
-    return a.kind == b.kind && a.dim == b.dim && a.maskLo == b.maskLo &&
-           a.maskHi == b.maskHi && a.interTileDist == b.interTileDist &&
-           a.intraTileDist == b.intraTileDist && a.bcCount == b.bcCount &&
-           a.bcDist == b.bcDist && a.op == b.op && a.dtype == b.dtype &&
-           a.useImm == b.useImm && a.imm == b.imm && a.wlA == b.wlA &&
-           a.wlB == b.wlB && a.wlDst == b.wlDst;
-}
-
-/**
- * The per-bank busy-time charge TensorController::execute levies for one
- * InterShift, reproduced bit-for-bit (masked element count, H-tree
- * serialization truncation, NoC-injection serialization when the tile
- * delta crosses a bank). The coalescing guard compares these so a merged
- * command never charges any bank more than the originals did.
- */
-Tick
-interShiftLatency(const InMemCommand &c, const TiledLayout &layout,
-                  const AddressMap &map, const SystemConfig &cfg)
-{
-    const unsigned bits = dtypeBits(cfg.tensor.elemType);
-    const unsigned elem_bytes = bits / 8;
-    const HyperRect &t = c.tensor;
-    std::uint64_t elems = 0;
-    if (!t.empty()) {
-        const auto covered = static_cast<std::uint64_t>(
-            maskedCoordCount(t.lo(c.dim), t.hi(c.dim),
-                             layout.tileSize(c.dim), c.maskLo, c.maskHi));
-        elems = covered *
-                static_cast<std::uint64_t>(t.volume() / t.size(c.dim));
-    }
-    const double bytes_once = static_cast<double>(elems) * elem_bytes;
-    const double banks_involved =
-        static_cast<double>(std::max<std::size_t>(c.banks.size(), 1));
-    Tick lat = dtypeBits(c.dtype) + 8 +
-               static_cast<Tick>(
-                   bytes_once / banks_involved /
-                   static_cast<double>(cfg.l3.htreeBandwidth));
-    std::int64_t stride = 1;
-    for (unsigned d = 0; d < c.dim; ++d)
-        stride *= layout.grid()[d];
-    std::int64_t tile_delta = c.interTileDist * stride;
-    std::int64_t abs_delta = tile_delta < 0 ? -tile_delta : tile_delta;
-    const double crossing = std::min(
-        1.0, static_cast<double>(abs_delta) /
-                 static_cast<double>(map.arraysPerBank()));
-    if (crossing > 0.0 && abs_delta > 0) {
-        lat += static_cast<Tick>(
-            bytes_once * crossing / banks_involved /
-            static_cast<double>(cfg.noc.linkBytes));
-    }
-    return lat;
-}
-
-} // namespace
-
 CmdStats
 optimizeCommands(InMemProgram &prog, const TiledLayout &layout,
-                 const AddressMap &map, const SystemConfig &cfg,
-                 const CmdOptOptions &opts)
+                 const AddressMap &map, const SystemConfig &cfg)
 {
     CmdStats st;
     std::vector<InMemCommand> &cmds = prog.commands;
     const unsigned dims = layout.dims();
     const HyperRect array_rect = HyperRect::array(layout.shape());
 
-    // Resolve effects up front; a command the analyzer would reject
-    // statically (rank mismatch, empty region, dim out of rank, no banks)
-    // makes the whole stream opaque — the JIT never emits such commands,
-    // and rewriting around one cannot be licensed by dependence facts.
-    std::vector<Eff> eff(cmds.size());
+    // Resolve effects up front through the command model the analyzer
+    // checks with; a command it would reject statically (rank mismatch,
+    // empty region, dim out of rank, no banks) makes the whole stream
+    // opaque — the JIT never emits such commands, and rewriting around
+    // one cannot be licensed by dependence facts.
+    std::vector<CmdEffect> eff(cmds.size());
     for (std::size_t i = 0; i < cmds.size(); ++i) {
         const InMemCommand &c = cmds[i];
         if (c.kind == CmdKind::Sync)
             continue;
         if (c.tensor.dims() != dims ||
-            c.tensor.intersect(array_rect).empty() || c.banks.empty()) {
-            prog.opt = st;
-            return st;
-        }
-        const bool uses_dim =
-            isShift(c.kind) || c.kind == CmdKind::BroadcastBl ||
-            (c.kind == CmdKind::Compute && c.maskHi > c.maskLo);
-        if (uses_dim && c.dim >= dims) {
+            c.tensor.intersect(array_rect).empty() || c.banks.empty() ||
+            (usesDim(c) && c.dim >= dims)) {
             prog.opt = st;
             return st;
         }
@@ -201,23 +43,17 @@ optimizeCommands(InMemProgram &prog, const TiledLayout &layout,
     auto writesConflict = [&](std::size_t x, std::size_t j) {
         if (cmds[x].kind == CmdKind::Sync)
             return false;
-        for (unsigned s : readSlots(cmds[j])) {
-            if (cmds[x].wlDst == s &&
-                !eff[x].dst.intersect(eff[j].src).empty())
-                return true;
-        }
+        if (readSlots(cmds[j]).contains(cmds[x].wlDst) &&
+            !eff[x].dst.intersect(eff[j].src).empty())
+            return true;
         return cmds[x].wlDst == cmds[j].wlDst &&
                !eff[x].dst.intersect(eff[j].dst).empty();
     };
     // True when command x reads any cell command j writes (hoisting j
     // above x would let x observe j's effect too early).
     auto readsConflict = [&](std::size_t x, std::size_t j) {
-        for (unsigned s : readSlots(cmds[x])) {
-            if (s == cmds[j].wlDst &&
-                !eff[x].src.intersect(eff[j].dst).empty())
-                return true;
-        }
-        return false;
+        return readSlots(cmds[x]).contains(cmds[j].wlDst) &&
+               !eff[x].src.intersect(eff[j].dst).empty();
     };
 
     // ---- Pass 1: redundant-command elimination. Command j is removable
@@ -228,32 +64,27 @@ optimizeCommands(InMemProgram &prog, const TiledLayout &layout,
     // e.g. compute fold-chain steps) are never byte-idempotent and are
     // excluded. The backward scan stops at the first clobbering write, so
     // only a still-fresh twin ever matches.
-    if (opts.dedup) {
-        for (std::size_t j = 0; j < cmds.size(); ++j) {
-            if (!alive[j] || cmds[j].kind == CmdKind::Sync)
+    for (std::size_t j = 0; j < cmds.size(); ++j) {
+        if (!alive[j] || cmds[j].kind == CmdKind::Sync)
+            continue;
+        if (readSlots(cmds[j]).contains(cmds[j].wlDst))
+            continue; // In place.
+        for (std::size_t i = j; i-- > 0;) {
+            if (!alive[i] || cmds[i].kind == CmdKind::Sync)
                 continue;
-            bool in_place = false;
-            for (unsigned s : readSlots(cmds[j]))
-                in_place |= s == cmds[j].wlDst;
-            if (in_place)
-                continue;
-            for (std::size_t i = j; i-- > 0;) {
-                if (!alive[i] || cmds[i].kind == CmdKind::Sync)
-                    continue;
-                if (sameEffect(cmds[i], cmds[j]) &&
-                    cmds[i].tensor == cmds[j].tensor &&
-                    eff[i].banks == eff[j].banks) {
-                    alive[j] = 0;
-                    if (cmds[j].kind == CmdKind::BroadcastBl ||
-                        cmds[j].kind == CmdKind::BroadcastVal)
-                        ++st.dedupedBroadcasts;
-                    else
-                        ++st.dedupedCommands;
-                    break;
-                }
-                if (writesConflict(i, j))
-                    break;
+            if (sameEffect(cmds[i], cmds[j]) &&
+                cmds[i].tensor == cmds[j].tensor &&
+                eff[i].banks == eff[j].banks) {
+                alive[j] = 0;
+                if (cmds[j].kind == CmdKind::BroadcastBl ||
+                    cmds[j].kind == CmdKind::BroadcastVal)
+                    ++st.dedupedBroadcasts;
+                else
+                    ++st.dedupedCommands;
+                break;
             }
+            if (writesConflict(i, j))
+                break;
         }
     }
 
@@ -266,50 +97,47 @@ optimizeCommands(InMemProgram &prog, const TiledLayout &layout,
     // barrier is crossed, and — for inter-tile shifts, whose H-tree
     // serialization grows with the window — the merged per-bank latency
     // does not exceed either original's.
-    if (opts.coalesce) {
-        for (std::size_t j = 0; j < cmds.size(); ++j) {
-            if (!alive[j] || !isShift(cmds[j].kind))
+    for (std::size_t j = 0; j < cmds.size(); ++j) {
+        if (!alive[j] || !isShift(cmds[j].kind))
+            continue;
+        for (std::size_t i = j; i-- > 0;) {
+            if (cmds[i].kind == CmdKind::Sync)
+                break; // Never hoist movement across a barrier.
+            if (!alive[i])
                 continue;
-            for (std::size_t i = j; i-- > 0;) {
-                if (cmds[i].kind == CmdKind::Sync)
-                    break; // Never hoist movement across a barrier.
-                if (!alive[i])
-                    continue;
-                if (cmds[i].group == cmds[j].group &&
-                    sameEffect(cmds[i], cmds[j])) {
-                    const HyperRect &a = cmds[i].tensor;
-                    const HyperRect &b = cmds[j].tensor;
-                    HyperRect u = a.boundingUnion(b);
-                    if (!a.intersect(b).empty() ||
-                        u.volume() != a.volume() + b.volume())
-                        break; // Not an exact partition; no wider move.
-                    InMemCommand merged = cmds[i];
-                    merged.tensor = u;
-                    merged.banks.clear();
-                    std::set_union(eff[i].banks.begin(), eff[i].banks.end(),
-                                   eff[j].banks.begin(), eff[j].banks.end(),
-                                   std::back_inserter(merged.banks));
-                    if (merged.kind == CmdKind::InterShift) {
-                        const Tick m =
-                            interShiftLatency(merged, layout, map, cfg);
-                        if (m > interShiftLatency(cmds[i], layout, map,
-                                                  cfg) ||
-                            m > interShiftLatency(cmds[j], layout, map,
-                                                  cfg))
-                            break; // Merging would slow a bank down.
-                    }
-                    const Coord tile_k = layout.tileSize(merged.dim);
-                    if (merged.maskLo > 0 || merged.maskHi < tile_k)
-                        ++st.hoistedMasks;
-                    cmds[i] = std::move(merged);
-                    eff[i] = effectOf(cmds[i], layout, array_rect);
-                    alive[j] = 0;
-                    ++st.fusedMoves;
-                    break;
+            if (cmds[i].group == cmds[j].group &&
+                sameEffect(cmds[i], cmds[j])) {
+                const HyperRect &a = cmds[i].tensor;
+                const HyperRect &b = cmds[j].tensor;
+                HyperRect u = a.boundingUnion(b);
+                if (!a.intersect(b).empty() ||
+                    u.volume() != a.volume() + b.volume())
+                    break; // Not an exact partition; no wider move.
+                InMemCommand merged = cmds[i];
+                merged.tensor = u;
+                merged.banks.clear();
+                std::set_union(eff[i].banks.begin(), eff[i].banks.end(),
+                               eff[j].banks.begin(), eff[j].banks.end(),
+                               std::back_inserter(merged.banks));
+                if (merged.kind == CmdKind::InterShift) {
+                    auto charge = [&](const InMemCommand &c) {
+                        return moveCharge(c, layout, map, cfg).perBank();
+                    };
+                    const Tick m = charge(merged);
+                    if (m > charge(cmds[i]) || m > charge(cmds[j]))
+                        break; // Merging would slow a bank down.
                 }
-                if (writesConflict(i, j) || readsConflict(i, j))
-                    break;
+                const Coord tile_k = layout.tileSize(merged.dim);
+                if (merged.maskLo > 0 || merged.maskHi < tile_k)
+                    ++st.hoistedMasks;
+                cmds[i] = std::move(merged);
+                eff[i] = effectOf(cmds[i], layout, array_rect);
+                alive[j] = 0;
+                ++st.fusedMoves;
+                break;
             }
+            if (writesConflict(i, j) || readsConflict(i, j))
+                break;
         }
     }
 
@@ -323,7 +151,7 @@ optimizeCommands(InMemProgram &prog, const TiledLayout &layout,
     // A kept barrier discharges all pending movement. The trailing commit
     // barrier is kept whenever movement is still pending at program end
     // (§5.3: context switches wait on it).
-    if (opts.syncElision) {
+    if (cfg.cmdOptSyncElision) {
         std::size_t last_cmd = 0;
         bool any_cmd = false;
         for (std::size_t i = 0; i < cmds.size(); ++i) {
@@ -332,31 +160,6 @@ optimizeCommands(InMemProgram &prog, const TiledLayout &layout,
                 any_cmd = true;
             }
         }
-        auto depends = [&](std::size_t w, std::size_t r) {
-            if (cmds[r].group == cmds[w].group)
-                return false; // Same-group restatement exemption.
-            for (unsigned s : readSlots(cmds[r])) {
-                if (s != cmds[w].wlDst)
-                    continue;
-                const HyperRect o = eff[w].dst.intersect(eff[r].src);
-                if (o.empty())
-                    continue;
-                std::vector<BankId> dep = layout.banksFor(o, map);
-                std::sort(dep.begin(), dep.end());
-                if (sortedIntersects(dep, eff[r].banks))
-                    return true;
-            }
-            if (cmds[r].wlDst == cmds[w].wlDst) {
-                const HyperRect o = eff[w].dst.intersect(eff[r].dst);
-                if (!o.empty()) {
-                    std::vector<BankId> dep = layout.banksFor(o, map);
-                    std::sort(dep.begin(), dep.end());
-                    if (sortedIntersects(dep, eff[r].banks))
-                        return true;
-                }
-            }
-            return false;
-        };
         std::vector<std::size_t> pending;
         for (std::size_t i = 0; i < cmds.size(); ++i) {
             if (!alive[i])
@@ -385,7 +188,8 @@ optimizeCommands(InMemProgram &prog, const TiledLayout &layout,
                 if (cmds[r].kind == CmdKind::Sync)
                     break; // Window ends at the next barrier.
                 for (std::size_t w : pending) {
-                    if (depends(w, r)) {
+                    if (asyncDependence(cmds[w], eff[w], cmds[r], eff[r],
+                                        layout, map) != CmdDep::None) {
                         needed = true;
                         break;
                     }

@@ -15,24 +15,29 @@
  *     its rounds once per decomposed subtensor) merge into one wider
  *     command when their rects exactly partition the bounding union, no
  *     intervening command touches the moved cells, and the merged
- *     inter-tile serialization latency does not exceed either original's
- *     (per-bank busy times never increase);
- *  3. Sync elision — a barrier is removed when the hazard analyzer's
- *     dependence facts (src/analysis/verify_cmds.cc rule (c), mirrored
- *     here) prove no cross-bank RAW/WAW spans it: every asynchronous
- *     inter-tile writer still pending at the barrier has no dependent
- *     consumer before the next kept barrier. The final commit barrier is
- *     always kept while async movement is pending (§5.3).
+ *     per-bank charge the timing walk levies (jit/cmd_effect.hh
+ *     moveCharge) does not exceed either original's, so per-bank busy
+ *     times never increase;
+ *  3. Sync elision (SystemConfig::cmdOptSyncElision) — a barrier is
+ *     removed when the hazard analyzer's cross-bank dependence test
+ *     (jit/cmd_effect.hh asyncDependence, the analyzer's rule (c)) proves
+ *     no RAW/WAW spans it: every asynchronous inter-tile writer still
+ *     pending at the barrier has no dependent consumer before the next
+ *     kept barrier. The final commit barrier is always kept while async
+ *     movement is pending (§5.3).
+ *
+ * Every rewrite condition is stated over the command model of
+ * jit/cmd_effect.hh, the one the analyzer checks with.
  *
  * Soundness: rewrites 1-2 preserve the bytes of every lattice cell by
  * construction (idempotent re-execution / exact window partition of one
  * cell-wise effect), and removing a Sync never changes bits on any
- * backend — the bit fabric partitions lanes by touched-tile overlap, so
- * same-tile dependences are ordered regardless of barrier placement, and
- * the functional backend replays sequentially. What elision must (and
- * does) preserve is hazard-analyzer cleanliness; infs-verify re-checks
- * every optimized stream and the JIT falls back to the raw stream when a
- * verify hook reports any diagnostic.
+ * backend — the bit fabric and the functional backend both execute
+ * commands in program order, so same-tile dependences are ordered
+ * regardless of barrier placement. What elision must (and does) preserve
+ * is hazard-analyzer cleanliness; infs-verify re-checks every optimized
+ * stream and the JIT falls back to the raw stream when a verify hook
+ * reports any diagnostic.
  */
 
 #ifndef INFS_JIT_CMDOPT_HH
@@ -45,21 +50,13 @@
 
 namespace infs {
 
-/** Per-sub-pass switches (ablation harness; all on in production). */
-struct CmdOptOptions {
-    bool dedup = true;
-    bool coalesce = true;
-    bool syncElision = true;
-};
-
 /**
  * Optimize @p prog in place for @p layout and return the work counters
  * (also stored into prog.opt). Per-kind command counts are refreshed via
  * recount(); jitTicks and slot tables are untouched.
  */
 CmdStats optimizeCommands(InMemProgram &prog, const TiledLayout &layout,
-                          const AddressMap &map, const SystemConfig &cfg,
-                          const CmdOptOptions &opts = {});
+                          const AddressMap &map, const SystemConfig &cfg);
 
 } // namespace infs
 

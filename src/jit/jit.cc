@@ -597,9 +597,7 @@ JitCompiler::tryLower(const TdfgGraph &g, const TiledLayout &layout,
         // stream (the raw stream just passed the hook above, so the region
         // still executes — the bailout only foregoes the optimization).
         InMemProgram optimized = *lowered;
-        CmdOptOptions opts;
-        opts.syncElision = cfg_.cmdOptSyncElision;
-        optimizeCommands(optimized, layout, map, cfg_, opts);
+        optimizeCommands(optimized, layout, map, cfg_);
         bool accept = true;
         if (verify_) {
             if (verify_(g, optimized, layout, map))

@@ -17,6 +17,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "jit/cmd_effect.hh"
 #include "jit/commands.hh"
 #include "jit/decompose.hh"
 #include "jit/tiling.hh"
@@ -129,15 +130,8 @@ class JitCompiler
         const AddressMap &)>;
     void setVerifyHook(VerifyHook hook) { verify_ = std::move(hook); }
 
-    /** Number of wordline slots available per array (e.g. 7 for fp32 on
-     * 256-wordline arrays; the top slot is reserved for constants). */
-    unsigned
-    numSlots() const
-    {
-        const unsigned bits = dtypeBits(cfg_.tensor.elemType);
-        const unsigned slots = bits ? cfg_.l3.wordlines / bits : 0;
-        return slots > 1 ? slots - 1 : 0; // Guard the wordlines<bits case.
-    }
+    /** Number of wordline slots available per array (wordlineSlots). */
+    unsigned numSlots() const { return wordlineSlots(cfg_); }
 
   private:
     Expected<InMemProgram> doLower(const TdfgGraph &g,

@@ -2,31 +2,10 @@
 
 #include <algorithm>
 
+#include "jit/cmd_effect.hh"
 #include "sim/fault.hh"
 
 namespace infs {
-
-std::uint64_t
-TensorController::maskedElements(const InMemCommand &cmd,
-                                 const TiledLayout &layout) const
-{
-    const HyperRect &t = cmd.tensor;
-    if (t.empty())
-        return 0;
-    // Compute commands carry a positional mask only when the JIT set one
-    // (reduction rounds); an unset mask (maskHi == 0) means all cells.
-    if ((cmd.kind == CmdKind::Compute && cmd.maskHi <= cmd.maskLo) ||
-        cmd.kind == CmdKind::BroadcastBl || cmd.kind == CmdKind::BroadcastVal)
-        return static_cast<std::uint64_t>(t.volume());
-    // Shift commands: count dim-k coordinates whose in-tile position lies
-    // inside the mask.
-    const auto covered = static_cast<std::uint64_t>(
-        maskedCoordCount(t.lo(cmd.dim), t.hi(cmd.dim),
-                         layout.tileSize(cmd.dim), cmd.maskLo, cmd.maskHi));
-    std::uint64_t per_coord = static_cast<std::uint64_t>(
-        t.volume() / t.size(cmd.dim));
-    return covered * per_coord;
-}
 
 InMemExecResult
 TensorController::execute(const InMemProgram &prog,
@@ -148,54 +127,24 @@ TensorController::execute(const InMemProgram &prog,
             // tile. Unlike intra-array shifts (bitline-parallel), the
             // crossing data serializes through each bank's H-tree port —
             // this is what makes poorly tiled layouts slow (Fig 16/17).
-            double bytes_once =
-                static_cast<double>(maskedElements(cmd, layout)) *
-                elem_bytes;
-            double bytes = bytes_once * rep;
-            double banks_involved =
-                static_cast<double>(std::max<std::size_t>(
-                    cmd.banks.size(), 1));
-            Tick ser = static_cast<Tick>(
-                bytes_once / banks_involved /
-                static_cast<double>(cfg_.l3.htreeBandwidth));
-            Tick cyc = lat_.intraShiftCycles(cmd.dtype) + 8 + ser;
-            bumpBanks(cmd.banks, cyc, cmd.group);
-            res.moveCycles += cyc;
+            const MoveCharge mc = moveCharge(cmd, layout, map_, cfg_);
+            const double bytes = mc.bytesOnce * rep;
+            bumpBanks(cmd.banks, mc.perBank(), cmd.group);
+            res.moveCycles += mc.perBank();
             res.interTileBytes += bytes;
-            // Linear tile-index delta of the shift along this dimension.
-            // With the contiguous tile->array mapping, only tiles whose
-            // destination crosses a bank boundary inject NoC packets; the
-            // rest travel the bank's H tree (§5.2).
-            std::int64_t stride = 1;
-            for (unsigned d = 0; d < cmd.dim; ++d)
-                stride *= layout.grid()[d];
-            std::int64_t tile_delta = cmd.interTileDist * stride;
-            std::int64_t abs_delta =
-                tile_delta < 0 ? -tile_delta : tile_delta;
-            const double apb = static_cast<double>(map_.arraysPerBank());
-            double crossing =
-                std::min(1.0, static_cast<double>(abs_delta) / apb);
-            if (crossing > 0.0 && abs_delta > 0) {
+            if (mc.crossing > 0.0) {
                 // Mean hop count of the per-bank destination pattern.
                 const std::int64_t bank_delta =
                     std::max<std::int64_t>(
-                        abs_delta / map_.arraysPerBank(), 1) %
+                        mc.tileDelta / map_.arraysPerBank(), 1) %
                     banks;
                 double hops = 0.0;
                 for (BankId b = 0; b < banks; ++b)
                     hops += noc_.hops(b, static_cast<BankId>(
                                              (b + bank_delta) % banks));
-                noc_.accountBulk(bytes * crossing, hops / banks,
+                noc_.accountBulk(bytes * mc.crossing, hops / banks,
                                  TrafficClass::InterTile);
-                res.interTileNocBytes += bytes * crossing;
-                // NoC injection serialization for the crossing bytes.
-                Tick noc_ser = static_cast<Tick>(
-                    bytes_once * crossing / banks_involved /
-                    static_cast<double>(cfg_.noc.linkBytes));
-                bumpBanks(cmd.banks, lat_.intraShiftCycles(cmd.dtype) + 8 +
-                                         ser + noc_ser,
-                          cmd.group);
-                res.moveCycles += noc_ser;
+                res.interTileNocBytes += bytes * mc.crossing;
             }
             const auto tiles = static_cast<double>(
                 layout.countTilesIntersecting(cmd.tensor));
@@ -207,19 +156,10 @@ TensorController::execute(const InMemProgram &prog,
             // One source row replicated across the destination region via
             // the buffered H tree; remote tiles receive it over the NoC
             // multicast. The source data serializes out of its banks.
-            double bytes_once =
-                static_cast<double>(maskedElements(cmd, layout)) *
-                elem_bytes;
-            double bytes = bytes_once * rep;
-            double banks_involved =
-                static_cast<double>(std::max<std::size_t>(
-                    cmd.banks.size(), 1));
-            Tick ser = static_cast<Tick>(
-                bytes_once / banks_involved /
-                static_cast<double>(cfg_.l3.htreeBandwidth));
-            Tick cyc = lat_.intraShiftCycles(cmd.dtype) + 8 + ser;
-            bumpBanks(cmd.banks, cyc, cmd.group);
-            res.moveCycles += cyc;
+            const MoveCharge mc = moveCharge(cmd, layout, map_, cfg_);
+            const double bytes = mc.bytesOnce * rep;
+            bumpBanks(cmd.banks, mc.perBank(), cmd.group);
+            res.moveCycles += mc.perBank();
             // Multicast: source data travels once along the tree spanning
             // the destination banks (cheap, §4.1 "broadcast is
             // inexpensive, as it can reuse the read data").

@@ -68,10 +68,6 @@ class TensorController
                             std::uint64_t repeat = 1);
 
   private:
-    /** Elements of @p cmd's tensor selected by its shift mask (O(dims)). */
-    std::uint64_t maskedElements(const InMemCommand &cmd,
-                                 const TiledLayout &layout) const;
-
     SystemConfig cfg_;
     MeshNoc &noc_;
     const AddressMap &map_;

@@ -166,6 +166,18 @@ TEST_F(VerifyCmds, RestatedEffectOverSubtensorsIsClean)
     EXPECT_TRUE(rep.clean()) << rep.str();
 }
 
+TEST_F(VerifyCmds, RestatementWithAnotherDtypeIsAnOverlap)
+{
+    // The restatement exemption covers every effect field but the window:
+    // a same-group overlap that moves another element type is a real
+    // Alg. 1 overlap, as the command optimizer also treats it.
+    InMemCommand a = shift(CmdKind::IntraShift, 9, 0, 16, 0, 4, 0, 32);
+    InMemCommand b = shift(CmdKind::IntraShift, 9, 8, 24, 0, 4, 0, 32);
+    b.dtype = DType::Int8;
+    VerifyReport rep = verify({a, b});
+    EXPECT_TRUE(rep.has(VerifyCode::IntraGroupOverlap)) << rep.str();
+}
+
 TEST_F(VerifyCmds, SlotBeyondCapacityIsReported)
 {
     // fp32 on 256 wordlines: 7 usable slots, top slot reserved, so

@@ -264,18 +264,17 @@ TEST(CmdOptScenario, PointnetElidesHalfItsSyncs)
     EXPECT_EQ(opt.prog->numSync, 1u);
 }
 
-// The per-pass switches drive the ablation harness: with syncElision
-// off, dwt2d's elidable barriers must survive untouched.
+// The sync-elision switch drives the ablation harness: with
+// cmdOptSyncElision off, dwt2d's elidable barriers must survive untouched.
 TEST(CmdOptScenario, SyncElisionSwitchedOff)
 {
     auto raw = rawScenarioJob("dwt2d");
     ASSERT_TRUE(raw.has_value());
     SystemConfig cfg = testSystemConfig();
+    cfg.cmdOptSyncElision = false;
     AddressMap map(cfg.l3, cfg.noc.memCtrls);
     InMemProgram prog = *raw->prog;
-    CmdOptOptions opts;
-    opts.syncElision = false;
-    CmdStats st = optimizeCommands(prog, raw->layout, map, cfg, opts);
+    CmdStats st = optimizeCommands(prog, raw->layout, map, cfg);
     EXPECT_EQ(st.elidedSyncs, 0u);
     EXPECT_EQ(prog.numSync, raw->prog->numSync);
     EXPECT_GT(st.fusedMoves, 0u); // The other passes still ran.
@@ -382,9 +381,9 @@ struct CmdOptFixture {
         return c;
     }
 
-    CmdStats optimize(InMemProgram &prog, const CmdOptOptions &opts = {})
+    CmdStats optimize(InMemProgram &prog)
     {
-        return optimizeCommands(prog, layout, map, cfg, opts);
+        return optimizeCommands(prog, layout, map, cfg);
     }
 };
 

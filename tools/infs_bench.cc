@@ -184,11 +184,6 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
             auto be = makeBackend(backend, cfg);
             br = be->runJob(*job);
             backend_ms = msSince(bt0);
-            // The job pass's fabric-side cache counters ride along in
-            // ExecStats (schema v5); the timing walk alone has no fabric.
-            st.maskCacheHits = br.fabric.maskCacheHits;
-            st.maskCacheMisses = br.fabric.maskCacheMisses;
-            st.scratchAllocs = br.fabric.scratchAllocs;
         }
 
         if (r == 0) {
