@@ -22,6 +22,11 @@ Gates, both on machine-independent quantities (DESIGN.md section 10):
   checksum (the harness has no job for the scenario, or a --paper row)
   is reported as uncovered and does not gate.
 
+Rows of an --ablate run carry an `ablation` array, one entry per
+optimization-stack variant (base, cmdopt_off, ..., egraph_on); every
+variant present in both files gates by the same two rules, reported as
+workload/variant. Variants missing from either file are not compared.
+
 Wall-clock fields are reported for context and never gate. Accepts two
 schemas: infs-bench-v5 (the --quick/--full sweeps: top-level `backend`,
 per-row checksums, `backend_sim_cycles`, `job_sim_cycles`, `cmd_stats`,
@@ -90,16 +95,14 @@ def main():
                  else " — checksums reported, not gated"))
 
     failed = []
-    for name, b in sorted(base.items()):
-        c = cur.get(name)
-        if c is None:
-            failed.append(f"{name}: missing from {args.current}")
-            continue
+
+    def gate(label, b, c):
+        """Apply both gates to one row (or ablation variant) pair."""
         bc, cc = b["sim_cycles"], c["sim_cycles"]
         delta = 100.0 * (cc - bc) / bc if bc else (100.0 if cc else 0.0)
         marker = " "
         if delta > args.max_regress:
-            failed.append(f"{name}: sim_cycles {bc} -> {cc} "
+            failed.append(f"{label}: sim_cycles {bc} -> {cc} "
                           f"(+{delta:.1f}% > {args.max_regress:.0f}%)")
             marker = "!"
 
@@ -112,13 +115,25 @@ def main():
                    else "checksum differs (ungated: backends not "
                         "bit-comparable)")
         elif bsum != csum:
-            failed.append(f"{name}: checksum {b['checksum']} -> "
+            failed.append(f"{label}: checksum {b['checksum']} -> "
                           f"{c['checksum']} (bit drift)")
             marker = "!"
             cks = "CHECKSUM MISMATCH"
-        print(f"{marker} {name:<18} sim_cycles {bc:>12} -> {cc:>12} "
-              f"({delta:+6.1f}%)  wall {b['wall_ms']:8.2f} -> "
-              f"{c['wall_ms']:8.2f} ms  {cks}")
+        wall = (f"  wall {b['wall_ms']:8.2f} -> {c['wall_ms']:8.2f} ms"
+                if "wall_ms" in b and "wall_ms" in c else "")
+        print(f"{marker} {label:<18} sim_cycles {bc:>12} -> {cc:>12} "
+              f"({delta:+6.1f}%){wall}  {cks}")
+
+    for name, b in sorted(base.items()):
+        c = cur.get(name)
+        if c is None:
+            failed.append(f"{name}: missing from {args.current}")
+            continue
+        gate(name, b, c)
+        variants = {v["variant"]: v for v in c.get("ablation", [])}
+        for v in b.get("ablation", []):
+            if v["variant"] in variants:
+                gate(f"{name}/{v['variant']}", v, variants[v["variant"]])
 
     for name in sorted(set(cur) - set(base)):
         print(f"+ {name:<18} new workload "

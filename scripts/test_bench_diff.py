@@ -163,6 +163,29 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(res.returncode, 0)
         self.assertIn("uncovered", res.stdout)
 
+    # ---- ablation variants --------------------------------------------
+
+    def test_ablation_variants_gate(self):
+        # Each variant present in both files gates like a row: a
+        # sim_cycles regression or a checksum drift in one variant fails.
+        def ablated(egraph_cycles, egraph_sum):
+            return bench_file([row("conv2d", ablation=[
+                {"variant": "base", "sim_cycles": 1000,
+                 "checksum": "0x1111"},
+                {"variant": "egraph_on", "sim_cycles": egraph_cycles,
+                 "checksum": egraph_sum}])], backend="functional")
+        base = ablated(900, "0x2222")
+        self.assertEqual(self.run_diff(base, base).returncode, 0)
+        res = self.run_diff(base, ablated(2000, "0x2222"))
+        self.assertEqual(res.returncode, 1)
+        self.assertIn("conv2d/egraph_on: sim_cycles", res.stderr)
+        res = self.run_diff(base, ablated(900, "0x3333"))
+        self.assertEqual(res.returncode, 1)
+        self.assertIn("conv2d/egraph_on: checksum", res.stderr)
+        # A run without --ablate has no variants to compare.
+        plain = bench_file([row("conv2d")], backend="functional")
+        self.assertEqual(self.run_diff(base, plain).returncode, 0)
+
     # ---- backend expectations ----------------------------------------
 
     def test_expect_backend_match_passes(self):

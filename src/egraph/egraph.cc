@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace infs {
 
@@ -20,7 +21,7 @@ std::size_t
 ENodeHash::operator()(const ENode &n) const
 {
     auto mix = [](std::size_t h, std::size_t v) {
-        return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+        return (h ^ v) * 0x9e3779b97f4a7c15ULL;
     };
     std::size_t h = static_cast<std::size_t>(n.kind);
     h = mix(h, static_cast<std::size_t>(n.fn));
@@ -38,28 +39,25 @@ ENodeHash::operator()(const ENode &n) const
     }
     for (EClassId c : n.children)
         h = mix(h, c);
+    // Finalize (MurmurHash3 fmix64): the hashcons indexes by the low bits.
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
     return h;
 }
 
-EClassId
-EGraph::find(EClassId id) const
+bool
+EGraph::canonicalize(ENode &n) const
 {
-    infs_assert(id < parent_.size(), "eclass %u out of %zu", id,
-                parent_.size());
-    while (parent_[id] != id) {
-        parent_[id] = parent_[parent_[id]]; // Path halving.
-        id = parent_[id];
+    bool changed = false;
+    for (EClassId &ch : n.children) {
+        EClassId root = find(ch);
+        changed |= root != ch;
+        ch = root;
     }
-    return id;
-}
-
-ENode
-EGraph::canonicalize(const ENode &n) const
-{
-    ENode c = n;
-    for (EClassId &ch : c.children)
-        ch = find(ch);
-    return c;
+    return changed;
 }
 
 void
@@ -74,20 +72,23 @@ EGraph::domainOf(const ENode &n, HyperRect &out, bool &infinite) const
         infinite = true;
         return;
       case TdfgKind::Compute: {
-        bool have = false;
+        const HyperRect *first = nullptr;
+        bool narrowed = false;
         for (EClassId ch : n.children) {
             const EClass &c = eclass(ch);
             if (c.infiniteDomain)
                 continue;
-            if (!have) {
-                out = c.domain;
-                have = true;
+            if (first == nullptr) {
+                first = &c.domain;
             } else {
-                out = out.intersect(c.domain);
+                out = (narrowed ? out : *first).intersect(c.domain);
+                narrowed = true;
             }
         }
-        if (!have)
+        if (first == nullptr)
             infinite = true;
+        else if (!narrowed)
+            out = *first;
         return;
       }
       case TdfgKind::Move:
@@ -117,26 +118,68 @@ EGraph::domainOf(const ENode &n, HyperRect &out, bool &infinite) const
     infs_panic("domainOf: unknown kind");
 }
 
+ENodeId
+EGraph::lookup(const ENode &n, std::size_t hash) const
+{
+    if (hashcons_.empty())
+        return noNode;
+    const std::size_t mask = hashcons_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+        const Slot &s = hashcons_[i];
+        if (s.node == noNode)
+            return noNode;
+        if (s.hash == hash && node(s.node) == n)
+            return s.node;
+    }
+}
+
+void
+EGraph::insert(ENodeId id, std::size_t hash)
+{
+    if (2 * (hashconsUsed_ + 1) > hashcons_.size()) {
+        // Grow, dropping slots left behind by re-keyed nodes.
+        std::vector<Slot> old = std::move(hashcons_);
+        hashcons_.assign(std::max<std::size_t>(64, 2 * old.size()), Slot{});
+        hashconsUsed_ = 0;
+        for (const Slot &s : old)
+            if (s.node != noNode && s.hash == nodeHash_[s.node])
+                insert(s.node, s.hash);
+    }
+    const std::size_t mask = hashcons_.size() - 1;
+    std::size_t i = hash & mask;
+    while (hashcons_[i].node != noNode)
+        i = (i + 1) & mask;
+    hashcons_[i] = Slot{hash, id};
+    ++hashconsUsed_;
+}
+
 EClassId
 EGraph::add(ENode n)
 {
-    ENode c = canonicalize(n);
-    auto it = hashcons_.find(c);
-    if (it != hashcons_.end())
-        return find(it->second);
+    canonicalize(n);
+    const std::size_t hash = ENodeHash{}(n);
+    if (ENodeId same = lookup(n, hash); same != noNode)
+        return find(owner_[same]);
 
-    HyperRect dom;
-    bool infinite = false;
-    domainOf(c, dom, infinite);
-
-    EClassId id = static_cast<EClassId>(classes_.size());
+    const EClassId id = static_cast<EClassId>(classes_.size());
+    const ENodeId nid = static_cast<ENodeId>(nodeKinds_.size());
     EClass cls;
-    cls.nodes.push_back(c);
-    cls.domain = dom;
-    cls.infiniteDomain = infinite;
+    cls.nodes.push_back(nid);
+    domainOf(n, cls.domain, cls.infiniteDomain);
     classes_.push_back(std::move(cls));
+    twins_.push_back(false);
+    kinds_.push_back(kindBit(n.kind));
+    allKinds_ |= kindBit(n.kind);
+    changed_.push_back(clock_);
     parent_.push_back(id);
-    hashcons_.emplace(std::move(c), id);
+    nodeKinds_.push_back(n.kind);
+    if (nid % chunkSize == 0)
+        chunks_.push_back(std::make_unique<ENode[]>(chunkSize));
+    mutableNode(nid) = std::move(n);
+    owner_.push_back(id);
+    roots_.push_back(id);
+    nodeHash_.push_back(hash);
+    insert(nid, hash);
     return id;
 }
 
@@ -176,6 +219,8 @@ EGraph::merge(EClassId a, EClassId b)
     auto &nb = classes_[b].nodes;
     na.insert(na.end(), nb.begin(), nb.end());
     nb.clear();
+    kinds_[a] |= kinds_[b];
+    changed_[a] = changed_[b] = ++clock_;
     dirty_ = true;
     return true;
 }
@@ -183,68 +228,74 @@ EGraph::merge(EClassId a, EClassId b)
 void
 EGraph::rebuild()
 {
+    std::vector<std::pair<EClassId, EClassId>> congruent;
     while (dirty_) {
         dirty_ = false;
-        hashcons_.clear();
+        congruent.clear();
         for (EClassId id = 0; id < classes_.size(); ++id) {
-            if (find(id) != id)
+            if (parent_[id] != id)
                 continue;
-            auto &nodes = classes_[id].nodes;
-            std::vector<ENode> canon;
-            canon.reserve(nodes.size());
-            for (const ENode &n : nodes) {
-                ENode c = canonicalize(n);
-                if (std::find(canon.begin(), canon.end(), c) == canon.end())
-                    canon.push_back(std::move(c));
+            std::vector<ENodeId> &ids = classes_[id].nodes;
+            bool dedup = twins_[id];
+            twins_[id] = false;
+            for (ENodeId nid : ids) {
+                ENode &n = mutableNode(nid);
+                if (!canonicalize(n))
+                    continue;
+                const std::size_t hash = ENodeHash{}(n);
+                nodeHash_[nid] = hash;
+                ENodeId same = lookup(n, hash);
+                if (same == noNode)
+                    insert(nid, hash);
+                else if (find(owner_[same]) != id)
+                    congruent.emplace_back(owner_[same], id);
+                dedup = true;
+                changed_[id] = ++clock_;
             }
-            nodes = std::move(canon);
-            for (const ENode &n : nodes) {
-                auto [it, inserted] = hashcons_.emplace(n, id);
-                if (!inserted && find(it->second) != id) {
-                    // Congruence: identical nodes in different classes.
-                    merge(it->second, id);
-                }
+            if (!dedup)
+                continue;
+            // Of nodes that became equal, keep the first.
+            std::size_t kept = 0;
+            for (std::size_t i = 0; i < ids.size(); ++i) {
+                const ENode &n = node(ids[i]);
+                bool dup = false;
+                for (std::size_t j = 0; j < kept && !dup; ++j)
+                    dup = node(ids[j]) == n;
+                if (!dup)
+                    ids[kept++] = ids[i];
             }
+            ids.resize(kept);
         }
+        // Union congruent classes only now: merging inside the pass
+        // would grow or clear a node list the pass is walking.
+        for (auto [a, b] : congruent)
+            if (merge(a, b))
+                twins_[find(a)] = true;
     }
 }
 
 std::size_t
 EGraph::numClasses() const
 {
-    std::size_t n = 0;
-    for (EClassId id = 0; id < classes_.size(); ++id)
-        if (find(id) == id)
-            ++n;
-    return n;
+    return canonicalClasses().size();
 }
 
 std::size_t
 EGraph::numNodes() const
 {
     std::size_t n = 0;
-    for (EClassId id = 0; id < classes_.size(); ++id)
-        if (find(id) == id)
-            n += classes_[id].nodes.size();
+    for (EClassId id : canonicalClasses())
+        n += classes_[id].nodes.size();
     return n;
-}
-
-const EClass &
-EGraph::eclass(EClassId id) const
-{
-    return classes_[find(id)];
 }
 
 std::vector<EClassId>
 EGraph::canonicalClasses() const
 {
-    std::vector<EClassId> out;
-    for (EClassId id = 0; id < classes_.size(); ++id)
-        if (find(id) == id && !classes_[id].nodes.empty())
-            out.push_back(id);
-    return out;
+    // Roots are exactly the non-empty classes: a union empties the loser.
+    std::erase_if(roots_, [&](EClassId id) { return parent_[id] != id; });
+    return roots_;
 }
-
 
 std::string
 EGraph::dump() const
@@ -258,7 +309,8 @@ EGraph::dump() const
         else
             os << " " << c.domain.str();
         os << ":\n";
-        for (const ENode &n : c.nodes) {
+        for (ENodeId nid : c.nodes) {
+            const ENode &n = node(nid);
             os << "  " << tdfgKindName(n.kind);
             if (n.kind == TdfgKind::Compute || n.kind == TdfgKind::Reduce)
                 os << "/" << bitOpName(n.fn);

@@ -62,5 +62,19 @@ TEST(Recoverable, TryOptimizeSucceedsOnWellFormedGraph)
     EXPECT_EQ(res->graph.outputs().size(), 1u);
 }
 
+TEST(Recoverable, TryOptimizeDeclinesWideCompute)
+{
+    // E-nodes hold EChildren::capacity children inline; a wider compute
+    // is declined as a diagnostic and the caller keeps its graph.
+    TdfgGraph g(1, "wide");
+    std::vector<NodeId> ops;
+    for (std::size_t i = 0; i <= EChildren::capacity; ++i)
+        ops.push_back(g.tensor(0, HyperRect::interval(0, 16)));
+    g.output(g.compute(BitOp::Add, ops), 1);
+    Expected<ExtractionResult> res = TdfgOptimizer().tryOptimize(g);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.error().code, ErrCode::InvalidArgument);
+}
+
 } // namespace
 } // namespace infs

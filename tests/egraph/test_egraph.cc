@@ -16,12 +16,12 @@ tensorNode(ArrayId a, HyperRect r)
 }
 
 ENode
-computeNode(BitOp fn, std::vector<EClassId> kids)
+computeNode(BitOp fn, EChildren kids)
 {
     ENode n;
     n.kind = TdfgKind::Compute;
     n.fn = fn;
-    n.children = std::move(kids);
+    n.children = kids;
     return n;
 }
 

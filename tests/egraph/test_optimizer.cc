@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "egraph/egraph.hh"
 #include "sim/rng.hh"
 #include "tdfg/interp.hh"
 #include "uarch/system.hh"
+#include "workloads/workloads.hh"
 
 namespace infs {
 namespace {
@@ -107,11 +111,10 @@ TEST(Optimizer, IdentityWhenNoRewritesApply)
     expectSameResult(g, res.graph, 0, 1, {n});
 }
 
-TEST(Optimizer, StencilWithSymmetricCoefficients)
+/** B[i] = C0*A[i-1] + C1*A[i] + C0*A[i+1] over A[0,n). */
+TdfgGraph
+symStencilGraph(Coord n)
 {
-    // B[i] = C0*A[i-1] + C1*A[i] + C0*A[i+1]: the two C0 multiplies are
-    // shareable after move-exchange + expansion (Fig 6's pattern in 1-D).
-    const Coord n = 48;
     TdfgGraph g(1, "sym_stencil");
     NodeId a0 = g.tensor(0, HyperRect::interval(0, n - 2));
     NodeId a1 = g.tensor(0, HyperRect::interval(1, n - 1));
@@ -123,7 +126,15 @@ TEST(Optimizer, StencilWithSymmetricCoefficients)
     NodeId t2 = g.move(g.compute(BitOp::Mul, {a2, c0}), 0, -1);
     NodeId s = g.compute(BitOp::Add, {g.compute(BitOp::Add, {t0, t1}), t2});
     g.output(s, 1);
+    return g;
+}
 
+TEST(Optimizer, StencilWithSymmetricCoefficients)
+{
+    // The two C0 multiplies are shareable after move-exchange + expansion
+    // (Fig 6's pattern in 1-D).
+    const Coord n = 48;
+    TdfgGraph g = symStencilGraph(n);
     ExtractionResult res = TdfgOptimizer().optimize(g);
     EXPECT_TRUE(res.graph.validate(false));
     // Three multiplies shrink to two (C0 shared, C1 kept).
@@ -220,6 +231,190 @@ TEST(Optimizer, ExtractionNeverIncreasesCost)
         EXPECT_LE(res.cost, base + 1e-9);
         expectSameResult(g, res.graph, 0, 1, {n}, seed + 1);
     }
+}
+
+TEST(EGraph, RebuildCongruenceMergeIsMemorySafe)
+{
+    // mv(mv(A, +1), -1) fuses back into A, which makes the two multiplies
+    // and then the two relus congruent: rebuild() finds congruent classes
+    // while it walks the class lists and must union them only after the
+    // walk (a union inside it grows or clears a list under the walk).
+    const Coord n = 32;
+    TdfgGraph g(1, "congruent");
+    NodeId a = g.tensor(0, HyperRect::interval(0, n));
+    NodeId m = g.move(g.move(a, 0, 1), 0, -1);
+    NodeId c = g.constant(2.0);
+    NodeId lhs = g.compute(BitOp::Relu, {g.compute(BitOp::Mul, {a, c})});
+    NodeId rhs = g.compute(BitOp::Relu, {g.compute(BitOp::Mul, {m, c})});
+    g.output(g.compute(BitOp::Add, {lhs, rhs}), 1);
+
+    ExtractionResult res = TdfgOptimizer().optimize(g);
+    EXPECT_TRUE(res.graph.validate(false));
+    EXPECT_EQ(countKind(res.graph, TdfgKind::Compute, BitOp::Mul), 1u);
+    expectSameResult(g, res.graph, 0, 1, {n});
+}
+
+/** Extraction cost as "%.17g", the digits that pin a double exactly. */
+std::string
+costStr(double cost)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", cost);
+    return buf;
+}
+
+/** Cost of @p g under the extraction cost model (what extraction sums). */
+double
+graphCost(const TdfgGraph &g)
+{
+    ExtractionCost cost;
+    double total = 0.0;
+    for (const TdfgNode &n : g.nodes())
+        total += cost.nodeCost(n.kind, n.fn, n.operands.size(), n.domain,
+                               n.infiniteDomain);
+    return total;
+}
+
+// Pinned extractions. Extraction breaks cost ties by class id and by
+// node order within a class, so a change to either shows here.
+const char *const kConv2d64 = R"(tdfg conv2d.opt dims=2
+  %0 = tensor array0 [0,64)x[0,64)
+  %1 = const 0.125
+  %2 = cmp mul (%0, %1) : [0,64)x[0,64)
+  %3 = shrink dim=1 to=[0,64)x[0,62) (%2) : [0,64)x[0,62)
+  %4 = mv dim=0 dist=1 (%0) : [1,65)x[0,64)
+  %5 = const 0.0625
+  %6 = cmp mul (%4, %5) : [1,65)x[0,64)
+  %7 = shrink dim=1 to=[1,65)x[0,62) (%6) : [1,65)x[0,62)
+  %8 = cmp add (%3, %7) : [1,64)x[0,62)
+  %9 = mv dim=0 dist=-1 (%0) : [-1,63)x[0,64)
+  %10 = cmp mul (%9, %5) : [-1,63)x[0,64)
+  %11 = shrink dim=1 to=[-1,63)x[0,62) (%10) : [-1,63)x[0,62)
+  %12 = cmp add (%8, %11) : [1,63)x[0,62)
+  %13 = mv dim=1 dist=1 (%12) : [1,63)x[1,63)
+  %14 = shrink dim=1 to=[0,64)x[0,63) (%2) : [0,64)x[0,63)
+  %15 = mv dim=0 dist=1 (%14) : [1,65)x[0,63)
+  %16 = shrink dim=0 to=[1,63)x[0,63) (%15) : [1,63)x[0,63)
+  %17 = shrink dim=1 to=[1,63)x[1,63) (%16) : [1,63)x[1,63)
+  %18 = cmp add (%13, %17) : [1,63)x[1,63)
+  %19 = const 0.25
+  %20 = cmp mul (%0, %19) : [0,64)x[0,64)
+  %21 = shrink dim=0 to=[0,63)x[0,64) (%20) : [0,63)x[0,64)
+  %22 = shrink dim=0 to=[1,63)x[0,64) (%21) : [1,63)x[0,64)
+  %23 = shrink dim=1 to=[1,63)x[1,63) (%22) : [1,63)x[1,63)
+  %24 = cmp add (%18, %23) : [1,63)x[1,63)
+  %25 = shrink dim=0 to=[1,64)x[0,63) (%14) : [1,64)x[0,63)
+  %26 = shrink dim=0 to=[2,64)x[0,63) (%25) : [2,64)x[0,63)
+  %27 = mv dim=0 dist=-1 (%26) : [1,63)x[0,63)
+  %28 = shrink dim=1 to=[1,63)x[1,63) (%27) : [1,63)x[1,63)
+  %29 = cmp add (%24, %28) : [1,63)x[1,63)
+  %30 = mv dim=1 dist=-1 (%6) : [1,65)x[-1,63)
+  %31 = shrink dim=0 to=[1,63)x[-1,63) (%30) : [1,63)x[-1,63)
+  %32 = shrink dim=1 to=[1,63)x[1,63) (%31) : [1,63)x[1,63)
+  %33 = cmp add (%29, %32) : [1,63)x[1,63)
+  %34 = shrink dim=0 to=[0,63)x[0,64) (%2) : [0,63)x[0,64)
+  %35 = shrink dim=0 to=[1,63)x[0,64) (%34) : [1,63)x[0,64)
+  %36 = mv dim=1 dist=-1 (%35) : [1,63)x[-1,63)
+  %37 = shrink dim=1 to=[1,63)x[1,63) (%36) : [1,63)x[1,63)
+  %38 = cmp add (%33, %37) : [1,63)x[1,63)
+  %39 = shrink dim=0 to=[1,63)x[0,64) (%10) : [1,63)x[0,64)
+  %40 = mv dim=1 dist=-1 (%39) : [1,63)x[-1,63)
+  %41 = shrink dim=1 to=[1,63)x[1,63) (%40) : [1,63)x[1,63)
+  %42 = cmp add (%38, %41) : [1,63)x[1,63)
+  output %42 -> array1
+)";
+
+const char *const kConv2d2048 = R"(tdfg conv2d.opt dims=2
+  %0 = tensor array0 [0,2048)x[0,2048)
+  %1 = const 0.125
+  %2 = cmp mul (%0, %1) : [0,2048)x[0,2048)
+  %3 = shrink dim=1 to=[0,2048)x[0,2046) (%2) : [0,2048)x[0,2046)
+  %4 = mv dim=0 dist=1 (%0) : [1,2049)x[0,2048)
+  %5 = const 0.0625
+  %6 = cmp mul (%4, %5) : [1,2049)x[0,2048)
+  %7 = shrink dim=1 to=[1,2049)x[0,2046) (%6) : [1,2049)x[0,2046)
+  %8 = cmp add (%3, %7) : [1,2048)x[0,2046)
+  %9 = mv dim=0 dist=-1 (%0) : [-1,2047)x[0,2048)
+  %10 = cmp mul (%9, %5) : [-1,2047)x[0,2048)
+  %11 = shrink dim=1 to=[-1,2047)x[0,2046) (%10) : [-1,2047)x[0,2046)
+  %12 = cmp add (%8, %11) : [1,2047)x[0,2046)
+  %13 = mv dim=1 dist=1 (%12) : [1,2047)x[1,2047)
+  %14 = shrink dim=1 to=[0,2048)x[0,2047) (%2) : [0,2048)x[0,2047)
+  %15 = mv dim=0 dist=1 (%14) : [1,2049)x[0,2047)
+  %16 = shrink dim=0 to=[1,2047)x[0,2047) (%15) : [1,2047)x[0,2047)
+  %17 = shrink dim=1 to=[1,2047)x[1,2047) (%16) : [1,2047)x[1,2047)
+  %18 = cmp add (%13, %17) : [1,2047)x[1,2047)
+  %19 = const 0.25
+  %20 = cmp mul (%0, %19) : [0,2048)x[0,2048)
+  %21 = shrink dim=0 to=[0,2047)x[0,2048) (%20) : [0,2047)x[0,2048)
+  %22 = shrink dim=0 to=[1,2047)x[0,2048) (%21) : [1,2047)x[0,2048)
+  %23 = shrink dim=1 to=[1,2047)x[1,2047) (%22) : [1,2047)x[1,2047)
+  %24 = cmp add (%18, %23) : [1,2047)x[1,2047)
+  %25 = shrink dim=0 to=[1,2048)x[0,2047) (%14) : [1,2048)x[0,2047)
+  %26 = shrink dim=0 to=[2,2048)x[0,2047) (%25) : [2,2048)x[0,2047)
+  %27 = mv dim=0 dist=-1 (%26) : [1,2047)x[0,2047)
+  %28 = shrink dim=1 to=[1,2047)x[1,2047) (%27) : [1,2047)x[1,2047)
+  %29 = cmp add (%24, %28) : [1,2047)x[1,2047)
+  %30 = mv dim=1 dist=-1 (%6) : [1,2049)x[-1,2047)
+  %31 = shrink dim=0 to=[1,2047)x[-1,2047) (%30) : [1,2047)x[-1,2047)
+  %32 = shrink dim=1 to=[1,2047)x[1,2047) (%31) : [1,2047)x[1,2047)
+  %33 = cmp add (%29, %32) : [1,2047)x[1,2047)
+  %34 = shrink dim=0 to=[0,2047)x[0,2048) (%2) : [0,2047)x[0,2048)
+  %35 = shrink dim=0 to=[1,2047)x[0,2048) (%34) : [1,2047)x[0,2048)
+  %36 = mv dim=1 dist=-1 (%35) : [1,2047)x[-1,2047)
+  %37 = shrink dim=1 to=[1,2047)x[1,2047) (%36) : [1,2047)x[1,2047)
+  %38 = cmp add (%33, %37) : [1,2047)x[1,2047)
+  %39 = shrink dim=0 to=[1,2047)x[0,2048) (%10) : [1,2047)x[0,2048)
+  %40 = mv dim=1 dist=-1 (%39) : [1,2047)x[-1,2047)
+  %41 = shrink dim=1 to=[1,2047)x[1,2047) (%40) : [1,2047)x[1,2047)
+  %42 = cmp add (%38, %41) : [1,2047)x[1,2047)
+  output %42 -> array1
+)";
+
+const char *const kFig20 = R"(tdfg fig20.opt dims=1
+  %0 = tensor array0 [0,64)
+  %1 = mv dim=0 dist=1 (%0) : [1,65)
+  %2 = mv dim=0 dist=-1 (%0) : [-1,63)
+  %3 = cmp add (%1, %2) : [1,63)
+  %4 = const 3
+  %5 = cmp mul (%3, %4) : [1,63)
+  output %5 -> array1
+)";
+
+const char *const kSymStencil = R"(tdfg sym_stencil.opt dims=1
+  %0 = tensor array0 [0,48)
+  %1 = const 0.5
+  %2 = cmp mul (%0, %1) : [0,48)
+  %3 = const 0.25
+  %4 = cmp mul (%0, %3) : [0,48)
+  %5 = mv dim=0 dist=1 (%4) : [1,49)
+  %6 = cmp add (%2, %5) : [1,48)
+  %7 = mv dim=0 dist=-1 (%4) : [-1,47)
+  %8 = cmp add (%6, %7) : [1,47)
+  output %8 -> array1
+)";
+
+TEST(Optimizer, ExtractionIsPinned)
+{
+    struct Pin {
+        Coord n;
+        const char *dump;
+        const char *cost;
+    };
+    for (const Pin &p : {Pin{64, kConv2d64, "7032.2376308250468"},
+                         Pin{2048, kConv2d2048, "7040.2241420555156"}}) {
+        TdfgGraph g = makeConv2d(p.n, p.n).phases[0].buildTdfg(0);
+        EXPECT_EQ(g.dump(), p.dump) << "conv2d " << p.n;
+        EXPECT_EQ(costStr(graphCost(g)), p.cost) << "conv2d " << p.n;
+    }
+
+    ExtractionResult fig20 = TdfgOptimizer().optimize(fig20Graph(64, 0, 1));
+    EXPECT_EQ(fig20.graph.dump(), kFig20);
+    EXPECT_EQ(costStr(fig20.cost), "1424.0200305175781");
+
+    ExtractionResult sym = TdfgOptimizer().optimize(symStencilGraph(48));
+    EXPECT_EQ(sym.graph.dump(), kSymStencil);
+    EXPECT_EQ(costStr(sym.cost), "2784.0300228881833");
 }
 
 } // namespace
