@@ -4,14 +4,15 @@
 Usage: bench_diff.py BASELINE.json CURRENT.json [--max-regress PCT]
                      [--expect-backend NAME]
 
-Gates, both on machine-independent quantities (DESIGN.md section 10):
+Gates, all on machine-independent quantities (DESIGN.md section 10):
 
 - `sim_cycles` must not regress beyond --max-regress percent; simulated
   cycles are deterministic across machines, thread counts, and execution
   backends (the Executor timing model is backend-independent), so any
   change is a real model change, not noise. The gate is directional:
-  only increases can fail it, a sim_cycles reduction of any size always
-  passes (improvements are the point of optimizer PRs).
+  only increases can fail it, a sim_cycles reduction of any size passes
+  it (improvements are the point of optimizer PRs; the exact v6 gate
+  below still fails them against a stale paper baseline).
 - `checksum` must be byte-identical whenever both rows report a
   non-zero value AND both files' backends produce bit-certified sums.
   The fabric and functional backends are certified byte-identical
@@ -32,7 +33,11 @@ schemas: infs-bench-v5 (the --quick/--full sweeps: top-level `backend`,
 per-row checksums, `backend_sim_cycles`, `job_sim_cycles`, `cmd_stats`,
 dispatch provenance) and infs-bench-v6 (the --paper artifact:
 backend-free, checksum-free rows named workload@paradigm[/variant] whose
-sim_cycles gate like any other). --expect-backend fails fast when
+sim_cycles gate like any other). The --paper artifact is deterministic,
+so when both files are v6 a third gate is exact: every row field but
+`wall_ms` (energy, cycle categories, NoC classes and utilization,
+ablation variants, ...) must equal the baseline's, improvements
+included; a deliberate model change regenerates the baseline. --expect-backend fails fast when
 CURRENT was produced by a different backend than the pipeline intended
 (a mis-wired CI lane would otherwise silently skip the checksum gate).
 Exit status: 0 within budget, 1 regression or checksum mismatch,
@@ -51,14 +56,32 @@ BIT_CERTIFIED_BACKENDS = ("fabric", "functional")
 
 
 def load(path):
-    """Return (backend_name, {workload_name: row}) for one bench file."""
+    """Return (schema, backend_name, {workload_name: row}) for one file."""
     with open(path) as f:
         data = json.load(f)
     if data.get("schema") not in KNOWN_SCHEMAS:
         print(f"{path}: unexpected schema {data.get('schema')!r}",
               file=sys.stderr)
         sys.exit(2)
-    return data.get("backend"), {w["name"]: w for w in data["workloads"]}
+    return (data["schema"], data.get("backend"),
+            {w["name"]: w for w in data["workloads"]})
+
+
+def without_wall(value):
+    """@p value with every `wall_ms` key dropped, at any depth."""
+    if isinstance(value, dict):
+        return {k: without_wall(v) for k, v in value.items()
+                if k != "wall_ms"}
+    if isinstance(value, list):
+        return [without_wall(v) for v in value]
+    return value
+
+
+def differing_fields(b, c):
+    """Top-level fields of two rows that differ, `wall_ms` excepted."""
+    return [k for k in sorted(set(b) | set(c))
+            if k != "wall_ms" and without_wall(b.get(k)) !=
+            without_wall(c.get(k))]
 
 
 def parse_checksum(row):
@@ -78,8 +101,9 @@ def main():
                          "this backend")
     args = ap.parse_args()
 
-    base_backend, base = load(args.baseline)
-    cur_backend, cur = load(args.current)
+    base_schema, base_backend, base = load(args.baseline)
+    cur_schema, cur_backend, cur = load(args.current)
+    exact = base_schema == cur_schema == "infs-bench-v6"
 
     if args.expect_backend and cur_backend != args.expect_backend:
         print(f"{args.current}: backend {cur_backend!r}, expected "
@@ -130,6 +154,11 @@ def main():
             failed.append(f"{name}: missing from {args.current}")
             continue
         gate(name, b, c)
+        fields = differing_fields(b, c) if exact else []
+        if fields:
+            failed.append(f"{name}: changed {', '.join(fields)} "
+                          f"(the paper artifact gates exactly)")
+            print(f"! {name:<18} changed {', '.join(fields)}")
         variants = {v["variant"]: v for v in c.get("ablation", [])}
         for v in b.get("ablation", []):
             if v["variant"] in variants:

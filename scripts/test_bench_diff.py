@@ -81,6 +81,44 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(self.run_diff(paper(9), paper(9)).returncode, 0)
         self.assertEqual(self.run_diff(paper(9), paper(99)).returncode, 1)
 
+    def test_v6_paper_artifact_gates_every_field_but_wall(self):
+        # Energy, NoC classes and utilization, categories and ablation
+        # variants must match exactly, improvements included; wall_ms
+        # never gates.
+        def paper(**changes):
+            r = {"name": "a@Inf-S", "sim_cycles": 9, "wall_ms": 1,
+                 "energy_j": 0.5, "cycles": {"move": 4, "compute": 5},
+                 "noc_hop_bytes": {"data": 64, "inter_tile": 32},
+                 "noc_utilization": 0.25,
+                 "ablation": [{"variant": "base", "sim_cycles": 9,
+                               "wall_ms": 1}]}
+            r.update(changes)
+            return {"schema": "infs-bench-v6", "mode": "paper",
+                    "workloads": [r]}
+        base = paper()
+        self.assertEqual(self.run_diff(base, base).returncode, 0)
+        self.assertEqual(
+            self.run_diff(base, paper(wall_ms=7, ablation=[
+                {"variant": "base", "sim_cycles": 9, "wall_ms": 3}]))
+            .returncode, 0)
+        for changes in ({"energy_j": 0.4},
+                        {"cycles": {"move": 4, "compute": 6}},
+                        {"noc_hop_bytes": {"data": 64, "inter_tile": 0}},
+                        {"noc_utilization": 0.25000000000000006},
+                        {"sim_cycles": 8},
+                        {"ablation": [{"variant": "base", "sim_cycles": 8,
+                                       "wall_ms": 1}]},
+                        {"chosen_tile": [16, 16]}):
+            res = self.run_diff(base, paper(**changes))
+            self.assertEqual(res.returncode, 1, changes)
+            self.assertIn(f"changed {next(iter(changes))}", res.stderr)
+
+    def test_v5_rows_gate_only_cycles_and_checksums(self):
+        # The exact gate is v6-only: a v5 energy or wall change passes.
+        base = bench_file([row("vec_add", energy_j=0.5)])
+        cur = bench_file([row("vec_add", energy_j=0.4, wall_ms=9.0)])
+        self.assertEqual(self.run_diff(base, cur).returncode, 0)
+
     # ---- sim_cycles gate ---------------------------------------------
 
     def test_sim_cycles_regression_fails(self):

@@ -304,6 +304,11 @@ Rewriter::ruleDistributive()
                 key(rm->children[ri]);
                 if (eg_.find(lm->children[li]) != eg_.find(rm->children[ri]))
                     continue;
+                // Two constant weights would sum into a compute with only
+                // constant operands, which a tDFG cannot hold.
+                if (eg_.eclass(lm->children[1 - li]).infiniteDomain &&
+                    eg_.eclass(rm->children[1 - ri]).infiniteDomain)
+                    continue;
                 ENode sum;
                 sum.kind = TdfgKind::Compute;
                 sum.fn = BitOp::Add;

@@ -1,6 +1,7 @@
 #include "jit/tiling.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace infs {
@@ -180,64 +181,127 @@ TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
     std::vector<BankId> banks;
     if (r.empty())
         return banks;
-    std::vector<Coord> lo(dims()), hi(dims());
-    for (unsigned d = 0; d < dims(); ++d) {
+    // Per dim: the tile-grid range [lo, hi) r covers, clamped to the
+    // array, and the tile-index stride of one step along the dim.
+    constexpr unsigned kMaxDims = 8;
+    const unsigned nd = dims();
+    infs_assert(nd <= kMaxDims, "banksFor supports rank <= %u, not %u",
+                kMaxDims, nd);
+    std::array<std::int64_t, kMaxDims> lo{}, hi{}, stride{};
+    std::int64_t mult = 1;
+    for (unsigned d = 0; d < nd; ++d) {
         Coord rlo = std::max<Coord>(r.lo(d), 0);
         Coord rhi = std::min<Coord>(r.hi(d), shape_[d]);
         if (rhi <= rlo)
             return banks;
         lo[d] = rlo / tile_[d];
         hi[d] = (rhi - 1) / tile_[d] + 1;
+        stride[d] = mult;
+        mult *= grid_[d];
     }
     const unsigned num_banks = map.l3().numBanks;
     const auto total = static_cast<std::int64_t>(map.totalArrays());
     const std::int64_t per_bank = map.arraysPerBank();
-    const std::int64_t run = hi[0] - lo[0];
-    std::vector<bool> seen(num_banks, false);
+
+    // Leading dims r spans fully merge with the first partial one (dim m)
+    // into one run of consecutive tile indices [base + off, base + off +
+    // run) per combination of the dims above m.
+    unsigned m = 0;
+    while (m + 1 < nd && lo[m] == 0 && hi[m] == grid_[m])
+        ++m;
+    const std::int64_t run = (hi[m] - lo[m]) * stride[m];
+    const std::int64_t off = lo[m] * stride[m];
+    // tileToArray fills each bank's arrays before the next and wraps at
+    // totalArrays, so a run's banks form one interval, or two when it
+    // crosses the wrap, and a run of totalArrays tiles covers them all.
+    if (run >= total) {
+        banks.resize(num_banks);
+        for (unsigned b = 0; b < num_banks; ++b)
+            banks[b] = b;
+        return banks;
+    }
+
+    // banks[b] != 0 marks bank b seen; compacted into the result below.
+    banks.assign(num_banks, 0);
     unsigned num_seen = 0;
     auto mark = [&](std::int64_t first, std::int64_t last) {
         for (std::int64_t b = first; b <= last; ++b) {
-            if (!seen[static_cast<std::size_t>(b)]) {
-                seen[static_cast<std::size_t>(b)] = true;
+            if (!banks[static_cast<std::size_t>(b)]) {
+                banks[static_cast<std::size_t>(b)] = 1;
                 ++num_seen;
             }
         }
     };
-    // One dim-0 run of the tile sub-grid is `run` consecutive tile
-    // indices from `idx`; tileToArray fills each bank's arrays before the
-    // next and wraps at totalArrays, so the run's banks form one interval,
-    // or two when it crosses the wrap. Stop once every bank is seen.
-    std::vector<Coord> t = lo;
+    // Array slot of tile index @p idx (tiles wrap at totalArrays).
+    auto slot = [&](std::int64_t idx) {
+        return idx < total ? idx : idx % total;
+    };
+    // The first tile index at or after @p idx whose bank is unseen (in
+    // unwrapped index space). Requires num_seen < num_banks.
+    auto nextUnseen = [&](std::int64_t idx) {
+        const std::int64_t pos = slot(idx);
+        std::int64_t b = pos / per_bank;
+        if (!banks[static_cast<std::size_t>(b)])
+            return idx;
+        std::int64_t at = idx - pos + b * per_bank;
+        do {
+            at += per_bank;
+            if (++b == num_banks)
+                b = 0;
+        } while (banks[static_cast<std::size_t>(b)]);
+        return at;
+    };
+
+    // Runs step along dim n = m + 1 (a single step when m is the last
+    // dim); the dims above n advance as an odometer. Runs along n do not
+    // overlap, and a run reaches an unseen bank only if it ends at or
+    // past the next unseen tile index, so the walk jumps straight to the
+    // first such step instead of visiting every tile row: on layouts
+    // that fit the arrays, each visited run marks a new bank. Stop once
+    // every bank is seen.
+    const unsigned n = m + 1;
+    const std::int64_t n_lo = n < nd ? lo[n] : 0;
+    const std::int64_t n_hi = n < nd ? hi[n] : 1;
+    const std::int64_t step = n < nd ? stride[n] : 1;
+    std::array<std::int64_t, kMaxDims> t = lo;
     while (num_seen < num_banks) {
-        std::int64_t idx = 0, mult = 1;
-        for (unsigned d = 0; d < dims(); ++d) {
-            idx += t[d] * mult;
-            mult *= grid_[d];
+        std::int64_t base = off;
+        for (unsigned d = n + 1; d < nd; ++d)
+            base += t[d] * stride[d];
+        std::int64_t k = n_lo;
+        while (k < n_hi && num_seen < num_banks) {
+            const std::int64_t start = base + k * step;
+            std::int64_t next = nextUnseen(start);
+            if (next < start + run) {
+                const std::int64_t first = slot(start);
+                const std::int64_t last = slot(start + run - 1);
+                if (first <= last) {
+                    mark(first / per_bank, last / per_bank);
+                } else {
+                    mark(first / per_bank, num_banks - 1);
+                    mark(0, last / per_bank);
+                }
+                if (num_seen == num_banks)
+                    break;
+                next = nextUnseen(start + run);
+            }
+            // The first later step whose run ends at or past `next`.
+            k = std::max(k + 1, (next - run + 1 - base + step - 1) / step);
         }
-        if (run >= total) {
-            mark(0, num_banks - 1);
-            break;
-        }
-        const std::int64_t first = idx % total;
-        const std::int64_t last = (idx + run - 1) % total;
-        if (first <= last) {
-            mark(first / per_bank, last / per_bank);
-        } else {
-            mark(first / per_bank, num_banks - 1);
-            mark(0, last / per_bank);
-        }
-        unsigned d = 1;
-        for (; d < dims(); ++d) {
+        unsigned d = n + 1;
+        for (; d < nd; ++d) {
             if (++t[d] < hi[d])
                 break;
             t[d] = lo[d];
         }
-        if (d == dims())
+        if (d >= nd)
             break;
     }
+    std::size_t out = 0;
     for (unsigned b = 0; b < num_banks; ++b)
-        if (seen[b])
-            banks.push_back(b);
+        if (banks[b])
+            banks[out++] = b;
+    banks.resize(out);
     return banks;
 }
 

@@ -96,10 +96,12 @@ class TiledLayout
 
     /**
      * L3 banks owning any tile intersecting @p r, sorted ascending.
-     * Tiles fill banks contiguously (§5.2), so each dim-0 run of the
-     * intersecting tile sub-grid covers one bank interval, split at most
-     * once where tile indices wrap at totalArrays: O(tile rows), not
-     * O(tiles).
+     * Tiles fill banks contiguously (§5.2), so each run of consecutive
+     * tile indices covers one bank interval, split at most once where
+     * tile indices wrap at totalArrays. The leading dims @p r spans fully
+     * merge into one run, and the walk along the next dim jumps to the
+     * runs that reach an unseen bank: O(banks) on layouts that fit the
+     * arrays, not O(tile rows). Rank at most 8.
      */
     std::vector<BankId> banksFor(const HyperRect &r,
                                  const AddressMap &map) const;

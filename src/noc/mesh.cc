@@ -89,23 +89,30 @@ MeshNoc::route(BankId src, BankId dst, std::vector<unsigned> &out) const
 }
 
 void
-MeshNoc::chargeLink(unsigned link, Bytes bytes)
+MeshNoc::chargeRoute(MeshCoord src, MeshCoord dst, Bytes bytes)
 {
-    links_[link] += static_cast<double>(bytes);
+    // The links route() lists, in its order: link(from, dir) is
+    // from * 4 + dir with dir 0/1/2/3 = east/west/north/south.
+    const auto b = static_cast<double>(bytes);
+    const unsigned row = src.y * cfg_.meshX;
+    for (unsigned x = src.x; x < dst.x; ++x)
+        links_[(row + x) * 4 + 0] += b;
+    for (unsigned x = src.x; x > dst.x; --x)
+        links_[(row + x) * 4 + 1] += b;
+    for (unsigned y = src.y; y < dst.y; ++y)
+        links_[(y * cfg_.meshX + dst.x) * 4 + 2] += b;
+    for (unsigned y = src.y; y > dst.y; --y)
+        links_[(y * cfg_.meshX + dst.x) * 4 + 3] += b;
 }
 
 Tick
 MeshNoc::send(BankId src, BankId dst, Bytes bytes, TrafficClass cls)
 {
     unsigned h = hops(src, dst);
+    const MeshCoord a = coord(src), b = coord(dst);
     hopBytes_[static_cast<unsigned>(cls)] +=
         static_cast<double>(bytes) * h;
-    if (h > 0) {
-        scratchRoute_.clear();
-        route(src, dst, scratchRoute_);
-        for (unsigned link : scratchRoute_)
-            chargeLink(link, bytes);
-    }
+    chargeRoute(a, b, bytes);
     Tick serialization = (bytes + cfg_.linkBytes - 1) / cfg_.linkBytes;
     Tick latency = Tick(h) * (cfg_.routerStages + cfg_.linkLatency) +
                    (serialization > 0 ? serialization - 1 : 0);
@@ -114,8 +121,7 @@ MeshNoc::send(BankId src, BankId dst, Bytes bytes, TrafficClass cls)
         // charging the route a second time.
         hopBytes_[static_cast<unsigned>(cls)] +=
             static_cast<double>(bytes) * h;
-        for (unsigned link : scratchRoute_)
-            chargeLink(link, bytes);
+        chargeRoute(a, b, bytes);
         latency += fault_->recordDetection() + fault_->recordRetry(latency);
     }
     return latency;
@@ -140,7 +146,7 @@ MeshNoc::multicast(BankId src, const std::vector<BankId> &dsts, Bytes bytes,
     hopBytes_[static_cast<unsigned>(cls)] +=
         static_cast<double>(bytes) * tree.size();
     for (unsigned link : tree)
-        chargeLink(link, bytes);
+        links_[link] += static_cast<double>(bytes);
     Tick serialization = (bytes + cfg_.linkBytes - 1) / cfg_.linkBytes;
     Tick latency = Tick(max_hops) * (cfg_.routerStages + cfg_.linkLatency) +
                    (serialization > 0 ? serialization - 1 : 0);
@@ -150,7 +156,7 @@ MeshNoc::multicast(BankId src, const std::vector<BankId> &dsts, Bytes bytes,
         hopBytes_[static_cast<unsigned>(cls)] +=
             static_cast<double>(bytes) * tree.size();
         for (unsigned link : tree)
-            chargeLink(link, bytes);
+            links_[link] += static_cast<double>(bytes);
         latency += fault_->recordDetection() + fault_->recordRetry(latency);
     }
     return latency;
@@ -173,10 +179,16 @@ MeshNoc::accountBulk(double bytes, double avg_hops, TrafficClass cls)
         hop_bytes += double(faulted) * double(lineBytes) * avg_hops;
     }
     hopBytes_[static_cast<unsigned>(cls)] += hop_bytes;
-    // Spread occupancy uniformly over the physical links.
-    double per_link = hop_bytes / static_cast<double>(links_.size());
-    for (double &l : links_)
-        l += per_link;
+    // Spread occupancy uniformly over the link slots. Every slot gets the
+    // same share, so one scalar carries it for all of them: links_[i] +
+    // uniform_ is what adding the share to each slot would give, bit for
+    // bit, as long as no partial sum rounds. None does on the shipped
+    // machines. avgHops() is 21/4 on the 8x8 mesh and 5/2 on the 4x4
+    // one; the callers' other hop and crossing factors are integers over
+    // a power-of-two bank or arrays-per-bank count; the slot count is a
+    // power of two. So every share is a multiple of 2^-22 byte, and a
+    // per-slot sum could round only past 2^31 bytes (2^53 such units).
+    uniform_ += hop_bytes / static_cast<double>(links_.size());
 }
 
 double
@@ -209,7 +221,7 @@ MeshNoc::utilization(Tick elapsed) const
         return 0.0;
     double busy_cycles = 0.0;
     for (double b : links_)
-        busy_cycles += b / static_cast<double>(cfg_.linkBytes);
+        busy_cycles += (b + uniform_) / static_cast<double>(cfg_.linkBytes);
     // Count only links that physically exist (interior of the mesh):
     // horizontal: (X-1)*Y per direction, vertical: X*(Y-1) per direction.
     double real_links =
@@ -217,11 +229,18 @@ MeshNoc::utilization(Tick elapsed) const
     return busy_cycles / (real_links * static_cast<double>(elapsed));
 }
 
+double
+MeshNoc::linkBusyBytes(BankId from, BankId to) const
+{
+    return links_[linkIndex(from, to)] + uniform_;
+}
+
 void
 MeshNoc::resetStats()
 {
     hopBytes_.fill(0.0);
     std::fill(links_.begin(), links_.end(), 0.0);
+    uniform_ = 0.0;
 }
 
 } // namespace infs

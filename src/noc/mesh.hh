@@ -79,7 +79,7 @@ class MeshNoc
      * Account bulk traffic analytically: @p bytes moving an average of
      * @p avg_hops hops. Used for aggregate flows (stream forwarding)
      * where per-message routing is not enumerated; link occupancy is
-     * spread uniformly.
+     * spread uniformly over every link slot, in O(1).
      */
     void accountBulk(double bytes, double avg_hops, TrafficClass cls);
 
@@ -93,10 +93,19 @@ class MeshNoc
     double totalHopBytes() const;
 
     /**
-     * Average link utilization in [0, 1] over @p elapsed ticks: busy
-     * link-cycles / (links x elapsed).
+     * Average link utilization over @p elapsed ticks: busy link-cycles /
+     * (links x elapsed). Phase time is not yet bounded by link load, so
+     * a phase that moves more bytes than the mesh carries in @p elapsed
+     * reads above 1.
      */
     double utilization(Tick elapsed) const;
+
+    /**
+     * Bytes charged so far to the directed link from node @p from to the
+     * adjacent node @p to: its discrete unicast and multicast traffic
+     * plus its share of the uniformly spread bulk traffic.
+     */
+    double linkBusyBytes(BankId from, BankId to) const;
 
     /** Zero all traffic accounting. */
     void resetStats();
@@ -118,14 +127,22 @@ class MeshNoc
     /** Enumerate the X-Y route src -> dst as a list of link indices. */
     void route(BankId src, BankId dst, std::vector<unsigned> &out) const;
 
-    void chargeLink(unsigned link, Bytes bytes);
+    /**
+     * Charge @p bytes to every link of the X-Y route src -> dst, in route
+     * order, without enumerating it: east/west along the source row,
+     * then north/south along the destination column.
+     */
+    void chargeRoute(MeshCoord src, MeshCoord dst, Bytes bytes);
 
     NocConfig cfg_;
     FaultInjector *fault_ = nullptr;
     std::array<double, numTrafficClasses> hopBytes_{};
-    // Busy byte-count per directed link (bytes / linkBytes = busy cycles).
+    // Busy byte-count per directed link (bytes / linkBytes = busy cycles)
+    // from the discrete send/multicast charges.
     std::vector<double> links_;
-    mutable std::vector<unsigned> scratchRoute_;
+    // Busy bytes every link slot carries on top of links_: the bulk
+    // traffic, spread uniformly (see accountBulk).
+    double uniform_ = 0.0;
 };
 
 } // namespace infs

@@ -181,6 +181,35 @@ TEST(Optimizer, SymmetricConv2dSharesMultipliesAndRunsFaster)
     expectSameResult(g, res.graph, 0, 1, {n, n});
 }
 
+TEST(Optimizer, ConstantWeightedSharedFactorDoesNotAbort)
+{
+    // x*3 + x*5 shares x, but factoring it out would build the constant-
+    // only compute 3 + 5, which the tDFG rejects; the distributive rule
+    // must decline instead. Both operand orders, alone and under a
+    // further tensor add.
+    const Coord n = 64;
+    for (bool const_first : {false, true}) {
+        for (bool extra_add : {false, true}) {
+            TdfgGraph g(1, "const_weighted");
+            NodeId x = g.tensor(0, HyperRect::interval(0, n), "x");
+            auto weighted = [&](double w) {
+                NodeId c = g.constant(w);
+                return g.compute(BitOp::Mul, const_first
+                                                 ? std::vector<NodeId>{c, x}
+                                                 : std::vector<NodeId>{x, c});
+            };
+            NodeId s = g.compute(BitOp::Add, {weighted(3.0), weighted(5.0)});
+            if (extra_add)
+                s = g.compute(BitOp::Add, {s, x});
+            g.output(s, 1);
+            auto res = TdfgOptimizer().tryOptimize(g);
+            ASSERT_TRUE(res.ok()) << res.error().str();
+            EXPECT_TRUE(res->graph.validate(false));
+            expectSameResult(g, res->graph, 0, 1, {n});
+        }
+    }
+}
+
 TEST(Optimizer, PreservesStreamNodes)
 {
     const Coord n = 128;

@@ -269,6 +269,78 @@ TEST(TiledLayout, BanksForMatchesTileWalk)
                   banksByTileWalk(paper, r, paper_map))
             << r.str();
     }
+
+    // Rects spanning the leading one or two dims fully, whose runs merge
+    // across dims, on the same random machines and layouts.
+    int merged = 0;
+    for (int iter = 0; iter < 20000; ++iter) {
+        L3Config l3;
+        l3.numBanks = 1 + static_cast<unsigned>(rng.nextBounded(9));
+        l3.computeWays = 1 + static_cast<unsigned>(rng.nextBounded(3));
+        l3.arraysPerWay = 1 + static_cast<unsigned>(rng.nextBounded(4));
+        AddressMap map(l3);
+        const unsigned nd = 2 + static_cast<unsigned>(rng.nextBounded(2));
+        const unsigned full = 1 + static_cast<unsigned>(rng.nextBounded(2));
+        const Coord max_extent = nd == 3 ? 16 : 40;
+        std::vector<Coord> shape(nd), tile(nd), lo(nd), hi(nd);
+        for (unsigned d = 0; d < nd; ++d) {
+            shape[d] = 1 + static_cast<Coord>(rng.nextBounded(max_extent));
+            tile[d] = 1 + static_cast<Coord>(rng.nextBounded(8));
+            if (d < full) {
+                lo[d] = -static_cast<Coord>(rng.nextBounded(3));
+                hi[d] = shape[d] + static_cast<Coord>(rng.nextBounded(3));
+            } else {
+                lo[d] = static_cast<Coord>(rng.nextBounded(shape[d]));
+                hi[d] = lo[d] + 1 +
+                        static_cast<Coord>(rng.nextBounded(shape[d]));
+            }
+        }
+        TiledLayout lay(shape, tile);
+        HyperRect r(lo, hi);
+        ASSERT_EQ(lay.banksFor(r, map), banksByTileWalk(lay, r, map))
+            << "iter " << iter << " rect " << r.str();
+        merged += full < nd && lay.grid()[0] > 1;
+    }
+    EXPECT_GT(merged, 10000);
+
+    // gauss_elim(2048)'s layout: {1, 256} tiles, one per pivot row
+    // segment. Its regions are one-column strips and shrinking [k+1, n)
+    // boxes, at every pivot step k.
+    TiledLayout gauss({2048, 2048}, {1, 256});
+    for (Coord k = 0; k < 2047; k += 1 + k / 8) {
+        for (const HyperRect &r :
+             {HyperRect::box2(k, k + 1, k + 1, 2048),
+              HyperRect::box2(k, k + 1, k, k + 1),
+              HyperRect::box2(k + 1, 2048, k, k + 1),
+              HyperRect::box2(k + 1, 2048, k + 1, 2048),
+              HyperRect::box2(0, 2048, k + 1, 2048)}) {
+            ASSERT_EQ(gauss.banksFor(r, paper_map),
+                      banksByTileWalk(gauss, r, paper_map))
+                << r.str();
+        }
+    }
+
+    // A stencil3d(512, 512, 16)-like rank-3 layout: the interior and its
+    // six one-cell shifts, plus thin slabs along each dim.
+    for (const std::vector<Coord> &tile3 :
+         {std::vector<Coord>{16, 4, 4}, std::vector<Coord>{32, 8, 1},
+          std::vector<Coord>{4, 4, 16}}) {
+        TiledLayout cube({512, 512, 16}, tile3);
+        const HyperRect inner = HyperRect::box3(1, 511, 1, 511, 1, 15);
+        std::vector<HyperRect> rects = {
+            inner, HyperRect::box3(0, 512, 0, 512, 3, 4),
+            HyperRect::box3(0, 512, 40, 41, 0, 16),
+            HyperRect::box3(300, 301, 0, 512, 0, 16),
+            HyperRect::box3(0, 512, 0, 512, 0, 16)};
+        for (unsigned dim = 0; dim < 3; ++dim)
+            for (Coord d : {Coord(-1), Coord(1)})
+                rects.push_back(inner.shifted(dim, d));
+        for (const HyperRect &r : rects) {
+            ASSERT_EQ(cube.banksFor(r, paper_map),
+                      banksByTileWalk(cube, r, paper_map))
+                << r.str();
+        }
+    }
 }
 
 TEST(TiledLayout, MaskedCoordCountMatchesWalk)

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
 #include "noc/mesh.hh"
+#include "sim/rng.hh"
 
 namespace infs {
 namespace {
@@ -105,15 +110,181 @@ TEST(MeshNoc, ResetClearsAccounting)
 
 TEST(MeshNoc, XYRoutingIsDeterministicPath)
 {
-    // Route 0 -> 9 must go east then north: through node 1, not node 8.
-    // Verify by checking which links get charged via utilization delta.
-    MeshNoc a(cfg8x8()), b(cfg8x8());
+    // Route 0 -> 9 goes east then north: 0 -> 1 -> 9, never through 8.
+    MeshNoc a(cfg8x8());
     a.send(0, 9, 32, TrafficClass::Data);
-    // Same hop count for the Y-X path, so hopBytes match:
-    b.send(1, 8, 32, TrafficClass::Data);
-    EXPECT_DOUBLE_EQ(a.hopBytes(TrafficClass::Data),
-                     b.hopBytes(TrafficClass::Data));
     EXPECT_EQ(a.hops(0, 9), 2u);
+    EXPECT_DOUBLE_EQ(a.hopBytes(TrafficClass::Data), 64.0);
+    EXPECT_DOUBLE_EQ(a.linkBusyBytes(0, 1), 32.0);
+    EXPECT_DOUBLE_EQ(a.linkBusyBytes(1, 9), 32.0);
+    EXPECT_DOUBLE_EQ(a.linkBusyBytes(0, 8), 0.0);
+    EXPECT_DOUBLE_EQ(a.linkBusyBytes(8, 9), 0.0);
+    // The way back runs west along row 1, then south down column 0.
+    a.send(9, 0, 32, TrafficClass::Data);
+    EXPECT_DOUBLE_EQ(a.linkBusyBytes(9, 8), 32.0);
+    EXPECT_DOUBLE_EQ(a.linkBusyBytes(8, 0), 32.0);
+    EXPECT_DOUBLE_EQ(a.linkBusyBytes(1, 0), 0.0);
+    EXPECT_DOUBLE_EQ(a.linkBusyBytes(9, 1), 0.0);
+    // Bulk traffic adds the same share to every link slot.
+    a.accountBulk(512.0, 1.0, TrafficClass::Offload);
+    EXPECT_DOUBLE_EQ(a.linkBusyBytes(0, 1), 34.0);
+    EXPECT_DOUBLE_EQ(a.linkBusyBytes(0, 8), 2.0);
+}
+
+/**
+ * Reference NoC accounting: every unicast enumerates its X-Y route hop
+ * by hop, and every bulk flow adds its per-slot share to each of the
+ * numNodes x 4 link slots.
+ */
+struct PerLinkModel {
+    NocConfig cfg;
+    std::vector<double> links;
+    std::array<double, numTrafficClasses> hop{};
+
+    explicit PerLinkModel(const NocConfig &c)
+        : cfg(c), links(std::size_t(c.meshX) * c.meshY * 4, 0.0)
+    {
+    }
+
+    void
+    send(BankId src, BankId dst, Bytes bytes, TrafficClass cls)
+    {
+        unsigned x = src % cfg.meshX, y = src / cfg.meshX;
+        const unsigned ex = dst % cfg.meshX, ey = dst / cfg.meshX;
+        hop[unsigned(cls)] += double(bytes) *
+                              double((x > ex ? x - ex : ex - x) +
+                                     (y > ey ? y - ey : ey - y));
+        for (; x != ex; x += x < ex ? 1 : -1)
+            links[(y * cfg.meshX + x) * 4 + (x < ex ? 0 : 1)] +=
+                double(bytes);
+        for (; y != ey; y += y < ey ? 1 : -1)
+            links[(y * cfg.meshX + x) * 4 + (y < ey ? 2 : 3)] +=
+                double(bytes);
+    }
+
+    void
+    accountBulk(double bytes, double avg_hops, TrafficClass cls)
+    {
+        const double hop_bytes = bytes * avg_hops;
+        hop[unsigned(cls)] += hop_bytes;
+        const double per_link = hop_bytes / double(links.size());
+        for (double &l : links)
+            l += per_link;
+    }
+
+    double
+    utilization(Tick elapsed) const
+    {
+        double busy = 0.0;
+        for (double b : links)
+            busy += b / double(cfg.linkBytes);
+        const double real_links =
+            2.0 * ((cfg.meshX - 1) * cfg.meshY + cfg.meshX * (cfg.meshY - 1));
+        return busy / (real_links * double(elapsed));
+    }
+
+    void
+    resetStats()
+    {
+        std::fill(links.begin(), links.end(), 0.0);
+        hop.fill(0.0);
+    }
+};
+
+TEST(MeshNoc, AccountingMatchesPerLinkModelBitForBit)
+{
+    // Random interleavings of sends, bulk flows and resets on the 8x8
+    // mesh and the 4x4 test mesh. Bulk flows use the hop factors the
+    // callers pass: avgHops(), 1 (stream migration), a bank-delta mean
+    // (inter-tile shifts, with a k / arraysPerBank crossing share) and
+    // min(avgHops(), n) (multicast broadcasts).
+    struct Machine {
+        NocConfig noc;
+        unsigned arraysPerBank;
+    };
+    const SystemConfig test = testSystemConfig();
+    const SystemConfig paper;
+    for (const Machine &m :
+         {Machine{paper.noc, paper.l3.computeWays * paper.l3.arraysPerWay},
+          Machine{test.noc, test.l3.computeWays * test.l3.arraysPerWay}}) {
+        MeshNoc noc(m.noc);
+        PerLinkModel ref(m.noc);
+        const unsigned nodes = noc.numNodes();
+        Rng rng(21 + nodes);
+        int sends = 0, bulks = 0;
+        for (int op = 0; op < 20000; ++op) {
+            const auto cls =
+                static_cast<TrafficClass>(rng.nextBounded(numTrafficClasses));
+            switch (rng.nextBounded(8)) {
+              case 0: case 1: case 2: {
+                const auto src = BankId(rng.nextBounded(nodes));
+                const auto dst = BankId(rng.nextBounded(nodes));
+                const Bytes bytes = 1 + rng.nextBounded(4096);
+                noc.send(src, dst, bytes, cls);
+                ref.send(src, dst, bytes, cls);
+                ++sends;
+                break;
+              }
+              case 3: case 4: case 5: case 6: {
+                double bytes = double(1 + rng.nextBounded(1u << 24));
+                double avg_hops = noc.avgHops();
+                switch (rng.nextBounded(4)) {
+                  case 1:
+                    avg_hops = 1.0;
+                    break;
+                  case 2: {
+                    const auto delta = 1 + rng.nextBounded(nodes - 1);
+                    double hops = 0.0;
+                    for (BankId b = 0; b < nodes; ++b)
+                        hops += noc.hops(b, BankId((b + delta) % nodes));
+                    avg_hops = hops / nodes;
+                    bytes *= double(1 + rng.nextBounded(m.arraysPerBank)) /
+                             double(m.arraysPerBank);
+                    break;
+                  }
+                  case 3:
+                    avg_hops = std::min<double>(
+                        noc.avgHops(), double(2 + rng.nextBounded(nodes)));
+                    break;
+                }
+                noc.accountBulk(bytes, avg_hops, cls);
+                ref.accountBulk(bytes, avg_hops, cls);
+                ++bulks;
+                break;
+              }
+              default:
+                if (rng.nextBounded(50) == 0) {
+                    noc.resetStats();
+                    ref.resetStats();
+                }
+                break;
+            }
+            if (op % 97 != 0)
+                continue;
+            for (unsigned c = 0; c < numTrafficClasses; ++c)
+                ASSERT_EQ(noc.hopBytes(TrafficClass(c)), ref.hop[c])
+                    << "op " << op;
+            for (Tick elapsed : {Tick(1), Tick(977), Tick(1) << 40})
+                ASSERT_EQ(noc.utilization(elapsed), ref.utilization(elapsed))
+                    << "op " << op;
+            for (BankId from = 0; from < nodes; ++from) {
+                const MeshCoord c = noc.coord(from);
+                const unsigned dirs[4][2] = {{c.x + 1, c.y}, {c.x - 1, c.y},
+                                             {c.x, c.y + 1}, {c.x, c.y - 1}};
+                for (unsigned dir = 0; dir < 4; ++dir) {
+                    if (dirs[dir][0] >= m.noc.meshX ||
+                        dirs[dir][1] >= m.noc.meshY)
+                        continue;
+                    const BankId to = noc.node({dirs[dir][0], dirs[dir][1]});
+                    ASSERT_EQ(noc.linkBusyBytes(from, to),
+                              ref.links[from * 4 + dir])
+                        << "op " << op << " link " << from << "->" << to;
+                }
+            }
+        }
+        EXPECT_GT(sends, 5000);
+        EXPECT_GT(bulks, 8000);
+    }
 }
 
 TEST(MeshNoc, TrafficClassNames)
