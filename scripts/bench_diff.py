@@ -1,70 +1,52 @@
 #!/usr/bin/env python3
-"""Compare two infs-bench JSON files and fail on simulated regressions.
+"""Compare two infs-bench JSON files and fail on any simulated change.
 
-Usage: bench_diff.py BASELINE.json CURRENT.json [--max-regress PCT]
-                     [--expect-backend NAME]
+Usage: bench_diff.py BASELINE.json CURRENT.json [--expect-backend NAME]
 
-Gates, all on machine-independent quantities (DESIGN.md section 10):
+Both files must be `infs-bench-v6` artifacts (the --quick/--full sweeps
+and the --paper artifact write the same rows, named
+workload@paradigm[/variant]). Every field except `wall_ms` is a
+deterministic function of the code and the workload, identical across
+machines and thread counts (DESIGN.md section 10), so the gate is exact:
 
-- `sim_cycles` must not regress beyond --max-regress percent; simulated
-  cycles are deterministic across machines, thread counts, and execution
-  backends (the Executor timing model is backend-independent), so any
-  change is a real model change, not noise. The gate is directional:
-  only increases can fail it, a sim_cycles reduction of any size passes
-  it (improvements are the point of optimizer PRs; the exact v6 gate
-  below still fails them against a stale paper baseline).
-- `checksum` must be byte-identical whenever both rows report a
-  non-zero value AND both files' backends produce bit-certified sums.
-  The fabric and functional backends are certified byte-identical
-  (DESIGN.md section 12, tests/core/test_backend_diff.cc), so any pair
-  drawn from {fabric, functional} gates; the timing backend reports
-  functional-store fallback hashes that are not fabric bit patterns, so
-  rows from a timing run are reported but never gate. A zero or absent
-  checksum (the harness has no job for the scenario, or a --paper row)
-  is reported as uncovered and does not gate.
+- every field of every baseline row, at any depth, must equal the
+  current row's, `wall_ms` excepted wherever it appears (sim_cycles,
+  checksums, cycle categories, NoC classes, energy, cmd_stats, ...).
+  Improvements fail too; a deliberate model change regenerates the
+  baseline;
+- a baseline row missing from CURRENT fails. Rows only CURRENT has are
+  reported and pass.
 
-Rows of an --ablate run carry an `ablation` array, one entry per
-optimization-stack variant (base, cmdopt_off, ..., egraph_on); every
-variant present in both files gates by the same two rules, reported as
-workload/variant. Variants missing from either file are not compared.
+Both files must name the same `backend` (sweeps name the backend of
+their job pass; paper artifacts name none), because checksums from
+different backends are not the same quantity. --expect-backend also
+fails when CURRENT was produced by a different backend than the
+pipeline intended. The retired infs-bench-v5 schema is rejected.
 
-Wall-clock fields are reported for context and never gate. Accepts two
-schemas: infs-bench-v5 (the --quick/--full sweeps: top-level `backend`,
-per-row checksums, `backend_sim_cycles`, `job_sim_cycles`, `cmd_stats`,
-dispatch provenance) and infs-bench-v6 (the --paper artifact:
-backend-free, checksum-free rows named workload@paradigm[/variant] whose
-sim_cycles gate like any other). The --paper artifact is deterministic,
-so when both files are v6 a third gate is exact: every row field but
-`wall_ms` (energy, cycle categories, NoC classes and utilization,
-ablation variants, ...) must equal the baseline's, improvements
-included; a deliberate model change regenerates the baseline. --expect-backend fails fast when
-CURRENT was produced by a different backend than the pipeline intended
-(a mis-wired CI lane would otherwise silently skip the checksum gate).
-Exit status: 0 within budget, 1 regression or checksum mismatch,
-2 usage/schema error.
+Exit status: 0 identical, 1 a field changed or a row is missing,
+2 usage/schema/backend error.
 """
 
 import argparse
 import json
 import sys
 
-KNOWN_SCHEMAS = ("infs-bench-v5", "infs-bench-v6")
-
-# Backends whose checksums are certified identical to the bit-accurate
-# fabric (see tests/core/test_backend_diff.cc).
-BIT_CERTIFIED_BACKENDS = ("fabric", "functional")
+SCHEMA = "infs-bench-v6"
 
 
 def load(path):
-    """Return (schema, backend_name, {workload_name: row}) for one file."""
+    """Return (backend_name, {row_name: row}) for one file."""
     with open(path) as f:
         data = json.load(f)
-    if data.get("schema") not in KNOWN_SCHEMAS:
-        print(f"{path}: unexpected schema {data.get('schema')!r}",
-              file=sys.stderr)
+    schema = data.get("schema")
+    if schema == "infs-bench-v5":
+        print(f"{path}: retired schema {schema!r}; regenerate it with "
+              f"this infs-bench", file=sys.stderr)
         sys.exit(2)
-    return (data["schema"], data.get("backend"),
-            {w["name"]: w for w in data["workloads"]})
+    if schema != SCHEMA:
+        print(f"{path}: unexpected schema {schema!r}", file=sys.stderr)
+        sys.exit(2)
+    return data.get("backend"), {w["name"]: w for w in data["workloads"]}
 
 
 def without_wall(value):
@@ -79,101 +61,55 @@ def without_wall(value):
 
 def differing_fields(b, c):
     """Top-level fields of two rows that differ, `wall_ms` excepted."""
-    return [k for k in sorted(set(b) | set(c))
-            if k != "wall_ms" and without_wall(b.get(k)) !=
-            without_wall(c.get(k))]
-
-
-def parse_checksum(row):
-    """Checksum as an int; 0 when the row carries none."""
-    raw = row.get("checksum", 0)
-    return int(raw, 16) if isinstance(raw, str) else int(raw)
+    b, c = without_wall(b), without_wall(c)
+    return [k for k in sorted(set(b) | set(c)) if b.get(k) != c.get(k)]
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline")
     ap.add_argument("current")
-    ap.add_argument("--max-regress", type=float, default=15.0,
-                    help="max sim_cycles increase in percent (default 15)")
     ap.add_argument("--expect-backend", metavar="NAME",
                     help="fail (exit 2) unless CURRENT was produced by "
                          "this backend")
     args = ap.parse_args()
 
-    base_schema, base_backend, base = load(args.baseline)
-    cur_schema, cur_backend, cur = load(args.current)
-    exact = base_schema == cur_schema == "infs-bench-v6"
+    base_backend, base = load(args.baseline)
+    cur_backend, cur = load(args.current)
 
     if args.expect_backend and cur_backend != args.expect_backend:
         print(f"{args.current}: backend {cur_backend!r}, expected "
               f"{args.expect_backend!r}", file=sys.stderr)
         sys.exit(2)
-
-    gate_checksums = (base_backend in BIT_CERTIFIED_BACKENDS
-                      and cur_backend in BIT_CERTIFIED_BACKENDS)
     if base_backend != cur_backend:
-        print(f"comparing backends: {base_backend} (baseline) vs "
-              f"{cur_backend} (current)"
-              + ("" if gate_checksums
-                 else " — checksums reported, not gated"))
+        print(f"backend {base_backend!r} (baseline) != {cur_backend!r} "
+              f"(current): the files are not comparable", file=sys.stderr)
+        sys.exit(2)
 
     failed = []
-
-    def gate(label, b, c):
-        """Apply both gates to one row (or ablation variant) pair."""
-        bc, cc = b["sim_cycles"], c["sim_cycles"]
-        delta = 100.0 * (cc - bc) / bc if bc else (100.0 if cc else 0.0)
-        marker = " "
-        if delta > args.max_regress:
-            failed.append(f"{label}: sim_cycles {bc} -> {cc} "
-                          f"(+{delta:.1f}% > {args.max_regress:.0f}%)")
-            marker = "!"
-
-        bsum, csum = parse_checksum(b), parse_checksum(c)
-        cks = "checksum ok"
-        if bsum == 0 or csum == 0:
-            cks = "checksum uncovered"
-        elif not gate_checksums:
-            cks = ("checksum match (ungated)" if bsum == csum
-                   else "checksum differs (ungated: backends not "
-                        "bit-comparable)")
-        elif bsum != csum:
-            failed.append(f"{label}: checksum {b['checksum']} -> "
-                          f"{c['checksum']} (bit drift)")
-            marker = "!"
-            cks = "CHECKSUM MISMATCH"
-        wall = (f"  wall {b['wall_ms']:8.2f} -> {c['wall_ms']:8.2f} ms"
-                if "wall_ms" in b and "wall_ms" in c else "")
-        print(f"{marker} {label:<18} sim_cycles {bc:>12} -> {cc:>12} "
-              f"({delta:+6.1f}%){wall}  {cks}")
-
     for name, b in sorted(base.items()):
         c = cur.get(name)
         if c is None:
             failed.append(f"{name}: missing from {args.current}")
+            print(f"! {name:<36} missing")
             continue
-        gate(name, b, c)
-        fields = differing_fields(b, c) if exact else []
+        fields = differing_fields(b, c)
         if fields:
-            failed.append(f"{name}: changed {', '.join(fields)} "
-                          f"(the paper artifact gates exactly)")
-            print(f"! {name:<18} changed {', '.join(fields)}")
-        variants = {v["variant"]: v for v in c.get("ablation", [])}
-        for v in b.get("ablation", []):
-            if v["variant"] in variants:
-                gate(f"{name}/{v['variant']}", v, variants[v["variant"]])
+            failed.append(f"{name}: changed {', '.join(fields)}")
+            print(f"! {name:<36} changed {', '.join(fields)}")
+        else:
+            print(f"  {name:<36} sim_cycles {c['sim_cycles']:>12}  same")
 
     for name in sorted(set(cur) - set(base)):
-        print(f"+ {name:<18} new workload "
-              f"(sim_cycles {cur[name]['sim_cycles']})")
+        print(f"+ {name:<36} new row (sim_cycles {cur[name]['sim_cycles']})")
 
     if failed:
         print(f"\n{len(failed)} gate failure(s):", file=sys.stderr)
         for line in failed:
             print(f"  {line}", file=sys.stderr)
         return 1
-    print("\nbench_diff: all workloads within budget, checksums stable")
+    print(f"\nbench_diff: all {len(base)} baseline rows identical "
+          f"but for wall_ms")
     return 0
 
 

@@ -115,7 +115,7 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
                         " != layout rank " + std::to_string(dims));
             continue;
         }
-        if (c.tensor.intersect(array_rect).empty()) {
+        if (!c.tensor.overlaps(array_rect)) {
             rep.add(VerifyCode::CmdEmptyTensor, where(),
                     "tensor " + c.tensor.str() +
                         " does not intersect the array bounds");
@@ -287,8 +287,7 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
                     const HyperRect o = w.e.dst.intersect(r.e.src);
                     if (o.empty())
                         continue;
-                    const std::vector<BankId> dep =
-                        dependenceBanks(o, layout, map);
+                    const std::vector<BankId> dep = layout.banksFor(o, map);
                     if (!sortedIntersects(dep, r.e.banks))
                         continue; // Cells the reader never touches.
                     // Most recent relevant writer decides; older writers

@@ -71,7 +71,7 @@ struct ExecStats {
      * paradigms only). */
     std::vector<Coord> chosenTile;
 
-    // Dispatch provenance (bench schema v5, DESIGN.md §14).
+    // Dispatch provenance (DESIGN.md §14).
     /** SIMD kernel table the bitserial layer ran with. */
     SimdIsa simdIsa = SimdIsa::Portable;
     /** Always 1; kept only because perfbench/src/driver.cc sets it. */

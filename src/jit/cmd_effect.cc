@@ -104,15 +104,6 @@ effectOf(const InMemCommand &c, const TiledLayout &layout,
     return e;
 }
 
-std::vector<BankId>
-dependenceBanks(const HyperRect &overlap, const TiledLayout &layout,
-                const AddressMap &map)
-{
-    std::vector<BankId> banks = layout.banksFor(overlap, map);
-    std::sort(banks.begin(), banks.end());
-    return banks;
-}
-
 CmdDep
 asyncDependence(const InMemCommand &w, const CmdEffect &we,
                 const InMemCommand &r, const CmdEffect &re,
@@ -122,14 +113,12 @@ asyncDependence(const InMemCommand &w, const CmdEffect &we,
         return CmdDep::None; // Same-group restatement.
     if (readSlots(r).contains(w.wlDst)) {
         const HyperRect o = we.dst.intersect(re.src);
-        if (!o.empty() &&
-            sortedIntersects(dependenceBanks(o, layout, map), re.banks))
+        if (!o.empty() && sortedIntersects(layout.banksFor(o, map), re.banks))
             return CmdDep::Raw;
     }
     if (r.wlDst == w.wlDst) {
         const HyperRect o = we.dst.intersect(re.dst);
-        if (!o.empty() &&
-            sortedIntersects(dependenceBanks(o, layout, map), re.banks))
+        if (!o.empty() && sortedIntersects(layout.banksFor(o, map), re.banks))
             return CmdDep::Waw;
     }
     return CmdDep::None;

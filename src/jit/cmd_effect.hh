@@ -94,11 +94,6 @@ struct CmdEffect {
 CmdEffect effectOf(const InMemCommand &c, const TiledLayout &layout,
                    const HyperRect &array_rect);
 
-/** Banks owning the cells of @p overlap, sorted ascending. */
-std::vector<BankId> dependenceBanks(const HyperRect &overlap,
-                                    const TiledLayout &layout,
-                                    const AddressMap &map);
-
 /** How a later command depends on an asynchronous writer. */
 enum class CmdDep : std::uint8_t { None, Raw, Waw };
 

@@ -26,9 +26,8 @@ optimizeCommands(InMemProgram &prog, const TiledLayout &layout,
         const InMemCommand &c = cmds[i];
         if (c.kind == CmdKind::Sync)
             continue;
-        if (c.tensor.dims() != dims ||
-            c.tensor.intersect(array_rect).empty() || c.banks.empty() ||
-            (usesDim(c) && c.dim >= dims)) {
+        if (c.tensor.dims() != dims || !c.tensor.overlaps(array_rect) ||
+            c.banks.empty() || (usesDim(c) && c.dim >= dims)) {
             prog.opt = st;
             return st;
         }
@@ -44,16 +43,16 @@ optimizeCommands(InMemProgram &prog, const TiledLayout &layout,
         if (cmds[x].kind == CmdKind::Sync)
             return false;
         if (readSlots(cmds[j]).contains(cmds[x].wlDst) &&
-            !eff[x].dst.intersect(eff[j].src).empty())
+            eff[x].dst.overlaps(eff[j].src))
             return true;
         return cmds[x].wlDst == cmds[j].wlDst &&
-               !eff[x].dst.intersect(eff[j].dst).empty();
+               eff[x].dst.overlaps(eff[j].dst);
     };
     // True when command x reads any cell command j writes (hoisting j
     // above x would let x observe j's effect too early).
     auto readsConflict = [&](std::size_t x, std::size_t j) {
         return readSlots(cmds[x]).contains(cmds[j].wlDst) &&
-               !eff[x].src.intersect(eff[j].dst).empty();
+               eff[x].src.overlaps(eff[j].dst);
     };
 
     // ---- Pass 1: redundant-command elimination. Command j is removable
@@ -110,8 +109,7 @@ optimizeCommands(InMemProgram &prog, const TiledLayout &layout,
                 const HyperRect &a = cmds[i].tensor;
                 const HyperRect &b = cmds[j].tensor;
                 HyperRect u = a.boundingUnion(b);
-                if (!a.intersect(b).empty() ||
-                    u.volume() != a.volume() + b.volume())
+                if (a.overlaps(b) || u.volume() != a.volume() + b.volume())
                     break; // Not an exact partition; no wider move.
                 InMemCommand merged = cmds[i];
                 merged.tensor = u;

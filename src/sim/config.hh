@@ -15,25 +15,10 @@
 
 namespace infs {
 
-/** Core pipeline model parameters (issue-limited abstract OOO8). */
+/** Core parameters (abstract OOO8: one 512-bit SIMD op per cycle). */
 struct CoreConfig {
     double ghz = 2.0;              ///< Clock frequency.
-    unsigned issueWidth = 8;       ///< Micro-ops issued per cycle.
     unsigned simdLanesFp32 = 16;   ///< One 512-bit vector op per cycle.
-    Tick fpAluLatency = 4;         ///< FP ALU/SIMD latency.
-    Tick intAluLatency = 1;        ///< Int ALU latency.
-    Tick fpDivLatency = 12;
-    Tick intMulLatency = 3;
-};
-
-/** Private cache parameters. */
-struct CacheConfig {
-    Bytes l1Bytes = 32 * 1024;
-    Tick l1Latency = 2;
-    Bytes l2Bytes = 256 * 1024;
-    Tick l2Latency = 16;
-    /** L1/L2 prefetchers modeled as a hit-rate boost for streaming loads. */
-    double prefetchAccuracy = 0.9;
 };
 
 /** Shared L3 (NUCA) parameters. */
@@ -96,10 +81,7 @@ struct DramConfig {
 
 /** Stream engine parameters (NSC near-memory baseline). */
 struct StreamConfig {
-    unsigned coreStreams = 12;       ///< SEcore FIFO streams.
-    Bytes coreFifoBytes = 2048;
     unsigned l3Streams = 768;        ///< SEL3 stream contexts.
-    Bytes l3BufferBytes = 64 * 1024;
     Tick computeInitLatency = 4;     ///< SEL3 compute initiation.
     unsigned flowControlLines = 8;   ///< Sync every N cache lines.
     /** fp32 lanes per bank for near-stream computation (NSC executes
@@ -186,10 +168,6 @@ bool parseSimdIsaName(const std::string &name, SimdIsa &out);
 struct TensorConfig {
     unsigned lotEntries = 16;          ///< Layout override table regions.
     DType elemType = DType::Fp32;      ///< In-memory element type.
-    Bytes commandCacheBytes = 2048;    ///< TCcore command cache.
-    std::uint64_t releaseRequestThreshold = 100000;
-    Tick releaseTimerTicks = 100000;
-    double l3MissRateReleaseThreshold = 0.5;
     /** JIT cost per lowered tDFG node in core cycles (calibrated so the
      * Table 3 regions land near the paper's 220 us mean with gauss_elim
      * as the 1616 us outlier, §8). */
@@ -203,7 +181,6 @@ struct TensorConfig {
 /** Full system configuration (Table 2 defaults). */
 struct SystemConfig {
     CoreConfig core;
-    CacheConfig cache;
     L3Config l3;
     NocConfig noc;
     DramConfig dram;

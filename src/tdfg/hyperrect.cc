@@ -64,6 +64,19 @@ HyperRect::intersect(const HyperRect &o) const
     return HyperRect(std::move(lo), std::move(hi));
 }
 
+bool
+HyperRect::overlaps(const HyperRect &o) const
+{
+    infs_assert(o.dims() == dims(), "rect rank mismatch: %u vs %u", dims(),
+                o.dims());
+    if (lo_.empty())
+        return false;
+    for (unsigned d = 0; d < dims(); ++d)
+        if (std::min(hi_[d], o.hi_[d]) <= std::max(lo_[d], o.lo_[d]))
+            return false;
+    return true;
+}
+
 HyperRect
 HyperRect::boundingUnion(const HyperRect &o) const
 {

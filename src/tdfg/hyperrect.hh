@@ -84,6 +84,10 @@ class HyperRect
     /** Elementwise intersection; empty dims clamp to zero-size. */
     HyperRect intersect(const HyperRect &o) const;
 
+    /** Do the two rects share a cell? `!intersect(o).empty()` without
+     * building the intersection. */
+    bool overlaps(const HyperRect &o) const;
+
     /** Minimal rect covering both (the bounding hyperrectangle). */
     HyperRect boundingUnion(const HyperRect &o) const;
 

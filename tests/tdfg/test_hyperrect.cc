@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "sim/rng.hh"
 #include "tdfg/hyperrect.hh"
 
 namespace infs {
@@ -48,6 +49,39 @@ TEST(HyperRect, Intersect)
     EXPECT_EQ(i, HyperRect::box2(2, 4, 1, 3));
     // Disjoint -> empty.
     EXPECT_TRUE(a.intersect(HyperRect::box2(10, 12, 0, 4)).empty());
+}
+
+TEST(HyperRect, OverlapsMatchesIntersect)
+{
+    // Seeded property: overlaps() is !intersect().empty() on random rects
+    // of rank 1-4 over a small coordinate range, so disjoint, touching,
+    // nested, empty (hi < lo) and zero-width (hi == lo) dims all occur.
+    Rng rng(21);
+    auto coord = [&] { return Coord(rng.nextBounded(13)) - 4; };
+    int overlapping = 0, empty_operand = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const unsigned dims = 1 + unsigned(rng.nextBounded(4));
+        std::vector<Coord> alo, ahi, blo, bhi;
+        for (unsigned d = 0; d < dims; ++d) {
+            alo.push_back(coord());
+            ahi.push_back(coord());
+            blo.push_back(coord());
+            bhi.push_back(coord());
+        }
+        const HyperRect a(alo, ahi), b(blo, bhi);
+        const bool want = !a.intersect(b).empty();
+        ASSERT_EQ(a.overlaps(b), want) << a.str() << " vs " << b.str();
+        ASSERT_EQ(b.overlaps(a), want) << b.str() << " vs " << a.str();
+        overlapping += want;
+        empty_operand += a.empty() || b.empty();
+    }
+    // Both outcomes and empty operands are exercised.
+    EXPECT_GT(overlapping, 500);
+    EXPECT_GT(empty_operand, 1000);
+    const HyperRect a = HyperRect::interval(0, 4);
+    EXPECT_FALSE(HyperRect().overlaps(HyperRect()));
+    EXPECT_FALSE(a.overlaps(HyperRect::interval(4, 8))); // Touching.
+    EXPECT_TRUE(a.overlaps(HyperRect::interval(3, 8)));
 }
 
 TEST(HyperRect, BoundingUnion)

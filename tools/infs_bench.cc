@@ -1,30 +1,29 @@
 /**
  * @file
  * infs-bench: one CLI driving the seed-workload registry through the
- * timing executor and a selectable execution backend, emitting a stable
- * JSON schema for CI regression gating (scripts/bench_diff.py).
+ * timing executor and a selectable execution backend, emitting one JSON
+ * schema (infs-bench-v6) for CI regression gating (scripts/bench_diff.py).
  *
- * Per workload it reports:
- *  - wall_ms        host wall-clock for the timed section (exec + backend)
- *  - exec_wall_ms   Executor timing-model run
- *  - fabric_wall_ms backend job passes (bit-accurate when --backend fabric)
- *  - sim_cycles     simulated cycles (deterministic; the CI gate)
- *  - backend_sim_cycles  cycle replay of the job (fabric/timing backends)
- *  - jit_ticks      modeled JIT lowering time
- *  - noc_hop_bytes  total NoC traffic (bytes x hops over all classes)
- *  - checksum       FNV-1a over the job output bit patterns
- *  - speedup_vs_1t  wall-clock speedup vs a --threads 1 rerun
+ * Every mode writes the same row: `name` (workload@paradigm[/variant]),
+ * `wall_ms`, the ExecStats fields the figures read (sim_cycles, Fig 14
+ * cycle categories, NoC classes and utilization, energy, ops, degraded
+ * regions, tile, fat-binary pick, phase cycles) and the JIT counters.
+ * `--quick` and `--full` run each scenario under Inf-S on
+ * testSystemConfig() and add the job block of the per-scenario backend
+ * pass: `checksum` (FNV-1a over the job output bit patterns),
+ * `job_sim_cycles`, `commands`, `cmd_stats` and `fabric_breakdown`.
+ * `--ablate` adds one row per optimization-stack variant,
+ * `workload@Inf-S/<variant>`.
  *
  * `--paper` instead runs every paper-tier configuration once on
- * defaultSystemConfig() (schema infs-bench-v6, mode "paper"): one row per
- * workload x paradigm x variant carrying the ExecStats fields the figures
- * read, plus a top-level `machine` object (Table 2 summary, Eq. 1, §8
+ * defaultSystemConfig() (mode "paper"): one row per workload x paradigm x
+ * variant, plus a top-level `machine` object (Table 2 summary, Eq. 1, §8
  * area). scripts/figures.py renders every paper figure from that file.
  *
- * Simulated quantities are identical for any --threads value; only the
- * wall-clock fields change (DESIGN.md §10). The functional backend's
- * checksums are byte-identical to the fabric's (DESIGN.md §12), so
- * per-PR CI runs it for speed while nightly re-runs the fabric.
+ * Every field but wall_ms is identical for any --threads value
+ * (DESIGN.md §10). The functional backend's checksums are byte-identical
+ * to the fabric's (DESIGN.md §12), so per-PR CI runs it for speed while
+ * nightly re-runs the fabric.
  *
  * Exit status: 0 success, 2 usage error (unknown scenario or backend
  * names fail upfront, before anything runs).
@@ -35,6 +34,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,42 +62,30 @@ struct Knobs {
     bool egraph = false;     ///< TdfgOptimizer on every built graph.
 };
 
-/** One ablation measurement: the deterministic signals only. */
-struct AblationRow {
-    std::string variant;
-    std::uint64_t simCycles = 0;
-    std::uint64_t jobSimCycles = 0;
-    std::uint64_t jitTicks = 0;
+/** The per-scenario backend job pass of a --quick/--full row. */
+struct JobBlock {
     std::uint64_t checksum = 0;
-    unsigned commands = 0; ///< Optimized job command count (0 = no job).
+    /** Command-level cycle replay of the job (0 = no job). */
+    std::uint64_t simCycles = 0;
+    /** Job command count after the command optimizer. */
+    unsigned commands = 0;
+    /** Command-optimizer counters: the executor run's plus the job's. */
     CmdStats cmd;
+    /** Per-command-kind breakdown (all zero off the fabric). */
+    FabricStats fabric;
 };
 
-/** Per-workload measurement row (medians over the timed repeats). */
+/** One bench row: a workload under one paradigm, with the JIT counters of
+ * its system and, in --quick/--full, the job block. */
 struct Row {
+    /** workload@paradigm, plus "/tile=AxB..", "/memo_off" or another
+     * ablation variant when the run departs from the workload as
+     * authored. */
     std::string name;
-    double wallMs = 0.0;
-    double wallMsMin = 0.0;
-    double wallMsMax = 0.0;
-    double execWallMs = 0.0;
-    double fabricWallMs = 0.0;
-    double fabricWallMsMin = 0.0;
-    double fabricWallMsMax = 0.0;
-    std::uint64_t simCycles = 0;
-    std::uint64_t backendSimCycles = 0; ///< Job cycle replay (0 = none).
-    std::uint64_t jobSimCycles = 0;     ///< Job timing replay (0 = none).
-    std::uint64_t jitTicks = 0;
-    double nocHopBytes = 0.0;
-    std::uint64_t checksum = 0;
-    double speedup = 1.0;
-    unsigned commands = 0; ///< Job command count after optimization.
-    CmdStats cmd; ///< Command-optimizer counters (exec run + job pass).
-    FabricStats fabric; ///< Per-command-kind breakdown (fabric backend).
-    SimdIsa simdIsa = SimdIsa::Portable; ///< Resolved SIMD kernel table.
-    unsigned numaNodes = 1;    ///< Always 1; the pool never pins.
-    int scheduleId = -1;       ///< Fat-binary pick (-1 = single schedule).
-    unsigned scheduleCandidates = 0; ///< Candidates the dispatcher saw.
-    std::vector<AblationRow> ablation; ///< Filled in --ablate mode.
+    double wallMs = 0.0; ///< Host time (sweeps: median of the repeats).
+    ExecStats st;
+    JitStats jit;
+    std::optional<JobBlock> job;
 };
 
 /**
@@ -139,16 +127,23 @@ msSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+std::string
+rowName(const std::string &workload, Paradigm p, const std::string &variant)
+{
+    return workload + "@" + paradigmName(p) +
+           (variant.empty() ? "" : "/" + variant);
+}
+
 /**
- * One full measurement of a workload at a given thread count: one untimed
- * warmup iteration, then @p repeat timed iterations whose lower medians
- * (and min/max) populate the row. Simulated quantities and the checksum
- * are identical every iteration by construction — verified here.
+ * One full measurement of a scenario under Inf-S: one untimed warmup
+ * iteration, then @p repeat timed iterations whose lower median is the
+ * row's wall_ms. Simulated quantities and the checksum are identical
+ * every iteration by construction — verified here.
  */
 Row
 benchOne(const BenchScenario &sc, bool quick, unsigned threads,
          unsigned repeat, ExecBackendKind backend, SimdIsa simd,
-         const Knobs &knobs = {})
+         const char *variant = "", const Knobs &knobs = {})
 {
     // Full runtime behavior: preparation, JIT, Eq. 2 adaptivity all
     // included (assumeTransposed stays at the factory default).
@@ -162,85 +157,62 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
     cfg.cmdOptSyncElision = knobs.syncElision;
 
     Row row;
-    row.name = sc.name;
+    row.name = rowName(sc.name, Paradigm::InfS, variant);
+    JobBlock &jb = row.job.emplace();
+    Tick backend_cycles = 0;
 
-    std::vector<double> execMs, backendMs, wallMs;
+    std::vector<double> wallMs;
     for (unsigned r = 0; r <= repeat; ++r) {
         // Fresh system per iteration: persistent state (the JIT memo)
         // must not make later repeats cheaper than the first.
         InfinitySystem sys(cfg);
         auto t0 = std::chrono::steady_clock::now();
         ExecStats st = Executor(sys, Paradigm::InfS).run(w);
-        const double exec_ms = msSince(t0);
 
         // Per-scenario job pass on the selected backend: the first
         // primary-layout phase lowered and executed on deterministic
         // inputs (bit-accurate when the backend produces bits).
         BackendResult br;
-        double backend_ms = 0.0;
         auto job = planPrimaryJob(w, cfg, kJobVolumeCap);
-        if (job) {
-            auto bt0 = std::chrono::steady_clock::now();
-            auto be = makeBackend(backend, cfg);
-            br = be->runJob(*job);
-            backend_ms = msSince(bt0);
-        }
+        if (job)
+            br = makeBackend(backend, cfg)->runJob(*job);
+        const double wall_ms = msSince(t0);
 
         if (r == 0) {
             // Warmup: record the deterministic quantities, discard time.
-            row.simdIsa = st.simdIsa;
-            row.numaNodes = st.numaNodes;
-            row.scheduleId = st.scheduleId;
-            row.scheduleCandidates = st.scheduleCandidates;
-            row.simCycles = static_cast<std::uint64_t>(st.cycles);
-            row.backendSimCycles =
-                static_cast<std::uint64_t>(br.simCycles);
-            row.jitTicks = static_cast<std::uint64_t>(st.jitCycles);
-            for (double v : st.nocHopBytes)
-                row.nocHopBytes += v;
-            row.checksum = br.checksum;
+            row.st = std::move(st);
+            row.jit = sys.jit().stats();
+            backend_cycles = br.simCycles;
+            jb.checksum = br.checksum;
             // Command-optimizer observability: the executor run's
             // counters plus the job program's own, and a command-level
             // cycle replay of the job (backend-independent, so the
             // cmdopt effect on the stream is visible even when the
             // executor routes the scenario off the fabric).
-            row.cmd = sys.jit().stats().cmd;
+            jb.cmd = row.jit.cmd;
             if (job) {
-                row.cmd.accumulate(job->prog->opt);
-                row.commands =
+                jb.cmd.accumulate(job->prog->opt);
+                jb.commands =
                     static_cast<unsigned>(job->prog->commands.size());
-                row.jobSimCycles = static_cast<std::uint64_t>(
+                jb.simCycles = static_cast<std::uint64_t>(
                     replayTiming(cfg, *job, &sys.pool()).simCycles);
             }
             continue;
         }
-        if (br.checksum != row.checksum ||
-            static_cast<std::uint64_t>(st.cycles) != row.simCycles ||
-            static_cast<std::uint64_t>(br.simCycles) !=
-                row.backendSimCycles) {
+        if (br.checksum != jb.checksum || st.cycles != row.st.cycles ||
+            br.simCycles != backend_cycles) {
             std::fprintf(stderr,
                          "%s: non-deterministic repeat (checksum or "
                          "sim_cycles changed)\n",
                          sc.name);
             std::exit(1);
         }
-        execMs.push_back(exec_ms);
-        backendMs.push_back(backend_ms);
-        wallMs.push_back(exec_ms + backend_ms);
-        row.fabric = br.fabric;
+        wallMs.push_back(wall_ms);
+        jb.fabric = br.fabric;
     }
-
-    row.execWallMs = median(execMs);
-    row.fabricWallMs = median(backendMs);
-    row.fabricWallMsMin =
-        *std::min_element(backendMs.begin(), backendMs.end());
-    row.fabricWallMsMax =
-        *std::max_element(backendMs.begin(), backendMs.end());
     row.wallMs = median(wallMs);
-    row.wallMsMin = *std::min_element(wallMs.begin(), wallMs.end());
-    row.wallMsMax = *std::max_element(wallMs.begin(), wallMs.end());
 
-    if (row.checksum == 0) {
+    if (jb.checksum == 0) {
         // No job pass covered this scenario (near-memory-only result,
         // untileable layout, over the volume cap, or a timing-only
         // backend): hash the executor's functional output arrays instead
@@ -253,151 +225,22 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
         for (std::size_t id = 0; id < store.size(); ++id)
             for (float v : store.data(static_cast<ArrayId>(id)))
                 h = fnv1aWord(h, std::bit_cast<std::uint32_t>(v));
-        row.checksum = h;
+        jb.checksum = h;
     }
     return row;
 }
 
-void
-writeCmdStats(std::FILE *f, const char *indent, const CmdStats &c,
-              bool trailing_comma)
-{
-    std::fprintf(f,
-                 "%s\"cmd_stats\": {\"fused_moves\": %u, "
-                 "\"deduped_broadcasts\": %u, \"deduped_commands\": %u, "
-                 "\"hoisted_masks\": %u, \"elided_syncs\": %u, "
-                 "\"bailouts\": %u}%s\n",
-                 indent, c.fusedMoves, c.dedupedBroadcasts,
-                 c.dedupedCommands, c.hoistedMasks, c.elidedSyncs,
-                 c.bailouts, trailing_comma ? "," : "");
-}
-
-void
-writeJson(std::FILE *f, const std::vector<Row> &rows, bool quick,
-          unsigned threads, unsigned repeat, ExecBackendKind backend,
-          const Knobs &knobs)
-{
-    // Host-level dispatch facts: identical across rows (one process, one
-    // resolved kernel table), so they live at the top level.
-    const SimdIsa isa =
-        rows.empty() ? SimdIsa::Portable : rows.front().simdIsa;
-    const unsigned numa_nodes =
-        rows.empty() ? 1u : rows.front().numaNodes;
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"infs-bench-v5\",\n");
-    std::fprintf(f, "  \"backend\": \"%s\",\n", backendName(backend));
-    std::fprintf(f, "  \"simd_isa\": \"%s\",\n", simdIsaName(isa));
-    std::fprintf(f, "  \"numa_nodes\": %u,\n", numa_nodes);
-    std::fprintf(f, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
-    std::fprintf(f, "  \"threads\": %u,\n", threads);
-    std::fprintf(f, "  \"repeat\": %u,\n", repeat);
-    std::fprintf(f, "  \"cmdopt\": %s,\n",
-                 knobs.cmdOpt ? "true" : "false");
-    std::fprintf(f, "  \"workloads\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"name\": \"%s\",\n", r.name.c_str());
-        std::fprintf(f, "      \"wall_ms\": %.3f,\n", r.wallMs);
-        std::fprintf(f, "      \"wall_ms_min\": %.3f,\n", r.wallMsMin);
-        std::fprintf(f, "      \"wall_ms_max\": %.3f,\n", r.wallMsMax);
-        std::fprintf(f, "      \"exec_wall_ms\": %.3f,\n", r.execWallMs);
-        std::fprintf(f, "      \"fabric_wall_ms\": %.3f,\n",
-                     r.fabricWallMs);
-        std::fprintf(f, "      \"fabric_wall_ms_min\": %.3f,\n",
-                     r.fabricWallMsMin);
-        std::fprintf(f, "      \"fabric_wall_ms_max\": %.3f,\n",
-                     r.fabricWallMsMax);
-        std::fprintf(f, "      \"sim_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(r.simCycles));
-        std::fprintf(f, "      \"backend_sim_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(r.backendSimCycles));
-        std::fprintf(f, "      \"job_sim_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(r.jobSimCycles));
-        std::fprintf(f, "      \"commands\": %u,\n", r.commands);
-        std::fprintf(f, "      \"schedule_id\": %d,\n", r.scheduleId);
-        std::fprintf(f, "      \"schedule_candidates\": %u,\n",
-                     r.scheduleCandidates);
-        writeCmdStats(f, "      ", r.cmd, true);
-        std::fprintf(f, "      \"jit_ticks\": %llu,\n",
-                     static_cast<unsigned long long>(r.jitTicks));
-        std::fprintf(f, "      \"noc_hop_bytes\": %.1f,\n", r.nocHopBytes);
-        std::fprintf(f, "      \"checksum\": \"0x%016llx\",\n",
-                     static_cast<unsigned long long>(r.checksum));
-        std::fprintf(f, "      \"fabric_breakdown\": {\n");
-        for (std::size_t k = 0; k < r.fabric.byKind.size(); ++k) {
-            std::fprintf(
-                f, "        \"%s\": {\"count\": %llu, \"wall_ms\": %.3f},\n",
-                cmdKindName(static_cast<CmdKind>(k)),
-                static_cast<unsigned long long>(r.fabric.byKind[k].count),
-                r.fabric.byKind[k].wallMs);
-        }
-        std::fprintf(f, "        \"mask_cache_hits\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         r.fabric.maskCacheHits));
-        std::fprintf(f, "        \"mask_cache_misses\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         r.fabric.maskCacheMisses));
-        std::fprintf(f, "        \"scratch_allocs\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         r.fabric.scratchAllocs));
-        std::fprintf(f, "        \"bank_occupancy_imbalance\": %.4f\n",
-                     r.fabric.occupancyImbalance());
-        std::fprintf(f, "      },\n");
-        if (!r.ablation.empty()) {
-            std::fprintf(f, "      \"ablation\": [\n");
-            for (std::size_t a = 0; a < r.ablation.size(); ++a) {
-                const AblationRow &ab = r.ablation[a];
-                std::fprintf(f, "        {\n");
-                std::fprintf(f, "          \"variant\": \"%s\",\n",
-                             ab.variant.c_str());
-                std::fprintf(
-                    f, "          \"sim_cycles\": %llu,\n",
-                    static_cast<unsigned long long>(ab.simCycles));
-                std::fprintf(
-                    f, "          \"job_sim_cycles\": %llu,\n",
-                    static_cast<unsigned long long>(ab.jobSimCycles));
-                std::fprintf(
-                    f, "          \"jit_ticks\": %llu,\n",
-                    static_cast<unsigned long long>(ab.jitTicks));
-                std::fprintf(f, "          \"commands\": %u,\n",
-                             ab.commands);
-                std::fprintf(
-                    f, "          \"checksum\": \"0x%016llx\",\n",
-                    static_cast<unsigned long long>(ab.checksum));
-                writeCmdStats(f, "          ", ab.cmd, false);
-                std::fprintf(f, "        }%s\n",
-                             a + 1 < r.ablation.size() ? "," : "");
-            }
-            std::fprintf(f, "      ],\n");
-        }
-        std::fprintf(f, "      \"speedup_vs_1t\": %.3f\n", r.speedup);
-        std::fprintf(f, "    }%s\n", i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-}
-
 /** One paper-tier run: a workload under one paradigm on the Table 2
- * machine, with the JIT counters of its system. */
-struct PaperRow {
-    /** workload@paradigm, plus "/tile=AxB.." or "/memo_off" when the run
-     * departs from the workload as authored. */
-    std::string name;
-    double wallMs = 0.0;
-    ExecStats st;
-    JitStats jit;
-};
-
-PaperRow
+ * machine, timed once. */
+Row
 paperRun(const std::string &workload, const std::string &variant,
          const Workload &w, Paradigm p, unsigned threads)
 {
     SystemConfig cfg = defaultSystemConfig();
     cfg.hostThreads = threads;
     InfinitySystem sys(cfg);
-    PaperRow r;
-    r.name = workload + "@" + paradigmName(p) +
-             (variant.empty() ? "" : "/" + variant);
+    Row r;
+    r.name = rowName(workload, p, variant);
     auto t0 = std::chrono::steady_clock::now();
     r.st = Executor(sys, p).run(w);
     r.wallMs = msSince(t0);
@@ -405,21 +248,26 @@ paperRun(const std::string &workload, const std::string &variant,
     return r;
 }
 
+void
+report(const Row &r)
+{
+    std::printf("%-36s cycles %12llu  wall %8.2f ms\n", r.name.c_str(),
+                static_cast<unsigned long long>(r.st.cycles), r.wallMs);
+}
+
 /** Every paper-tier configuration, each run once: Table 3 and PointNet++
  * under the five paradigms (Figs 11-15, 18-19, JIT overheads), Fig 2's
  * size sweep, the Fig 16/17 forced-tile sweeps, and stencil2d with JIT
  * memoization off. */
-std::vector<PaperRow>
+std::vector<Row>
 paperRuns(unsigned threads)
 {
     const Paradigm five[] = {Paradigm::Base, Paradigm::NearL3,
                              Paradigm::InL3, Paradigm::InfS,
                              Paradigm::InfSNoJit};
-    std::vector<PaperRow> rows;
-    auto add = [&](PaperRow r) {
-        std::printf("%-36s cycles %12llu  wall %8.2f ms\n",
-                    r.name.c_str(),
-                    static_cast<unsigned long long>(r.st.cycles), r.wallMs);
+    std::vector<Row> rows;
+    auto add = [&](Row r) {
+        report(r);
         rows.push_back(std::move(r));
     };
     auto paper = [](const char *name) { return findScenario(name)->paper(); };
@@ -528,18 +376,53 @@ writeMachine(std::FILE *f)
     std::fprintf(f, "  },\n");
 }
 
+/** The job block of a --quick/--full row, after its ExecStats fields. */
 void
-writePaperJson(std::FILE *f, const std::vector<PaperRow> &rows,
-               unsigned threads)
+writeJob(std::FILE *f, const JobBlock &j)
+{
+    std::fprintf(f, ",\n     \"checksum\": \"0x%016llx\", ",
+                 static_cast<unsigned long long>(j.checksum));
+    writeCount(f, "job_sim_cycles", j.simCycles);
+    writeCount(f, "commands", j.commands, ",\n     ");
+    const CmdStats &c = j.cmd;
+    std::fprintf(f, "\"cmd_stats\": {");
+    writeCount(f, "fused_moves", c.fusedMoves);
+    writeCount(f, "deduped_broadcasts", c.dedupedBroadcasts);
+    writeCount(f, "deduped_commands", c.dedupedCommands);
+    writeCount(f, "hoisted_masks", c.hoistedMasks);
+    writeCount(f, "elided_syncs", c.elidedSyncs);
+    writeCount(f, "bailouts", c.bailouts, "},\n     ");
+    const FabricStats &fab = j.fabric;
+    std::fprintf(f, "\"fabric_breakdown\": {");
+    for (std::size_t k = 0; k < fab.byKind.size(); ++k) {
+        std::fprintf(f, "\"%s\": {", cmdKindName(static_cast<CmdKind>(k)));
+        writeCount(f, "count", fab.byKind[k].count);
+        std::fprintf(f, "\"wall_ms\": %.3f}, ", fab.byKind[k].wallMs);
+    }
+    writeCount(f, "mask_cache_hits", fab.maskCacheHits);
+    writeCount(f, "mask_cache_misses", fab.maskCacheMisses);
+    writeCount(f, "scratch_allocs", fab.scratchAllocs);
+    writeReal(f, "bank_occupancy_imbalance", fab.occupancyImbalance(), "}");
+}
+
+/**
+ * The bench artifact (schema infs-bench-v6): @p header writes the mode's
+ * own top-level fields (the machine for --paper; backend, SIMD table and
+ * repeat count for the sweeps), then one row per run.
+ */
+template <class Header>
+void
+writeJson(std::FILE *f, const std::vector<Row> &rows, const char *mode,
+          unsigned threads, Header header)
 {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"schema\": \"infs-bench-v6\",\n");
-    std::fprintf(f, "  \"mode\": \"paper\",\n");
+    std::fprintf(f, "  \"mode\": \"%s\",\n", mode);
     std::fprintf(f, "  \"threads\": %u,\n", threads);
-    writeMachine(f);
+    header(f);
     std::fprintf(f, "  \"workloads\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
-        const PaperRow &r = rows[i];
+        const Row &r = rows[i];
         const ExecStats &st = r.st;
         std::fprintf(f, "    {\"name\": \"%s\", ", r.name.c_str());
         writeCount(f, "sim_cycles", st.cycles);
@@ -583,7 +466,10 @@ writePaperJson(std::FILE *f, const std::vector<PaperRow> &rows,
                          st.phaseCycles[k].first.c_str(),
                          static_cast<unsigned long long>(
                              st.phaseCycles[k].second));
-        std::fprintf(f, "]}%s\n", i + 1 < rows.size() ? "," : "");
+        std::fprintf(f, "]");
+        if (r.job)
+            writeJob(f, *r.job);
+        std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
 }
@@ -596,20 +482,16 @@ usage(const char *argv0)
         "usage: %s [--quick|--full] [--backend fabric|functional|timing]\n"
         "       [--simd auto|portable|avx2|neon] [--threads N]\n"
         "       [--repeat N] [--json out.json]\n"
-        "       [--no-cmdopt] [--ablate] [--list-scenarios] "
-        "[workload...]\n"
+        "       [--ablate] [--list-scenarios] [workload...]\n"
         "       %s --paper [--threads N] [--json out.json]\n"
         "Benchmark the seed workloads; default --quick over the whole "
         "registry.\n"
         "--paper runs every paper-tier configuration once on the Table 2 "
         "machine\n"
         "  for scripts/figures.py; it accepts only --threads and --json.\n"
-        "--no-cmdopt disables the lowered-command optimizer "
-        "(SystemConfig::cmdOpt).\n"
-        "--ablate adds per-scenario rows for the optimization stack "
-        "(cmdopt,\n"
-        "  sync elision, JIT memoization off; e-graph on) to the JSON "
-        "output.\n"
+        "--ablate adds a row per scenario and optimization-stack variant\n"
+        "  (workload@Inf-S/cmdopt_off, sync_elision_off, memo_off or\n"
+        "  egraph_on).\n"
         "--backend selects the execution backend for the per-scenario job "
         "pass\n"
         "  (default fabric; functional is bit-identical and faster, "
@@ -623,7 +505,7 @@ usage(const char *argv0)
         "--threads 0 uses all hardware threads; simulated results are "
         "identical for any value.\n"
         "--repeat N (default 3) runs N timed iterations after one "
-        "untimed warmup and reports medians plus min/max.\n",
+        "untimed warmup and reports the median wall time.\n",
         argv0, argv0);
     return 2;
 }
@@ -639,7 +521,6 @@ main(int argc, char **argv)
     unsigned threads = 0;
     unsigned repeat = 3;
     bool ablate = false;
-    Knobs knobs;
     ExecBackendKind backend = ExecBackendKind::Fabric;
     SimdIsa simd = SimdIsa::Auto;
     std::string json_path;
@@ -653,9 +534,7 @@ main(int argc, char **argv)
         }
         if (arg != "--threads" && arg != "--json")
             tuned = true;
-        if (arg == "--no-cmdopt") {
-            knobs.cmdOpt = false;
-        } else if (arg == "--ablate") {
+        if (arg == "--ablate") {
             ablate = true;
         } else if (arg == "--backend" && i + 1 < argc) {
             const std::string name = argv[++i];
@@ -718,73 +597,45 @@ main(int argc, char **argv)
         std::printf("wrote %s\n", json_path.c_str());
         return 0;
     };
+    std::vector<Row> rows;
     if (paper) {
-        std::vector<PaperRow> rows = paperRuns(threads);
-        return writeOut(
-            [&](std::FILE *f) { writePaperJson(f, rows, threads); });
+        rows = paperRuns(threads);
+        return writeOut([&](std::FILE *f) {
+            writeJson(f, rows, "paper", threads, writeMachine);
+        });
     }
 
+    // The optimization-stack variants of --ablate, each one row.
+    using Variant = std::pair<const char *, Knobs>;
+    const Variant variants[] = {{"cmdopt_off", {.cmdOpt = false}},
+                                {"sync_elision_off", {.syncElision = false}},
+                                {"memo_off", {.memo = false}},
+                                {"egraph_on", {.egraph = true}}};
     std::printf("backend: %s\n", backendName(backend));
-    std::vector<Row> rows;
     for (const BenchScenario &sc : benchRegistry()) {
         if (!names.empty() &&
             std::find(names.begin(), names.end(), sc.name) == names.end())
             continue;
-        Row row = benchOne(sc, quick, threads, repeat, backend, simd,
-                           knobs);
-        if (threads != 1) {
-            // Wall-clock baseline for the speedup column; simulated
-            // results are identical by construction.
-            Row base =
-                benchOne(sc, quick, 1, repeat, backend, simd, knobs);
-            if (row.wallMs > 0.0)
-                row.speedup = base.wallMs / row.wallMs;
+        rows.push_back(benchOne(sc, quick, threads, repeat, backend, simd));
+        report(rows.back());
+        if (!ablate)
+            continue;
+        for (const auto &[variant, knobs] : variants) {
+            rows.push_back(benchOne(sc, quick, threads, 1, backend, simd,
+                                    variant, knobs));
+            report(rows.back());
         }
-        if (ablate) {
-            // The deterministic signals of each optimization-stack
-            // variant, one untimed repeat each. "base" restates the main
-            // row so a consumer can diff within the array alone.
-            struct Variant {
-                const char *name;
-                Knobs k;
-            };
-            Knobs base = knobs;
-            Knobs no_cmdopt = knobs, no_elision = knobs, no_memo = knobs,
-                  egraph_on = knobs;
-            no_cmdopt.cmdOpt = false;
-            no_elision.syncElision = false;
-            no_memo.memo = false;
-            egraph_on.egraph = true;
-            const Variant variants[] = {{"base", base},
-                                        {"cmdopt_off", no_cmdopt},
-                                        {"sync_elision_off", no_elision},
-                                        {"memo_off", no_memo},
-                                        {"egraph_on", egraph_on}};
-            for (const Variant &v : variants) {
-                Row r =
-                    benchOne(sc, quick, threads, 1, backend, simd, v.k);
-                AblationRow ab;
-                ab.variant = v.name;
-                ab.simCycles = r.simCycles;
-                ab.jobSimCycles = r.jobSimCycles;
-                ab.jitTicks = r.jitTicks;
-                ab.checksum = r.checksum;
-                ab.commands = r.commands;
-                ab.cmd = r.cmd;
-                row.ablation.push_back(std::move(ab));
-            }
-        }
-        std::printf("%-18s wall %8.2f ms  (exec %7.2f + backend %7.2f)  "
-                    "cycles %12llu  jit %8llu  speedup %5.2fx\n",
-                    row.name.c_str(), row.wallMs, row.execWallMs,
-                    row.fabricWallMs,
-                    static_cast<unsigned long long>(row.simCycles),
-                    static_cast<unsigned long long>(row.jitTicks),
-                    row.speedup);
-        rows.push_back(std::move(row));
     }
 
+    // One process, one resolved kernel table: identical across rows.
+    const SimdIsa isa =
+        rows.empty() ? SimdIsa::Portable : rows.front().st.simdIsa;
+    auto sweepHeader = [&](std::FILE *f) {
+        std::fprintf(f, "  \"backend\": \"%s\",\n", backendName(backend));
+        std::fprintf(f, "  \"simd_isa\": \"%s\",\n", simdIsaName(isa));
+        std::fprintf(f, "  \"repeat\": %u,\n", repeat);
+    };
     return writeOut([&](std::FILE *f) {
-        writeJson(f, rows, quick, threads, repeat, backend, knobs);
+        writeJson(f, rows, quick ? "quick" : "full", threads, sweepHeader);
     });
 }
