@@ -501,8 +501,8 @@ Executor::finalizeStats(ExecStats &st) const
                          static_cast<double>(st.dramBytes) / lineBytes);
     st.energyJoules = sys_.energy().totalJoules();
 
-    // Dispatch provenance (schema v5): which SIMD table the bitserial
-    // layer resolved to and how many NUMA nodes the pool pins across.
+    // Dispatch provenance: which SIMD table the bitserial layer resolved
+    // to and how many NUMA nodes the pool pins across.
     st.simdIsa = simd::activeIsa();
     st.numaNodes = sys_.pool().numaNodes();
 

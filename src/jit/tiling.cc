@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
 namespace infs {
@@ -183,11 +184,11 @@ TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
         return banks;
     // Per dim: the tile-grid range [lo, hi) r covers, clamped to the
     // array, and the tile-index stride of one step along the dim.
-    constexpr unsigned kMaxDims = 8;
     const unsigned nd = dims();
-    infs_assert(nd <= kMaxDims, "banksFor supports rank <= %u, not %u",
-                kMaxDims, nd);
-    std::array<std::int64_t, kMaxDims> lo{}, hi{}, stride{};
+    infs_assert(nd <= HyperRect::kMaxRank,
+                "banksFor supports rank <= %u, not %u", HyperRect::kMaxRank,
+                nd);
+    std::array<std::int64_t, HyperRect::kMaxRank> lo{}, hi{}, stride{};
     std::int64_t mult = 1;
     for (unsigned d = 0; d < nd; ++d) {
         Coord rlo = std::max<Coord>(r.lo(d), 0);
@@ -200,6 +201,8 @@ TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
         mult *= grid_[d];
     }
     const unsigned num_banks = map.l3().numBanks;
+    infs_assert(num_banks <= kMaxBanks, "banksFor supports <= %u banks, not %u",
+                kMaxBanks, num_banks);
     const auto total = static_cast<std::int64_t>(map.totalArrays());
     const std::int64_t per_bank = map.arraysPerBank();
 
@@ -221,13 +224,18 @@ TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
         return banks;
     }
 
-    // banks[b] != 0 marks bank b seen; compacted into the result below.
-    banks.assign(num_banks, 0);
+    // Bit b of the stack bitmask marks bank b seen; the result is
+    // emitted from it below, so the walk allocates nothing.
+    std::array<std::uint64_t, kMaxBanks / 64> seen{};
+    auto isSeen = [&](std::int64_t b) {
+        return (seen[static_cast<std::size_t>(b) / 64] >> (b % 64)) & 1;
+    };
     unsigned num_seen = 0;
     auto mark = [&](std::int64_t first, std::int64_t last) {
         for (std::int64_t b = first; b <= last; ++b) {
-            if (!banks[static_cast<std::size_t>(b)]) {
-                banks[static_cast<std::size_t>(b)] = 1;
+            if (!isSeen(b)) {
+                seen[static_cast<std::size_t>(b) / 64] |= std::uint64_t(1)
+                                                         << (b % 64);
                 ++num_seen;
             }
         }
@@ -241,14 +249,14 @@ TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
     auto nextUnseen = [&](std::int64_t idx) {
         const std::int64_t pos = slot(idx);
         std::int64_t b = pos / per_bank;
-        if (!banks[static_cast<std::size_t>(b)])
+        if (!isSeen(b))
             return idx;
         std::int64_t at = idx - pos + b * per_bank;
         do {
             at += per_bank;
             if (++b == num_banks)
                 b = 0;
-        } while (banks[static_cast<std::size_t>(b)]);
+        } while (isSeen(b));
         return at;
     };
 
@@ -263,7 +271,7 @@ TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
     const std::int64_t n_lo = n < nd ? lo[n] : 0;
     const std::int64_t n_hi = n < nd ? hi[n] : 1;
     const std::int64_t step = n < nd ? stride[n] : 1;
-    std::array<std::int64_t, kMaxDims> t = lo;
+    std::array<std::int64_t, HyperRect::kMaxRank> t = lo;
     while (num_seen < num_banks) {
         std::int64_t base = off;
         for (unsigned d = n + 1; d < nd; ++d)
@@ -297,11 +305,11 @@ TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
         if (d >= nd)
             break;
     }
-    std::size_t out = 0;
-    for (unsigned b = 0; b < num_banks; ++b)
-        if (banks[b])
-            banks[out++] = b;
-    banks.resize(out);
+    banks.reserve(num_seen);
+    for (std::size_t w = 0; w < seen.size(); ++w)
+        for (std::uint64_t bits = seen[w]; bits; bits &= bits - 1)
+            banks.push_back(static_cast<BankId>(
+                w * 64 + static_cast<unsigned>(std::countr_zero(bits))));
     return banks;
 }
 

@@ -50,6 +50,9 @@ struct TileRun {
 class TiledLayout
 {
   public:
+    /** The most L3 banks banksFor handles (its stack bitmask's size). */
+    static constexpr unsigned kMaxBanks = 1024;
+
     TiledLayout() = default;
     TiledLayout(std::vector<Coord> shape, std::vector<Coord> tile);
 
@@ -101,7 +104,9 @@ class TiledLayout
      * tile indices wrap at totalArrays. The leading dims @p r spans fully
      * merge into one run, and the walk along the next dim jumps to the
      * runs that reach an unseen bank: O(banks) on layouts that fit the
-     * arrays, not O(tile rows). Rank at most 8.
+     * arrays, not O(tile rows). Rank at most HyperRect::kMaxRank and at
+     * most kMaxBanks banks: the seen set is a bitmask on the stack, and
+     * the result is the only allocation.
      */
     std::vector<BankId> banksFor(const HyperRect &r,
                                  const AddressMap &map) const;

@@ -8,7 +8,7 @@ namespace infs {
 bool
 HyperRect::empty() const
 {
-    if (lo_.empty())
+    if (rank_ == 0)
         return true;
     for (unsigned d = 0; d < dims(); ++d)
         if (hi_[d] <= lo_[d])
@@ -30,7 +30,7 @@ HyperRect::volume() const
 bool
 HyperRect::contains(const std::vector<Coord> &pt) const
 {
-    infs_assert(pt.size() == lo_.size(), "point rank mismatch");
+    infs_assert(pt.size() == dims(), "point rank mismatch");
     for (unsigned d = 0; d < dims(); ++d)
         if (pt[d] < lo_[d] || pt[d] >= hi_[d])
             return false;
@@ -54,14 +54,13 @@ HyperRect::intersect(const HyperRect &o) const
 {
     infs_assert(o.dims() == dims(), "rect rank mismatch: %u vs %u", dims(),
                 o.dims());
-    std::vector<Coord> lo(dims()), hi(dims());
-    for (unsigned d = 0; d < dims(); ++d) {
-        lo[d] = std::max(lo_[d], o.lo_[d]);
-        hi[d] = std::min(hi_[d], o.hi_[d]);
-        if (hi[d] < lo[d])
-            hi[d] = lo[d];
+    HyperRect r;
+    r.rank_ = rank_;
+    for (unsigned d = 0; d < rank_; ++d) {
+        r.lo_[d] = std::max(lo_[d], o.lo_[d]);
+        r.hi_[d] = std::max(r.lo_[d], std::min(hi_[d], o.hi_[d]));
     }
-    return HyperRect(std::move(lo), std::move(hi));
+    return r;
 }
 
 bool
@@ -69,7 +68,7 @@ HyperRect::overlaps(const HyperRect &o) const
 {
     infs_assert(o.dims() == dims(), "rect rank mismatch: %u vs %u", dims(),
                 o.dims());
-    if (lo_.empty())
+    if (rank_ == 0)
         return false;
     for (unsigned d = 0; d < dims(); ++d)
         if (std::min(hi_[d], o.hi_[d]) <= std::max(lo_[d], o.lo_[d]))
@@ -85,12 +84,13 @@ HyperRect::boundingUnion(const HyperRect &o) const
         return o;
     if (o.empty())
         return *this;
-    std::vector<Coord> lo(dims()), hi(dims());
-    for (unsigned d = 0; d < dims(); ++d) {
-        lo[d] = std::min(lo_[d], o.lo_[d]);
-        hi[d] = std::max(hi_[d], o.hi_[d]);
+    HyperRect r;
+    r.rank_ = rank_;
+    for (unsigned d = 0; d < rank_; ++d) {
+        r.lo_[d] = std::min(lo_[d], o.lo_[d]);
+        r.hi_[d] = std::max(hi_[d], o.hi_[d]);
     }
-    return HyperRect(std::move(lo), std::move(hi));
+    return r;
 }
 
 HyperRect

@@ -8,7 +8,11 @@
 #ifndef INFS_TDFG_HYPERRECT_HH
 #define INFS_TDFG_HYPERRECT_HH
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -22,17 +26,31 @@ using Coord = std::int64_t;
 /**
  * An N-dimensional half-open hyperrectangle in the lattice space.
  * Dimension 0 is the innermost / contiguous-in-address dimension.
+ *
+ * The bounds live inline (up to kMaxRank dims), so a rect is trivially
+ * copyable and building, copying or intersecting one never touches the
+ * heap: the JIT and the timing walk make millions of them per run.
  */
 class HyperRect
 {
   public:
+    /** The largest rank any lattice object may have. The tDFG itself is
+     * capped at rank 3 (§5.2); banksFor and the fabric's mask keys size
+     * their per-dim scratch by this bound. */
+    static constexpr unsigned kMaxRank = 8;
+
     HyperRect() = default;
 
     /** Construct from per-dimension [lo, hi) bounds. */
-    HyperRect(std::vector<Coord> lo, std::vector<Coord> hi)
-        : lo_(std::move(lo)), hi_(std::move(hi))
+    HyperRect(const std::vector<Coord> &lo, const std::vector<Coord> &hi)
     {
-        infs_assert(lo_.size() == hi_.size(), "bound rank mismatch");
+        assign(lo.data(), hi.data(), lo.size(), hi.size());
+    }
+
+    /** Construct from braced per-dimension [lo, hi) bounds. */
+    HyperRect(std::initializer_list<Coord> lo, std::initializer_list<Coord> hi)
+    {
+        assign(lo.begin(), hi.begin(), lo.size(), hi.size());
     }
 
     /** Convenience: a 1-D interval. */
@@ -60,10 +78,13 @@ class HyperRect
     static HyperRect
     array(const std::vector<Coord> &sizes)
     {
-        return HyperRect(std::vector<Coord>(sizes.size(), 0), sizes);
+        HyperRect r;
+        r.setRank(sizes.size());
+        std::copy(sizes.begin(), sizes.end(), r.hi_.begin());
+        return r;
     }
 
-    unsigned dims() const { return static_cast<unsigned>(lo_.size()); }
+    unsigned dims() const { return rank_; }
 
     Coord lo(unsigned d) const { checkDim(d); return lo_[d]; }
     Coord hi(unsigned d) const { checkDim(d); return hi_[d]; }
@@ -97,9 +118,14 @@ class HyperRect
     /** Rect with dimension @p dim replaced by [p, q). */
     HyperRect withDim(unsigned dim, Coord p, Coord q) const;
 
-    bool operator==(const HyperRect &o) const
+    /** Equal rank and equal bounds in every dim (the inline slots past
+     * the rank do not take part). */
+    bool
+    operator==(const HyperRect &o) const
     {
-        return lo_ == o.lo_ && hi_ == o.hi_;
+        return rank_ == o.rank_ &&
+               std::equal(lo_.begin(), lo_.begin() + rank_, o.lo_.begin()) &&
+               std::equal(hi_.begin(), hi_.begin() + rank_, o.hi_.begin());
     }
 
     /** "[p0,q0)x[p1,q1)" rendering for diagnostics. */
@@ -112,8 +138,26 @@ class HyperRect
         infs_assert(d < dims(), "dim %u out of rank %u", d, dims());
     }
 
-    std::vector<Coord> lo_;
-    std::vector<Coord> hi_;
+    void
+    setRank(std::size_t n)
+    {
+        infs_assert(n <= kMaxRank, "rank %zu exceeds HyperRect::kMaxRank %u",
+                    n, kMaxRank);
+        rank_ = static_cast<unsigned>(n);
+    }
+
+    void
+    assign(const Coord *lo, const Coord *hi, std::size_t nlo, std::size_t nhi)
+    {
+        infs_assert(nlo == nhi, "bound rank mismatch");
+        setRank(nlo);
+        std::copy(lo, lo + nlo, lo_.begin());
+        std::copy(hi, hi + nhi, hi_.begin());
+    }
+
+    std::array<Coord, kMaxRank> lo_{};
+    std::array<Coord, kMaxRank> hi_{};
+    unsigned rank_ = 0;
 };
 
 } // namespace infs

@@ -20,9 +20,9 @@ BitAccurateFabric::BitAccurateFabric(TiledLayout layout, unsigned wordlines,
     infs_assert(layout_.tileVolume() <= static_cast<std::int64_t>(bitlines),
                 "tile volume %lld exceeds %u bitlines",
                 static_cast<long long>(layout_.tileVolume()), bitlines);
-    infs_assert(layout_.dims() <= MaskKey::kMaxDims,
+    infs_assert(layout_.dims() <= HyperRect::kMaxRank,
                 "%u-D layout exceeds the %u-D tile-mask key",
-                layout_.dims(), MaskKey::kMaxDims);
+                layout_.dims(), HyperRect::kMaxRank);
     tiles_.resize(static_cast<std::size_t>(layout_.numTiles()));
 }
 
@@ -184,7 +184,7 @@ BitAccurateFabric::MaskKeyHash::operator()(const MaskKey &k) const
         h ^= v;
         h *= 1099511628211ULL;
     };
-    for (unsigned d = 0; d < MaskKey::kMaxDims; ++d)
+    for (unsigned d = 0; d < HyperRect::kMaxRank; ++d)
         mix(static_cast<std::uint64_t>(k.lo[d]) << 32 |
             static_cast<std::uint32_t>(k.hi[d]));
     mix(static_cast<std::uint64_t>(k.maskLo));

@@ -243,9 +243,8 @@ class BitAccurateFabric
      * all-zero key.
      */
     struct MaskKey {
-        static constexpr unsigned kMaxDims = 8;
-        std::array<std::int32_t, kMaxDims> lo{};
-        std::array<std::int32_t, kMaxDims> hi{};
+        std::array<std::int32_t, HyperRect::kMaxRank> lo{};
+        std::array<std::int32_t, HyperRect::kMaxRank> hi{};
         Coord maskLo = 0;
         Coord maskHi = 0;
         unsigned dim = 0;

@@ -341,6 +341,42 @@ TEST(TiledLayout, BanksForMatchesTileWalk)
                 << r.str();
         }
     }
+
+    // More banks than one 64-bit word of the seen bitmask holds: a
+    // multiple of 64 (128) and two that are not (65, 100), with layouts
+    // that fit the arrays and layouts that wrap onto them.
+    for (unsigned num_banks : {65u, 100u, 128u}) {
+        int high_bank = 0, wrapped_wide = 0;
+        for (int iter = 0; iter < 3000; ++iter) {
+            L3Config l3;
+            l3.numBanks = num_banks;
+            l3.computeWays = 1 + static_cast<unsigned>(rng.nextBounded(2));
+            l3.arraysPerWay = 1 + static_cast<unsigned>(rng.nextBounded(2));
+            AddressMap map(l3);
+            const unsigned nd = 1 + static_cast<unsigned>(rng.nextBounded(3));
+            const Coord max_extent = nd == 1 ? 1200 : nd == 2 ? 60 : 16;
+            std::vector<Coord> shape(nd), tile(nd), lo(nd), hi(nd);
+            for (unsigned d = 0; d < nd; ++d) {
+                shape[d] = 1 + static_cast<Coord>(rng.nextBounded(max_extent));
+                tile[d] = 1 + static_cast<Coord>(rng.nextBounded(4));
+                lo[d] = static_cast<Coord>(rng.nextBounded(shape[d] + 4)) - 2;
+                hi[d] = lo[d] + static_cast<Coord>(rng.nextBounded(
+                                    shape[d] + 4)) - 1;
+            }
+            TiledLayout lay(shape, tile);
+            HyperRect r(lo, hi);
+            std::vector<BankId> got = lay.banksFor(r, map);
+            ASSERT_EQ(got, banksByTileWalk(lay, r, map))
+                << num_banks << " banks, iter " << iter << " rect "
+                << r.str();
+            high_bank += !got.empty() && got.back() >= 64;
+            wrapped_wide += lay.numTiles() > static_cast<std::int64_t>(
+                                                 map.totalArrays());
+        }
+        // Banks past the first mask word, and wrapping layouts, occurred.
+        EXPECT_GT(high_bank, 300) << num_banks << " banks";
+        EXPECT_GT(wrapped_wide, 100) << num_banks << " banks";
+    }
 }
 
 TEST(TiledLayout, MaskedCoordCountMatchesWalk)
