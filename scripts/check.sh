@@ -14,9 +14,9 @@
 # the full bit-accurate sweeps stay on the default full run.
 #
 # --tsan builds the host-threading tests under ThreadSanitizer
-# (INFS_TSAN=ON, build-tsan/) and runs them alone: the work-stealing pool,
-# the executor at 1 vs N host threads, and concurrent lowering through the
-# sharded JIT memo.
+# (INFS_TSAN=ON, build-tsan/) and runs them alone: the one-queue host pool,
+# the executor at 1 vs N host threads (nested candidate batches included),
+# and concurrent lowering through the JIT memo.
 #
 # --simd exports INFS_SIMD for every ctest invocation (the bitserial
 # layer resolves its kernel table from it) and rides on the bench smoke;

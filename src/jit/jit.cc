@@ -576,11 +576,9 @@ JitCompiler::tryLower(const TdfgGraph &g, const TiledLayout &layout,
 {
     using Result = Expected<std::shared_ptr<const InMemProgram>>;
     if (!memo_key.empty()) {
-        MemoShard &shard = shardFor(memo_key);
-        std::lock_guard<std::mutex> lock(shard.mu);
-        auto it = shard.map.find(memo_key);
-        if (it != shard.map.end()) {
-            std::lock_guard<std::mutex> slock(statsMu_);
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = memo_.find(memo_key);
+        if (it != memo_.end()) {
             ++stats_.memoHits;
             return Result(it->second);
         }
@@ -611,22 +609,20 @@ JitCompiler::tryLower(const TdfgGraph &g, const TiledLayout &layout,
         }
     }
     auto prog = std::make_shared<InMemProgram>(std::move(*lowered));
-    {
-        std::lock_guard<std::mutex> lock(statsMu_);
-        ++stats_.lowerings;
-        stats_.totalJitTicks += prog->jitTicks;
-        stats_.cmd.accumulate(prog->opt);
-    }
+    std::shared_ptr<InMemProgram> memoized;
     if (!memo_key.empty()) {
-        auto memoized = std::make_shared<InMemProgram>(*prog);
+        memoized = std::make_shared<InMemProgram>(*prog);
         memoized->memoized = true;
         memoized->jitTicks = 0; // Cached reuse skips lowering.
-        MemoShard &shard = shardFor(memo_key);
-        std::lock_guard<std::mutex> lock(shard.mu);
-        // A concurrent pre-lowering of the same key may have won the
-        // race; emplace keeps the first entry (identical program).
-        shard.map.emplace(memo_key, std::move(memoized));
     }
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.lowerings;
+    stats_.totalJitTicks += prog->jitTicks;
+    stats_.cmd.accumulate(prog->opt);
+    // A concurrent pre-lowering of the same key may have won the race;
+    // emplace keeps the first entry (identical program).
+    if (memoized)
+        memo_.emplace(memo_key, std::move(memoized));
     return Result(std::shared_ptr<const InMemProgram>(std::move(prog)));
 }
 

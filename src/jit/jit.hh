@@ -9,7 +9,6 @@
 #ifndef INFS_JIT_JIT_HH
 #define INFS_JIT_JIT_HH
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -98,12 +97,13 @@ class JitCompiler
     /** Snapshot of the accumulated statistics (mutex-consistent). */
     JitStats stats() const
     {
-        std::lock_guard<std::mutex> lock(statsMu_);
+        std::lock_guard<std::mutex> lock(mu_);
         return stats_;
     }
+    /** Zero the statistics; the memo keeps its programs. */
     void resetStats()
     {
-        std::lock_guard<std::mutex> lock(statsMu_);
+        std::lock_guard<std::mutex> lock(mu_);
         stats_ = JitStats{};
     }
 
@@ -111,8 +111,7 @@ class JitCompiler
      * Attach a host thread pool (nullptr = inline). Only whole lowerings
      * fan out — the candidates of lowerCandidates — while one lowering
      * always runs on the calling thread. tryLower is safe to call from
-     * concurrent tasks: the memo cache is sharded by key hash with
-     * per-shard locks and the stats sit behind their own mutex
+     * concurrent tasks: one mutex guards the memo cache and the stats
      * (DESIGN.md §10). Emitted programs are identical for any pool size.
      */
     void setThreadPool(ThreadPool *pool) { pool_ = pool; }
@@ -138,25 +137,15 @@ class JitCompiler
                                    const TiledLayout &layout,
                                    const AddressMap &map);
 
-    /** One lock-sharded slice of the memoization cache. */
-    struct MemoShard {
-        std::mutex mu;
-        std::unordered_map<std::string,
-                           std::shared_ptr<const InMemProgram>>
-            map;
-    };
-    static constexpr std::size_t kMemoShards = 16;
-    MemoShard &shardFor(const std::string &key)
-    {
-        return memo_[std::hash<std::string>{}(key) % kMemoShards];
-    }
-
     SystemConfig cfg_;
-    mutable std::mutex statsMu_;
-    JitStats stats_;
     VerifyHook verify_;
     ThreadPool *pool_ = nullptr;
-    std::array<MemoShard, kMemoShards> memo_;
+    /** Guards stats_ and memo_. */
+    mutable std::mutex mu_;
+    JitStats stats_;
+    /** Memoized programs by key; the first entry for a key wins. */
+    std::unordered_map<std::string, std::shared_ptr<const InMemProgram>>
+        memo_;
 };
 
 /** Eq. 2 offload decision (§4.3). */

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "sim/config.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace infs {

@@ -49,7 +49,7 @@ FaultInjector::sampleSramFlip()
         return false;
     if (rng(FaultDomain::Sram).nextDouble() >= cfg_.sramBitFlipRate)
         return false;
-    ++sramFlips_;
+    ++stats_.sramBitFlips;
     return true;
 }
 
@@ -60,7 +60,7 @@ FaultInjector::sampleNocPacketFault()
         return false;
     if (rng(FaultDomain::Noc).nextDouble() >= cfg_.nocFaultRate)
         return false;
-    ++nocFaults_;
+    ++stats_.nocPacketFaults;
     return true;
 }
 
@@ -79,7 +79,7 @@ FaultInjector::sampleNocBulkFaults(std::uint64_t packets)
         ++faults;
     if (faults > packets)
         faults = packets;
-    nocFaults_ += double(faults);
+    stats_.nocPacketFaults += faults;
     return faults;
 }
 
@@ -94,7 +94,7 @@ FaultInjector::sampleCmdFault()
         return f;
     f.faulted = true;
     f.persistent = r.nextDouble() < cfg_.persistentFraction;
-    ++cmdFaults_;
+    ++stats_.cmdFaults;
     return f;
 }
 
@@ -108,62 +108,30 @@ FaultInjector::draw(FaultDomain domain, std::uint64_t bound)
 Tick
 FaultInjector::recordDetection()
 {
-    ++detected_;
-    retryCycles_ += double(cfg_.detectCycles);
+    ++stats_.detected;
+    stats_.retryCycles += cfg_.detectCycles;
     return cfg_.detectCycles;
 }
 
 Tick
 FaultInjector::recordRetry(Tick reissue_cycles)
 {
-    ++retries_;
+    ++stats_.retries;
     const Tick penalty = cfg_.retryPenaltyCycles + reissue_cycles;
-    retryCycles_ += double(penalty);
+    stats_.retryCycles += penalty;
     return penalty;
 }
 
 void
 FaultInjector::recordExhausted()
 {
-    ++exhausted_;
-}
-
-FaultStats
-FaultInjector::snapshot() const
-{
-    FaultStats s;
-    s.sramBitFlips = static_cast<std::uint64_t>(sramFlips_.value());
-    s.nocPacketFaults = static_cast<std::uint64_t>(nocFaults_.value());
-    s.cmdFaults = static_cast<std::uint64_t>(cmdFaults_.value());
-    s.detected = static_cast<std::uint64_t>(detected_.value());
-    s.retries = static_cast<std::uint64_t>(retries_.value());
-    s.exhausted = static_cast<std::uint64_t>(exhausted_.value());
-    s.retryCycles = static_cast<std::uint64_t>(retryCycles_.value());
-    return s;
-}
-
-void
-FaultInjector::registerWith(StatRegistry &reg)
-{
-    reg.add(sramFlips_);
-    reg.add(nocFaults_);
-    reg.add(cmdFaults_);
-    reg.add(detected_);
-    reg.add(retries_);
-    reg.add(exhausted_);
-    reg.add(retryCycles_);
+    ++stats_.exhausted;
 }
 
 void
 FaultInjector::reset()
 {
-    sramFlips_.reset();
-    nocFaults_.reset();
-    cmdFaults_.reset();
-    detected_.reset();
-    retries_.reset();
-    exhausted_.reset();
-    retryCycles_.reset();
+    stats_ = FaultStats{};
     // Distinct odd salts keep the three schedules decorrelated while
     // remaining a pure function of the one config seed.
     rngs_[0].reseed(cfg_.seed ^ 0x53a5a17b17f1195ULL);

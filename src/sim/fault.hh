@@ -17,12 +17,9 @@
 
 #include "sim/config.hh"
 #include "sim/rng.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace infs {
-
-class StatRegistry;
 
 /** Fault domains, each with an independent deterministic draw stream. */
 enum class FaultDomain : std::uint8_t {
@@ -37,7 +34,7 @@ struct CmdFault {
     bool persistent = false;  ///< Retries will not clear it (hard fault).
 };
 
-/** Integer snapshot of the injector's counters (for tests). */
+/** The injector's counters. */
 struct FaultStats {
     std::uint64_t sramBitFlips = 0;
     std::uint64_t nocPacketFaults = 0;
@@ -108,10 +105,7 @@ class FaultInjector
     // Stats.
     // ------------------------------------------------------------------
 
-    FaultStats snapshot() const;
-
-    /** Register every counter with a stats registry ("fault.*" names). */
-    void registerWith(StatRegistry &reg);
+    FaultStats snapshot() const { return stats_; }
 
     /** Zero all counters and restart the schedule from the config seed. */
     void reset();
@@ -121,14 +115,7 @@ class FaultInjector
 
     FaultConfig cfg_;
     Rng rngs_[3];
-
-    Counter sramFlips_{"fault.injected.sram_bit_flip"};
-    Counter nocFaults_{"fault.injected.noc_packet"};
-    Counter cmdFaults_{"fault.injected.cmd_transient"};
-    Counter detected_{"fault.detected"};
-    Counter retries_{"fault.retried"};
-    Counter exhausted_{"fault.exhausted"};
-    Counter retryCycles_{"fault.retry_cycles"};
+    FaultStats stats_;
 };
 
 } // namespace infs

@@ -1,31 +1,28 @@
 /**
  * @file
- * Work-stealing host thread pool: the simulator's counterpart of the
- * modeled hardware's bank parallelism (DESIGN.md §10). Commands between
- * Sync barriers touch disjoint banks, per-tile SRAM state is independent,
- * and independent regions lower to independent programs — so the
- * simulator farms that work out to host threads the same way Inf-S farms
- * bit-serial compute out to 64 L3 banks. A task must outweigh the worker
- * wake-up it costs: one lowering is a task, one subtensor of it is not.
+ * Host thread pool: one FIFO task queue, one mutex and one condition
+ * variable. Only whole lowerings fan out (DESIGN.md §10, "the fan-out
+ * rule"): memoized-region pre-lowering, fat-binary candidates and
+ * gauss_elim blocks, each task one complete lowering. A task must
+ * outweigh the wake-up it costs, so nothing finer is ever queued.
  *
  * Design rules that keep simulation results bit-exact across pool sizes:
  *  - work is *split* deterministically (by index, never by thread id);
- *  - workers only ever compute into pre-allocated, per-index slots;
+ *  - tasks only ever compute into pre-allocated, per-index slots;
  *  - merging happens on the calling thread in index order.
  * The pool therefore never owns simulation state; it only runs closures.
  *
  * A pool of size 1 executes everything inline on the calling thread with
- * no worker threads, no locks taken on the hot path, and no allocation —
- * exact legacy behavior.
+ * no worker threads and no locks — exact legacy behavior.
  */
 
 #ifndef INFS_SIM_THREAD_POOL_HH
 #define INFS_SIM_THREAD_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -34,11 +31,11 @@
 namespace infs {
 
 /**
- * The pool. Worker threads are spawned lazily on the first parallel call
- * so that a `hostThreads = 1` system (or a pool that is never exercised)
- * costs nothing. Parallel calls may nest: a task that itself calls
- * parallelFor() publishes the inner work to the same pool, and any thread
- * waiting for a task group *helps* by stealing pending tasks instead of
+ * The pool. Worker threads start lazily on the first batch of more than
+ * one task, so a `hostThreads = 1` system (or a pool that is never
+ * exercised) costs nothing. Batches may nest: a task that itself calls
+ * runTasks() queues the inner batch on the same queue, and every thread
+ * waiting for a batch *helps* by running pending tasks instead of
  * blocking — so nesting can never deadlock.
  */
 class ThreadPool
@@ -66,67 +63,37 @@ class ThreadPool
     unsigned numaNodes() const { return 1; }
 
     /**
-     * Run @p fn(i) for every i in [0, n). Blocks until all iterations
-     * completed; the calling thread participates. Iterations are grouped
-     * into contiguous chunks of at least @p grain indices; chunking is a
-     * pure function of (n, grain, threads), never of scheduling, so any
-     * per-chunk state a caller shards is reproducible.
-     *
-     * @p fn must be safe to call concurrently for distinct i.
-     */
-    void parallelFor(std::int64_t n,
-                     const std::function<void(std::int64_t)> &fn,
-                     std::int64_t grain = 1);
-
-    /**
      * Run every task in @p tasks to completion (unordered, concurrent).
-     * Blocks; the calling thread participates.
+     * Blocks; the calling thread helps with any pending task. A single
+     * task, or any batch on a size-1 pool, runs inline and in order.
+     * When tasks throw, the batch still completes and the first
+     * exception caught is rethrown here.
      */
     void runTasks(std::vector<std::function<void()>> tasks);
 
-    /** Number of pending (not yet started) tasks — test introspection. */
-    std::size_t pendingTasks() const;
-
-    /** Total tasks executed by worker threads (not the caller) — test
-     * introspection for the stealing path. */
-    std::uint64_t stolenTasks() const { return stolen_.load(); }
-
   private:
-    struct TaskGroup;
-
+    /** One runTasks call's completion state, guarded by mu_. */
+    struct Batch {
+        std::size_t remaining = 0;
+        std::exception_ptr error;
+    };
     struct Task {
         std::function<void()> fn;
-        TaskGroup *group = nullptr;
+        Batch *batch = nullptr;
     };
 
-    /** Per-worker deque; workers pop LIFO locally and steal FIFO. */
-    struct WorkerQueue {
-        mutable std::mutex mu;
-        std::deque<Task> dq;
-    };
-
-    void startWorkers();
-    void workerLoop(unsigned self);
-    /** Pop from own queue (back) or steal from a victim (front). */
-    bool tryTake(unsigned self, Task &out);
-    void runTask(Task &&t);
-    /** Help execute pending tasks until @p group completes. */
-    void helpUntilDone(TaskGroup &group);
-    void submit(std::vector<Task> &&tasks);
+    void workerLoop();
+    /** Pop the queue's front task and run it with @p lk released; @p lk
+     * is held on entry and on return. */
+    void runFront(std::unique_lock<std::mutex> &lk);
 
     unsigned threads_ = 1;
-    std::atomic<bool> started_{false};
-    std::atomic<bool> stopping_{false};
-    std::atomic<std::uint64_t> stolen_{0};
-
-    std::mutex startMu_;
+    std::mutex mu_;
+    /** Signals both a queued task and a finished batch. */
+    std::condition_variable cv_;
+    std::deque<Task> queue_;
+    bool stopping_ = false;
     std::vector<std::thread> workers_;
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    /** Overflow/injection queue for submissions from non-worker threads. */
-    WorkerQueue inject_;
-
-    std::mutex sleepMu_;
-    std::condition_variable sleepCv_;
 };
 
 } // namespace infs

@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "core/executor.hh"
+#include "core/plan.hh"
 #include "uarch/system.hh"
 #include "workloads/workloads.hh"
 
@@ -130,6 +131,27 @@ TEST(HostThreads, FunctionalResultsIdentical)
                       std::bit_cast<std::uint32_t>(d8[i]))
                 << "array " << a << " elem " << i;
     }
+}
+
+TEST(HostThreads, NestedCandidateLoweringIdentical)
+{
+    // The production nesting: the executor's pre-lowering batch holds one
+    // task per memoized region, and each task lowers its fat-binary
+    // candidates as an inner batch on the same pool. dwt2d in steady
+    // state has two such regions with three candidates each.
+    Workload w = makeDwt2d(256, 256);
+    w.assumeTransposed = true;
+    const RegionPlan plan = planRegion(w, testSystemConfig(), true);
+    ASSERT_GT(plan.candidates.size(), 1u);
+    unsigned nested = 0;
+    for (const PhasePlan &pp : plan.phases)
+        nested += pp.route == Route::InMemory && !pp.memoKey.empty() &&
+                  pp.onPrimary;
+    ASSERT_GT(nested, 1u);
+    const ExecStats seq = runWith(1, w, Paradigm::InfS);
+    EXPECT_GE(seq.scheduleId, 0);
+    expectStatsEqual(seq, runWith(4, w, Paradigm::InfS));
+    expectStatsEqual(seq, runWith(8, w, Paradigm::InfS));
 }
 
 TEST(HostThreads, GaussElimNonMemoizedPathIdentical)

@@ -6,7 +6,7 @@
  * §10). These tests pin both halves: every registry job's primary-layout
  * graph, plus one paper-size gauss_elim iteration, lowers to the same
  * program with no pool, with a 4-thread pool, and as concurrent tryLower
- * calls from pool tasks, and concurrent lookups of the sharded memo cache
+ * calls from pool tasks, and concurrent lookups of the memo cache
  * serve those same programs. The fat-binary candidate fan-out gets the
  * same pool-independence check, and the memo's contract (one entry per
  * key and schedule, no entry for an empty key or a failed lowering)

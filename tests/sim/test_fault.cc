@@ -104,6 +104,7 @@ TEST(FaultInjector, BulkFaultsTrackExpectedValue)
     FaultInjector f(fc);
     // 100000 * 0.25 is integral: no stochastic rounding draw needed.
     EXPECT_EQ(f.sampleNocBulkFaults(100000), 25000u);
+    EXPECT_EQ(f.snapshot().nocPacketFaults, 25000u);
     // Tiny flows round stochastically but never exceed the flow size.
     EXPECT_LE(f.sampleNocBulkFaults(2), 2u);
 }
@@ -123,22 +124,22 @@ TEST(FaultInjector, RecoveryAccountingSumsPenalties)
     EXPECT_EQ(s.retries, 1u);
     EXPECT_EQ(s.exhausted, 1u);
     EXPECT_EQ(s.retryCycles, 112u);
+    f.reset();
+    s = f.snapshot();
+    EXPECT_EQ(s.detected + s.retries + s.exhausted + s.retryCycles, 0u);
 }
 
-TEST(FaultInjector, RegistersCountersWithStatRegistry)
+TEST(FaultInjector, SnapshotCountsAnInjectedFlip)
 {
     FaultConfig fc;
     fc.enabled = true;
     fc.sramBitFlipRate = 1.0;
     FaultInjector f(fc);
-    StatRegistry reg;
-    f.registerWith(reg);
-    EXPECT_TRUE(reg.hasCounter("fault.injected.sram_bit_flip"));
-    EXPECT_TRUE(reg.hasCounter("fault.detected"));
     EXPECT_TRUE(f.sampleSramFlip());
-    EXPECT_DOUBLE_EQ(reg.counter("fault.injected.sram_bit_flip").value(),
-                     1.0);
-    EXPECT_DOUBLE_EQ(reg.sumByPrefix("fault.injected."), 1.0);
+    FaultStats s = f.snapshot();
+    EXPECT_EQ(s.sramBitFlips, 1u);
+    EXPECT_EQ(s.totalInjected(), 1u);
+    EXPECT_EQ(s.detected, 0u);
 }
 
 // ----------------------------------------------------------------------

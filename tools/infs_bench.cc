@@ -26,14 +26,17 @@
  * nightly re-runs the fabric.
  *
  * Exit status: 0 success, 2 usage error (unknown scenario or backend
- * names fail upfront, before anything runs).
+ * names, and --threads/--repeat values that are not a count from 0 to
+ * kMaxCount, fail upfront, before anything runs).
  */
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -474,6 +477,10 @@ writeJson(std::FILE *f, const std::vector<Row> &rows, const char *mode,
     std::fprintf(f, "  ]\n}\n");
 }
 
+/** Largest --threads or --repeat value accepted: above any host's useful
+ * parallelism, far below a worker count that would exhaust the host. */
+constexpr unsigned kMaxCount = 256;
+
 int
 usage(const char *argv0)
 {
@@ -505,9 +512,24 @@ usage(const char *argv0)
         "--threads 0 uses all hardware threads; simulated results are "
         "identical for any value.\n"
         "--repeat N (default 3) runs N timed iterations after one "
-        "untimed warmup and reports the median wall time.\n",
-        argv0, argv0);
+        "untimed warmup and reports the median wall time.\n"
+        "  --threads and --repeat take a count from 0 to %u.\n",
+        argv0, argv0, kMaxCount);
     return 2;
+}
+
+/** Parse @p text as a decimal count in [0, kMaxCount]. A sign, any other
+ * character or a larger value fails. */
+bool
+parseCount(const char *text, unsigned &out)
+{
+    const char *end = text + std::strlen(text);
+    unsigned value = 0;
+    const auto [stop, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || stop != end || value > kMaxCount)
+        return false;
+    out = value;
+    return true;
 }
 
 } // namespace
@@ -550,12 +572,15 @@ main(int argc, char **argv)
                              name.c_str());
                 return usage(argv[0]);
             }
-        } else if (arg == "--threads" && i + 1 < argc) {
-            threads = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (arg == "--repeat" && i + 1 < argc) {
-            repeat = static_cast<unsigned>(std::atoi(argv[++i]));
-            if (repeat == 0)
-                repeat = 1;
+        } else if ((arg == "--threads" || arg == "--repeat") &&
+                   i + 1 < argc) {
+            const char *value = argv[++i];
+            if (!parseCount(value, arg == "--threads" ? threads : repeat)) {
+                std::fprintf(stderr, "bad %s count '%s'\n", arg.c_str(),
+                             value);
+                return usage(argv[0]);
+            }
+            repeat = std::max(repeat, 1u);
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
         } else if (arg == "--list-scenarios" || arg == "--list") {
