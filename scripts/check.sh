@@ -6,11 +6,10 @@
 #
 # Usage: scripts/check.sh [--plain-only|--sanitize-only|--lint-only|--lint]
 #                         [--tier1|--tsan] [--threads N]
-#                         [--backend fabric|functional|timing]
-#                         [--simd auto|portable|avx2|neon]
+#                         [--backend fabric|functional]
 #
 # --tier1 builds once and runs only the ctest tier1 label — the fast
-# per-PR suite (functional/timing backends plus the differential subset);
+# per-PR suite (the functional backend plus the differential subset);
 # the full bit-accurate sweeps stay on the default full run.
 #
 # --tsan builds the host-threading tests under ThreadSanitizer
@@ -18,10 +17,8 @@
 # the executor at 1 vs N host threads (nested candidate batches included),
 # and concurrent lowering through the JIT memo.
 #
-# --simd exports INFS_SIMD for every ctest invocation (the bitserial
-# layer resolves its kernel table from it) and rides on the bench smoke;
-# --backend selects the bench smoke's execution backend. Unknown values
-# exit 2 before anything builds.
+# --backend selects the execution backend of a one-scenario bench smoke.
+# Unknown values exit 2 before anything builds.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,7 +26,6 @@ jobs=$(nproc 2>/dev/null || echo 4)
 mode=all
 lint=no
 backend=""
-simd=""
 
 while [[ $# -gt 0 ]]; do
     case $1 in
@@ -45,36 +41,23 @@ while [[ $# -gt 0 ]]; do
         --backend)
             [[ $# -ge 2 ]] || { echo "--backend needs a value" >&2; exit 2; }
             case $2 in
-                fabric|functional|timing) backend=$2 ;;
+                fabric|functional) backend=$2 ;;
                 *) echo "check.sh: unknown backend '$2'" >&2; exit 2 ;;
             esac
             shift ;;
-        --simd)
-            [[ $# -ge 2 ]] || { echo "--simd needs a value" >&2; exit 2; }
-            case $2 in
-                auto|portable|avx2|neon) simd=$2 ;;
-                *) echo "check.sh: unknown simd isa '$2'" >&2; exit 2 ;;
-            esac
-            shift ;;
         *) echo "usage: $0 [--plain-only|--sanitize-only|--lint-only|--lint]" \
-                "[--tier1|--tsan] [--threads N] [--backend NAME]" \
-                "[--simd ISA]" >&2
+                "[--tier1|--tsan] [--threads N] [--backend NAME]" >&2
            exit 2 ;;
     esac
     shift
 done
 
-# Every test binary resolves its SIMD kernel table from INFS_SIMD, so one
-# export threads the knob through all ctest invocations below.
-[[ -n $simd ]] && export INFS_SIMD=$simd
-
-# One-scenario bench smoke with the selected backend/simd knobs: proves
+# One-scenario bench smoke with the selected backend: proves
 # the CLI path end to end without the full bench sweep.
 bench_smoke() {
     local dir=$1
     local args=(--quick --repeat 1 --json "$dir/bench_smoke.json" conv2d)
     [[ -n $backend ]] && args+=(--backend "$backend")
-    [[ -n $simd ]] && args+=(--simd "$simd")
     cmake --build "$dir" -j "$jobs" --target infs-bench
     "$dir/tools/infs-bench" "${args[@]}"
 }
@@ -115,8 +98,8 @@ if [[ $mode == tier1 ]]; then
     cmake -B build -S .
     cmake --build build -j "$jobs"
     ctest --test-dir build -L tier1 --output-on-failure -j "$jobs"
-    if [[ -n $backend || -n $simd ]]; then
-        echo "== bench smoke (backend=${backend:-default} simd=${simd:-auto}) =="
+    if [[ -n $backend ]]; then
+        echo "== bench smoke (backend=$backend) =="
         bench_smoke build
     fi
     echo "check.sh: tier-1 suite passed"
@@ -144,8 +127,8 @@ fi
 if [[ $mode != --sanitize-only ]]; then
     echo "== plain build =="
     run_suite build
-    if [[ -n $backend || -n $simd ]]; then
-        echo "== bench smoke (backend=${backend:-default} simd=${simd:-auto}) =="
+    if [[ -n $backend ]]; then
+        echo "== bench smoke (backend=$backend) =="
         bench_smoke build
     fi
 fi

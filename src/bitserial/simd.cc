@@ -2,19 +2,27 @@
 
 #include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <string>
 
 #include "sim/logging.hh"
 
 #if defined(__x86_64__) || defined(__i386__)
-#define INFS_SIMD_X86 1
+#define INFS_HAVE_X86 1
 #include <immintrin.h>
 #endif
-#if defined(__ARM_NEON)
-#define INFS_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
+
+namespace infs {
+
+const char *
+simdIsaName(SimdIsa isa)
+{
+    switch (isa) {
+      case SimdIsa::Portable: return "portable";
+      case SimdIsa::Avx2: return "avx2";
+    }
+    return "?";
+}
+
+} // namespace infs
 
 namespace infs::simd {
 
@@ -193,7 +201,7 @@ makeTable(SimdIsa isa)
 // check).
 // =====================================================================
 
-#ifdef INFS_SIMD_X86
+#ifdef INFS_HAVE_X86
 
 namespace {
 
@@ -477,190 +485,7 @@ makeAvx2Table()
 
 } // namespace
 
-#endif // INFS_SIMD_X86
-
-// =====================================================================
-// NEON kernels (AArch64). The bitwise row kernels use 128-bit vectors;
-// the fp lanes use explicit compare+select for Max/Min because VMAX/VMIN
-// NaN semantics differ from the scalar reference.
-// =====================================================================
-
-#ifdef INFS_SIMD_NEON
-
-namespace {
-
-void
-neonRowFullAdder(std::uint64_t *sum, const std::uint64_t *addend,
-                 std::uint64_t *carry, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t aw = vld1q_u64(sum + i);
-        const uint64x2_t bw = vld1q_u64(addend + i);
-        const uint64x2_t cw = vld1q_u64(carry + i);
-        const uint64x2_t axb = veorq_u64(aw, bw);
-        vst1q_u64(sum + i, veorq_u64(axb, cw));
-        vst1q_u64(carry + i,
-                  vorrq_u64(vandq_u64(aw, bw), vandq_u64(cw, axb)));
-    }
-    if (i < n)
-        portRowFullAdder(sum + i, addend + i, carry + i, n - i);
-}
-
-void
-neonRowMaj(std::uint64_t *dst, const std::uint64_t *a,
-           const std::uint64_t *b, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t aw = vld1q_u64(a + i);
-        const uint64x2_t bw = vld1q_u64(b + i);
-        const uint64x2_t dw = vld1q_u64(dst + i);
-        vst1q_u64(dst + i,
-                  vorrq_u64(vandq_u64(aw, bw),
-                            vandq_u64(dw, veorq_u64(aw, bw))));
-    }
-    if (i < n)
-        portRowMaj(dst + i, a + i, b + i, n - i);
-}
-
-void
-neonRowSelect(std::uint64_t *dst, const std::uint64_t *a,
-              const std::uint64_t *b, const std::uint64_t *pred,
-              std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t av = vld1q_u64(a + i);
-        const uint64x2_t bv = vld1q_u64(b + i);
-        const uint64x2_t pv = vld1q_u64(pred + i);
-        vst1q_u64(dst + i, vbslq_u64(pv, av, bv));
-    }
-    if (i < n)
-        portRowSelect(dst + i, a + i, b + i, pred + i, n - i);
-}
-
-void
-neonRowMergeMasked(std::uint64_t *dst, const std::uint64_t *val,
-                   const std::uint64_t *mask, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t dv = vld1q_u64(dst + i);
-        const uint64x2_t vv = vld1q_u64(val + i);
-        const uint64x2_t mv = vld1q_u64(mask + i);
-        vst1q_u64(dst + i, vbslq_u64(mv, vv, dv));
-    }
-    if (i < n)
-        portRowMergeMasked(dst + i, val + i, mask + i, n - i);
-}
-
-void
-neonRowAssignAnd(std::uint64_t *dst, const std::uint64_t *a,
-                 const std::uint64_t *b, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_u64(dst + i, vandq_u64(vld1q_u64(a + i), vld1q_u64(b + i)));
-    if (i < n)
-        portRowAssignAnd(dst + i, a + i, b + i, n - i);
-}
-
-void
-neonRowNotAnd(std::uint64_t *dst, const std::uint64_t *a,
-              const std::uint64_t *m, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_u64(dst + i,
-                  vbicq_u64(vld1q_u64(m + i), vld1q_u64(a + i)));
-    if (i < n)
-        portRowNotAnd(dst + i, a + i, m + i, n - i);
-}
-
-void
-neonRowAnd(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_u64(dst + i,
-                  vandq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-    if (i < n)
-        portRowAnd(dst + i, src + i, n - i);
-}
-
-void
-neonRowOr(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_u64(dst + i,
-                  vorrq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-    if (i < n)
-        portRowOr(dst + i, src + i, n - i);
-}
-
-void
-neonRowXor(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_u64(dst + i,
-                  veorq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-    if (i < n)
-        portRowXor(dst + i, src + i, n - i);
-}
-
-void
-neonFpLanes(FpOp op, const std::uint32_t *a, const std::uint32_t *b,
-            std::uint32_t *r, unsigned n)
-{
-    unsigned i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const float32x4_t av = vreinterpretq_f32_u32(vld1q_u32(a + i));
-        const float32x4_t bv = vreinterpretq_f32_u32(vld1q_u32(b + i));
-        float32x4_t rv;
-        switch (op) {
-          case FpOp::Add: rv = vaddq_f32(av, bv); break;
-          case FpOp::Sub: rv = vsubq_f32(av, bv); break;
-          case FpOp::Mul: rv = vmulq_f32(av, bv); break;
-          case FpOp::Div: rv = vdivq_f32(av, bv); break;
-          // Explicit compare+select: `a > b ? a : b` bit-exact, unlike
-          // vmaxq's NaN handling.
-          case FpOp::Max:
-            rv = vbslq_f32(vcgtq_f32(av, bv), av, bv);
-            break;
-          case FpOp::Min:
-            rv = vbslq_f32(vcltq_f32(av, bv), av, bv);
-            break;
-          default: rv = vdupq_n_f32(0.0f); break;
-        }
-        vst1q_u32(r + i, vreinterpretq_u32_f32(rv));
-    }
-    if (i < n)
-        portFpLanes(op, a + i, b + i, r + i, n - i);
-}
-
-SimdKernels
-makeNeonTable()
-{
-    SimdKernels k = makeTable(SimdIsa::Neon);
-    k.rowFullAdder = neonRowFullAdder;
-    k.rowMaj = neonRowMaj;
-    k.rowSelect = neonRowSelect;
-    k.rowMergeMasked = neonRowMergeMasked;
-    k.rowAssignAnd = neonRowAssignAnd;
-    k.rowNotAnd = neonRowNotAnd;
-    k.rowAnd = neonRowAnd;
-    k.rowOr = neonRowOr;
-    k.rowXor = neonRowXor;
-    k.fpLanes = neonFpLanes;
-    return k;
-}
-
-} // namespace
-
-#endif // INFS_SIMD_NEON
+#endif // INFS_HAVE_X86
 
 // =====================================================================
 // Dispatch state.
@@ -669,11 +494,8 @@ makeNeonTable()
 namespace {
 
 const SimdKernels kPortableTable = makeTable(SimdIsa::Portable);
-#ifdef INFS_SIMD_X86
+#ifdef INFS_HAVE_X86
 const SimdKernels kAvx2Table = makeAvx2Table();
-#endif
-#ifdef INFS_SIMD_NEON
-const SimdKernels kNeonTable = makeNeonTable();
 #endif
 
 std::atomic<const SimdKernels *> g_active{nullptr};
@@ -683,12 +505,9 @@ std::atomic<const SimdKernels *> g_active{nullptr};
 SimdIsa
 detect()
 {
-#ifdef INFS_SIMD_X86
+#ifdef INFS_HAVE_X86
     if (__builtin_cpu_supports("avx2"))
         return SimdIsa::Avx2;
-#endif
-#ifdef INFS_SIMD_NEON
-    return SimdIsa::Neon;
 #endif
     return SimdIsa::Portable;
 }
@@ -696,78 +515,25 @@ detect()
 bool
 available(SimdIsa isa)
 {
-    switch (isa) {
-      case SimdIsa::Auto:
-      case SimdIsa::Portable:
-        return true;
-      case SimdIsa::Avx2:
-#ifdef INFS_SIMD_X86
-        return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
-#endif
-      case SimdIsa::Neon:
-#ifdef INFS_SIMD_NEON
-        return true;
-#else
-        return false;
-#endif
-    }
-    return false;
-}
-
-SimdIsa
-resolve(SimdIsa requested)
-{
-    if (requested == SimdIsa::Auto) {
-        if (const char *env = std::getenv("INFS_SIMD");
-            env != nullptr && *env != '\0') {
-            SimdIsa parsed;
-            if (parseSimdIsaName(env, parsed)) {
-                requested = parsed;
-            } else {
-                infs_warn("INFS_SIMD=%s: unknown ISA, using detection",
-                          env);
-            }
-        }
-    }
-    if (requested == SimdIsa::Auto)
-        return detect();
-    if (!available(requested)) {
-        const SimdIsa best = detect();
-        infs_warn("SIMD ISA %s unavailable on this host; using %s",
-                  simdIsaName(requested), simdIsaName(best));
-        return best;
-    }
-    return requested;
+    return isa == SimdIsa::Portable || isa == detect();
 }
 
 const SimdKernels &
 kernelsFor(SimdIsa isa)
 {
-    switch (isa) {
-      case SimdIsa::Avx2:
-#ifdef INFS_SIMD_X86
-        if (available(SimdIsa::Avx2))
-            return kAvx2Table;
+    infs_assert(available(isa), "SIMD ISA %s unavailable on this host",
+                simdIsaName(isa));
+#ifdef INFS_HAVE_X86
+    if (isa == SimdIsa::Avx2)
+        return kAvx2Table;
 #endif
-        break;
-      case SimdIsa::Neon:
-#ifdef INFS_SIMD_NEON
-        return kNeonTable;
-#else
-        break;
-#endif
-      default:
-        break;
-    }
     return kPortableTable;
 }
 
 void
 setActive(SimdIsa isa)
 {
-    g_active.store(&kernelsFor(resolve(isa)), std::memory_order_release);
+    g_active.store(&kernelsFor(isa), std::memory_order_release);
 }
 
 const SimdKernels &
@@ -775,7 +541,7 @@ active()
 {
     const SimdKernels *k = g_active.load(std::memory_order_acquire);
     if (k == nullptr) {
-        setActive(SimdIsa::Auto);
+        setActive(detect());
         k = g_active.load(std::memory_order_acquire);
     }
     return *k;

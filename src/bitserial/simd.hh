@@ -1,12 +1,11 @@
 /**
  * @file
  * Runtime-dispatched SIMD kernels for the bit-plane hot paths
- * (DESIGN.md §14). One binary carries every implementation — a portable
- * scalar word loop, AVX2, and NEON — and the active table is selected at
- * runtime from SystemConfig::simd, the INFS_SIMD environment variable, or
- * cpuid/compile-time detection. Every table computes bit-identical
- * results; the tests in tests/bitserial/test_simd_paths.cc certify each
- * reachable path differentially against the portable one.
+ * (DESIGN.md §14). One binary carries a portable scalar word loop and,
+ * on x86-64, an AVX2 table; the host picks its table from cpuid the first
+ * time a kernel runs. No simulated quantity reads the table: every table
+ * computes bit-identical results, and tests/bitserial/test_simd_paths.cc
+ * certifies each reachable path differentially against the portable one.
  *
  * Two kernel families live here:
  *  - row kernels: one pass over a BitRow's packed words (full adder,
@@ -22,7 +21,18 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "sim/config.hh"
+namespace infs {
+
+/** Which kernel table the bit-plane hot paths dispatch to. */
+enum class SimdIsa : std::uint8_t {
+    Portable, ///< Portable scalar word loops: the reference table.
+    Avx2,     ///< x86 AVX2 kernels (requires hardware support).
+};
+
+/** Human-readable ISA name ("portable"/"avx2"). */
+const char *simdIsaName(SimdIsa isa);
+
+} // namespace infs
 
 namespace infs::simd {
 
@@ -90,27 +100,17 @@ SimdIsa detect();
 /** Whether @p isa can execute on this host (Portable always can). */
 bool available(SimdIsa isa);
 
-/**
- * Resolve a requested ISA to a concrete one: Auto consults INFS_SIMD then
- * detect(); a concrete request unavailable on this host falls back to the
- * detected best with a warning (unknown *names* are the caller's exit-2
- * concern — this only sees parsed values).
- */
-SimdIsa resolve(SimdIsa requested);
+/** The table for @p isa, which must be available(). */
+const SimdKernels &kernelsFor(SimdIsa isa);
 
-/** Install the kernel table for @p isa (resolved first). Called by
- * InfinitySystem's constructor and by tests forcing a path. */
+/** Install the table for @p isa: the seam tests use to force a path. */
 void setActive(SimdIsa isa);
 
-/** The active kernel table (lazily resolved from Auto on first use). */
+/** The active kernel table; installs kernelsFor(detect()) on first use. */
 const SimdKernels &active();
 
 /** ISA of the active table. */
 inline SimdIsa activeIsa() { return active().isa; }
-
-/** The table for a specific ISA (differential tests); must be
- * available(). */
-const SimdKernels &kernelsFor(SimdIsa isa);
 
 // ---------------------------------------------------------------------
 // Block-transpose helpers shared by the chunked load/store paths and the

@@ -10,11 +10,10 @@
 
 namespace infs {
 
-// Factories defined in backend_fabric.cc / backend_functional.cc /
-// backend_timing.cc; registered here.
+// Factories defined in backend_fabric.cc / backend_functional.cc;
+// registered here.
 std::unique_ptr<ExecBackend> makeFabricBackend(const SystemConfig &cfg);
 std::unique_ptr<ExecBackend> makeFunctionalBackend(const SystemConfig &cfg);
-std::unique_ptr<ExecBackend> makeTimingBackend(const SystemConfig &cfg);
 
 namespace {
 
@@ -23,10 +22,9 @@ struct BackendEntry {
     std::unique_ptr<ExecBackend> (*make)(const SystemConfig &);
 };
 
-constexpr std::array<BackendEntry, 3> kBackendRegistry{{
+constexpr std::array<BackendEntry, 2> kBackendRegistry{{
     {ExecBackendKind::Fabric, &makeFabricBackend},
     {ExecBackendKind::Functional, &makeFunctionalBackend},
-    {ExecBackendKind::Timing, &makeTimingBackend},
 }};
 
 } // namespace
@@ -75,9 +73,9 @@ replayTiming(const SystemConfig &cfg, const BackendJob &job,
              ThreadPool * /*pool*/)
 {
     // Private system models, fault injection off: the replay is a pure
-    // function of (program, layout, config), so fabric and timing report
-    // the same sim_cycles by construction — and the differential tests
-    // certify it stays that way.
+    // function of (program, layout, config), so the fabric backend's time
+    // is this replay by construction — and the differential tests certify
+    // it stays that way.
     MeshNoc noc(cfg.noc);
     AddressMap map(cfg.l3, cfg.noc.memCtrls);
     EnergyAccount energy;

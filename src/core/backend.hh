@@ -4,18 +4,16 @@
  * ExecBackend chosen by SystemConfig::backend. The Executor runs none; it
  * times regions through TensorController::execute.
  *
- * Three implementations are registered (DESIGN.md §12):
+ * Two implementations are registered (DESIGN.md §12):
  *  - fabric:     the bit-accurate SRAM fabric plus the cycle replay —
  *                ground truth for both bits and time;
  *  - functional: a word-level replay of the same lowered command stream
  *                (one float per lattice cell per slot) — bit-identical
- *                checksums without bit-serial simulation;
- *  - timing:     the cycle replay alone — sim_cycles/NoC/energy without
- *                touching bits.
+ *                checksums without bit-serial simulation.
  *
  * The fidelity contract is certified continuously by
  * tests/core/test_backend_diff.cc: functional checksums byte-identical to
- * fabric, timing sim_cycles exactly equal to fabric's.
+ * fabric, and fabric's sim_cycles/NoC/energy exactly replayTiming's.
  */
 
 #ifndef INFS_CORE_BACKEND_HH
@@ -48,15 +46,13 @@ struct BackendJob {
 
 /** What a backend produced for one job. */
 struct BackendResult {
-    /** FNV-1a over the output slots' full-lattice bit patterns; only
-     * meaningful when bitAccurate is set. */
+    /** FNV-1a over the output slots' full-lattice bit patterns. */
     std::uint64_t checksum = 0;
-    bool bitAccurate = false; ///< Checksum certified identical to fabric.
 
-    Tick simCycles = 0;       ///< Cycle-replay makespan (hasTiming only).
+    // The job's replayTiming: set by the fabric, zero on functional.
+    Tick simCycles = 0;       ///< Cycle-replay makespan.
     double nocHopBytes = 0.0; ///< Replay NoC traffic (bytes x hops).
     double energyJoules = 0.0;
-    bool hasTiming = false;
 
     FabricStats fabric; ///< Per-command-kind breakdown (fabric only).
 
@@ -113,9 +109,10 @@ std::optional<BackendJob> planPrimaryJob(const Workload &w,
                                          std::int64_t volume_cap);
 
 /** Cycle replay of a lowered program on private system models (fault
- * injection off): the timing half shared by the fabric and timing
- * backends, reusing latency.hh via the tensor controller. The replay is
- * sequential (O(dims) per command); the pool argument is unused. */
+ * injection off): the timing half of the fabric backend, and the job
+ * time infs-bench reports for every backend, reusing latency.hh via the
+ * tensor controller. The replay is sequential (O(dims) per command); the
+ * pool argument is unused. */
 struct TimingReplayResult {
     Tick simCycles = 0;
     double nocHopBytes = 0.0;

@@ -32,14 +32,12 @@ class FabricBackend final : public ExecBackend
         seedJobInputs(fab, job);
         fab.execute(*job.prog);
         res.checksum = checksumJobOutputs(fab, job);
-        res.bitAccurate = true;
         res.fabric = fab.stats();
 
         TimingReplayResult t = replayTiming(cfg_, job, pool_);
         res.simCycles = t.simCycles;
         res.nocHopBytes = t.nocHopBytes;
         res.energyJoules = t.energyJoules;
-        res.hasTiming = true;
         return res;
     }
 };

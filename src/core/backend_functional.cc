@@ -463,11 +463,9 @@ class FunctionalBackend final : public ExecBackend
             seedJobInputs(bit, job);
             bit.execute(*job.prog);
             res.checksum = checksumJobOutputs(bit, job);
-            res.bitAccurate = true;
             return res;
         }
         res.checksum = checksumJobOutputs(fab, job);
-        res.bitAccurate = true;
         return res;
     }
 };

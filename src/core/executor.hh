@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "bitserial/simd.hh"
 #include "core/backend.hh"
 #include "core/workload.hh"
 #include "sim/expected.hh"

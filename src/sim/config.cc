@@ -35,7 +35,6 @@ backendName(ExecBackendKind b)
     switch (b) {
       case ExecBackendKind::Fabric: return "fabric";
       case ExecBackendKind::Functional: return "functional";
-      case ExecBackendKind::Timing: return "timing";
     }
     return "?";
 }
@@ -47,37 +46,6 @@ parseBackendName(const std::string &name, ExecBackendKind &out)
         out = ExecBackendKind::Fabric;
     } else if (name == "functional") {
         out = ExecBackendKind::Functional;
-    } else if (name == "timing") {
-        out = ExecBackendKind::Timing;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-const char *
-simdIsaName(SimdIsa isa)
-{
-    switch (isa) {
-      case SimdIsa::Auto: return "auto";
-      case SimdIsa::Portable: return "portable";
-      case SimdIsa::Avx2: return "avx2";
-      case SimdIsa::Neon: return "neon";
-    }
-    return "?";
-}
-
-bool
-parseSimdIsaName(const std::string &name, SimdIsa &out)
-{
-    if (name == "auto") {
-        out = SimdIsa::Auto;
-    } else if (name == "portable") {
-        out = SimdIsa::Portable;
-    } else if (name == "avx2") {
-        out = SimdIsa::Avx2;
-    } else if (name == "neon") {
-        out = SimdIsa::Neon;
     } else {
         return false;
     }

@@ -133,36 +133,14 @@ const char *verifyLevelName(VerifyLevel v);
 enum class ExecBackendKind : std::uint8_t {
     Fabric,     ///< Bit-accurate SRAM fabric: ground truth for bits.
     Functional, ///< Word-level command replay: bit-identical, no bit-serial.
-    Timing,     ///< Cycle replay only: sim_cycles/NoC/energy, no bits.
 };
 
-/** Human-readable backend name ("fabric"/"functional"/"timing"). */
+/** Human-readable backend name ("fabric"/"functional"). */
 const char *backendName(ExecBackendKind b);
 
 /** Parse a backend name; returns false (leaving @p out untouched) on an
  * unknown name so CLIs can fail loudly with a usage message. */
 bool parseBackendName(const std::string &name, ExecBackendKind &out);
-
-/**
- * Which SIMD instruction set the bit-plane kernels (src/bitserial/simd.hh)
- * dispatch to. One binary carries every path; the active one is picked at
- * runtime from this knob, the INFS_SIMD environment variable, or cpuid
- * detection (in that order). All paths are bit-identical by construction
- * and certified by tests/bitserial/test_simd_paths.cc.
- */
-enum class SimdIsa : std::uint8_t {
-    Auto,     ///< Resolve from INFS_SIMD, else detect the best available.
-    Portable, ///< Dispatch-layer kernels in portable scalar code.
-    Avx2,     ///< x86 AVX2 kernels (requires hardware support).
-    Neon,     ///< AArch64 NEON kernels (requires hardware support).
-};
-
-/** Human-readable ISA name ("auto"/"portable"/"avx2"/"neon"). */
-const char *simdIsaName(SimdIsa isa);
-
-/** Parse an ISA name; returns false (leaving @p out untouched) on an
- * unknown name so CLIs can fail loudly with a usage message. */
-bool parseSimdIsaName(const std::string &name, SimdIsa &out);
 
 /** Tensor controller / JIT runtime parameters. */
 struct TensorConfig {
@@ -208,14 +186,9 @@ struct SystemConfig {
     bool cmdOptSyncElision = true;
 
     /** Execution backend for lowered in-memory jobs. Fabric is the
-     * bit-accurate ground truth; functional and timing are the fast
-     * backends certified against it by tests/core/test_backend_diff.cc. */
+     * bit-accurate ground truth; functional is the fast backend certified
+     * against it by tests/core/test_backend_diff.cc. */
     ExecBackendKind backend = ExecBackendKind::Fabric;
-
-    /** SIMD ISA for the bit-plane kernels (DESIGN.md §14). Auto resolves
-     * from the INFS_SIMD environment variable, then cpuid detection.
-     * Every path produces byte-identical bits and identical ExecStats. */
-    SimdIsa simd = SimdIsa::Auto;
 
     /**
      * Fat-binary schedule selection (DESIGN.md §14): the JIT lowers up to

@@ -5,7 +5,6 @@
 
 #include "analysis/verify_cmds.hh"
 #include "analysis/verify_tdfg.hh"
-#include "bitserial/simd.hh"
 
 namespace infs {
 
@@ -16,11 +15,6 @@ InfinitySystem::InfinitySystem(SystemConfig cfg)
       jit_(cfg), near_(cfg_, noc_, l3_, dram_, map_, energy_),
       tc_(cfg_, noc_, map_, energy_, &fault_), ttu_(2)
 {
-    // Install the SIMD kernel table before any bitserial state is touched
-    // (process-global: the last constructed system wins, which is the
-    // single-system reality of every tool and test binary).
-    simd::setActive(cfg_.simd);
-
     jit_.setThreadPool(&pool_);
     if (fault_.enabled())
         noc_.attachFaultInjector(&fault_);

@@ -1,55 +1,27 @@
 /**
  * @file
- * Differential check: every seed workload verifies clean at
- * VerifyLevel::Full — each phase's tDFG as built, the e-graph-optimized
- * form, and (through the executor with the verify hook installed) the
- * lowered command streams. A verifier regression that misreads legal JIT
- * output shows up here as a degraded region.
+ * Differential check: every registry scenario, at its quick size,
+ * verifies clean at VerifyLevel::Full — each phase's tDFG as built, the
+ * e-graph-optimized form, and (through the executor with the verify hook
+ * installed) the lowered command streams. A verifier regression that
+ * misreads legal JIT output shows up here as a degraded region.
  */
 
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <string>
-#include <vector>
-
 #include "analysis/verify_tdfg.hh"
 #include "core/executor.hh"
 #include "egraph/egraph.hh"
-#include "workloads/pointnet.hh"
-#include "workloads/workloads.hh"
+#include "workloads/registry.hh"
 
 namespace infs {
 namespace {
 
-const std::vector<std::pair<std::string, std::function<Workload()>>> &
-seedWorkloads()
-{
-    static const std::vector<std::pair<std::string, std::function<Workload()>>>
-        entries = {
-            {"vec_add", [] { return makeVecAdd(512); }},
-            {"array_sum", [] { return makeArraySum(1000); }},
-            {"stencil1d", [] { return makeStencil1d(256, 4); }},
-            {"stencil2d", [] { return makeStencil2d(32, 24, 3); }},
-            {"stencil3d", [] { return makeStencil3d(16, 12, 8, 2); }},
-            {"dwt2d", [] { return makeDwt2d(32, 32); }},
-            {"gauss_elim", [] { return makeGaussElim(24); }},
-            {"conv2d", [] { return makeConv2d(24, 20); }},
-            {"conv3d", [] { return makeConv3d(10, 8, 4, 3); }},
-            {"mm_outer", [] { return makeMm(12, 16, 8, true); }},
-            {"mm_inner", [] { return makeMm(12, 16, 8, false); }},
-            {"kmeans", [] { return makeKmeans(64, 8, 4, true); }},
-            {"gather_mlp", [] { return makeGatherMlp(24, 8, 6, 40, true); }},
-            {"pointnet_ssg", [] { return makePointNetSSG(128); }},
-            {"pointnet_msg", [] { return makePointNetMSG(64); }},
-        };
-    return entries;
-}
-
 TEST(WorkloadsClean, TdfgsVerifyBeforeAndAfterOptimization)
 {
-    for (const auto &[name, make] : seedWorkloads()) {
-        Workload w = make();
+    for (const BenchScenario &sc : benchRegistry()) {
+        const char *name = sc.name;
+        Workload w = sc.quick();
         for (const Phase &p : w.phases) {
             if (!p.buildTdfg)
                 continue;
@@ -78,12 +50,12 @@ TEST(WorkloadsClean, ExecutorAtFullVerifyDegradesNothing)
 {
     // testSystemConfig() runs at VerifyLevel::Full: the verify hook vets
     // every lowered program. Any false positive degrades the region.
-    for (const auto &[name, make] : seedWorkloads()) {
+    for (const BenchScenario &sc : benchRegistry()) {
         InfinitySystem sys(testSystemConfig());
         Executor exec(sys, Paradigm::InfS);
-        ExecStats st = exec.run(make());
-        EXPECT_EQ(st.regionsDegraded, 0u) << name;
-        EXPECT_GT(st.cycles, 0u) << name;
+        ExecStats st = exec.run(sc.quick());
+        EXPECT_EQ(st.regionsDegraded, 0u) << sc.name;
+        EXPECT_GT(st.cycles, 0u) << sc.name;
     }
 }
 

@@ -1,15 +1,14 @@
 /**
  * @file
  * Differential certification of the SIMD dispatch layer (DESIGN.md §14):
- * every kernel table reachable on this host — Portable and the native
- * one (AVX2 on x86, NEON on arm) — must be bit-identical to the portable
- * table at every level: raw row kernels, the 32x32 transpose, the 64-lane
- * fp32 block ops, ComputeSram's blocked fp path (also checked against
- * plain host float arithmetic), and whole lowered-job checksums on the
- * fabric backend. The same binary
- * re-certifies any single path when ctest runs under a forced INFS_SIMD
- * (scripts/check.sh --simd), because InfinitySystem resolves Auto from
- * the environment.
+ * every kernel table reachable on this host — Portable and, where cpuid
+ * reports it, AVX2 — must be bit-identical to the portable table at
+ * every level: raw row kernels, the 32x32 transpose, the 64-lane fp32
+ * block ops, ComputeSram's blocked fp path (also checked against plain
+ * host float arithmetic), and every registry scenario's lowered job on
+ * the fabric backend (checksum, time, traffic, energy and FabricStats
+ * counts). The host never forces a table; these tests do, through
+ * simd::setActive, the one seam for it.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +22,7 @@
 #include "bitserial/compute_sram.hh"
 #include "bitserial/simd.hh"
 #include "core/backend.hh"
+#include "core/executor.hh"
 #include "sim/rng.hh"
 #include "workloads/registry.hh"
 
@@ -35,9 +35,8 @@ std::vector<SimdIsa>
 reachableIsas()
 {
     std::vector<SimdIsa> out{SimdIsa::Portable};
-    for (SimdIsa isa : {SimdIsa::Avx2, SimdIsa::Neon})
-        if (simd::available(isa))
-            out.push_back(isa);
+    if (simd::available(SimdIsa::Avx2))
+        out.push_back(SimdIsa::Avx2);
     return out;
 }
 
@@ -60,6 +59,40 @@ randomWords(Rng &rng, std::size_t n)
     for (auto &w : v)
         w = rng.next();
     return v;
+}
+
+/** The host's own pick is always installable, and the names the bench
+ * provenance (`simd_isa`) prints are stable. */
+TEST(SimdDispatch, DetectedTableAndNames)
+{
+    EXPECT_TRUE(simd::available(simd::detect()));
+    EXPECT_EQ(simd::kernelsFor(simd::detect()).isa, simd::detect());
+    EXPECT_STREQ(simdIsaName(SimdIsa::Portable), "portable");
+    EXPECT_STREQ(simdIsaName(SimdIsa::Avx2), "avx2");
+}
+
+/** With no table forced, the active one is the host's own pick: the
+ * fixture below restores whatever a test forced. */
+TEST(SimdDispatch, UnforcedTableIsDetected)
+{
+    EXPECT_EQ(simd::activeIsa(), simd::detect());
+}
+
+/** A forced table survives building and running a system: no simulated
+ * machine setting reaches the process-global table, and ExecStats
+ * reports the table that actually ran. */
+TEST_F(SimdPathTest, SystemKeepsForcedTable)
+{
+    for (SimdIsa isa : reachableIsas()) {
+        SCOPED_TRACE(simdIsaName(isa));
+        simd::setActive(isa);
+        InfinitySystem sys(testSystemConfig());
+        EXPECT_EQ(simd::activeIsa(), isa);
+        Executor exec(sys, Paradigm::InfS);
+        const ExecStats st = exec.run(findScenario("vec_add")->quick());
+        EXPECT_EQ(st.simdIsa, isa);
+        EXPECT_EQ(simd::activeIsa(), isa);
+    }
 }
 
 TEST_F(SimdPathTest, RowKernelsMatchPortable)
@@ -329,35 +362,53 @@ TEST_F(SimdPathTest, ComputeSramFp32PathsAreBitIdentical)
     }
 }
 
+/** Every FabricStats count (all but the per-kind wall times). */
+void
+expectFabricCountsEqual(const FabricStats &got, const FabricStats &want)
+{
+    for (std::size_t k = 0; k < want.byKind.size(); ++k)
+        EXPECT_EQ(got.byKind[k].count, want.byKind[k].count) << "kind " << k;
+    EXPECT_EQ(got.maskCacheHits, want.maskCacheHits);
+    EXPECT_EQ(got.maskCacheMisses, want.maskCacheMisses);
+    EXPECT_EQ(got.scratchAllocs, want.scratchAllocs);
+    EXPECT_EQ(got.bankOps, want.bankOps);
+}
+
 /**
- * Whole-job differential: lowered scenario programs run on the fabric
- * backend under every reachable ISA must reproduce the portable
- * checksum byte for byte and the same sim_cycles (timing never depends
- * on the host ISA).
+ * Whole-job differential: every registry scenario's lowered job (the
+ * job the bench's per-scenario pass runs) on the fabric backend under
+ * every reachable ISA must reproduce the portable run's checksum byte
+ * for byte, and its time, traffic, energy and FabricStats counts exactly
+ * (no simulated quantity depends on the host ISA).
  */
 TEST_F(SimdPathTest, FabricJobChecksumsIsaInvariant)
 {
-    constexpr std::int64_t kVolumeCap = 1 << 16;
     SystemConfig cfg = testSystemConfig();
-    for (const char *name : {"vec_add", "array_sum", "dwt2d"}) {
-        SCOPED_TRACE(name);
-        const BenchScenario *sc = findScenario(name);
-        ASSERT_NE(sc, nullptr);
-        auto job = planPrimaryJob(sc->quick(), cfg, kVolumeCap);
+    unsigned jobs = 0;
+    for (const BenchScenario &sc : benchRegistry()) {
+        SCOPED_TRACE(sc.name);
+        auto job = planPrimaryJob(sc.quick(), cfg, kJobVolumeCap);
         if (!job)
             continue;
+        ++jobs;
         simd::setActive(SimdIsa::Portable);
-        BackendResult ref =
+        const BackendResult ref =
             makeBackend(ExecBackendKind::Fabric, cfg)->runJob(*job);
         for (SimdIsa isa : reachableIsas()) {
             SCOPED_TRACE(simdIsaName(isa));
             simd::setActive(isa);
-            BackendResult got =
+            const BackendResult got =
                 makeBackend(ExecBackendKind::Fabric, cfg)->runJob(*job);
             EXPECT_EQ(got.checksum, ref.checksum);
             EXPECT_EQ(got.simCycles, ref.simCycles);
+            EXPECT_EQ(got.nocHopBytes, ref.nocHopBytes);
+            EXPECT_EQ(got.energyJoules, ref.energyJoules);
+            expectFabricCountsEqual(got.fabric, ref.fabric);
         }
     }
+    // The bench's per-scenario job pass lowers 9 of the 17 quick
+    // scenarios (BENCH_QUICK.json rows with a non-zero `commands`).
+    EXPECT_EQ(jobs, 9u);
 }
 
 } // namespace

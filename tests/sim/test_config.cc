@@ -49,44 +49,22 @@ TEST(SystemConfig, TestConfigKeepsShape)
 TEST(SystemConfig, BackendNamesRoundTrip)
 {
     for (ExecBackendKind k :
-         {ExecBackendKind::Fabric, ExecBackendKind::Functional,
-          ExecBackendKind::Timing}) {
+         {ExecBackendKind::Fabric, ExecBackendKind::Functional}) {
         ExecBackendKind parsed;
         ASSERT_TRUE(parseBackendName(backendName(k), parsed));
         EXPECT_EQ(parsed, k);
     }
     EXPECT_STREQ(backendName(ExecBackendKind::Fabric), "fabric");
     EXPECT_STREQ(backendName(ExecBackendKind::Functional), "functional");
-    EXPECT_STREQ(backendName(ExecBackendKind::Timing), "timing");
 }
 
 TEST(SystemConfig, UnknownBackendNameRejected)
 {
-    ExecBackendKind parsed = ExecBackendKind::Timing;
-    EXPECT_FALSE(parseBackendName("cycle_exact", parsed));
+    ExecBackendKind parsed = ExecBackendKind::Functional;
+    EXPECT_FALSE(parseBackendName("timing", parsed));
     EXPECT_FALSE(parseBackendName("", parsed));
     // A failed parse leaves the out-parameter untouched.
-    EXPECT_EQ(parsed, ExecBackendKind::Timing);
-}
-
-TEST(SystemConfig, SimdIsaNamesRoundTrip)
-{
-    for (SimdIsa isa : {SimdIsa::Auto, SimdIsa::Portable, SimdIsa::Avx2,
-                        SimdIsa::Neon}) {
-        SimdIsa parsed = SimdIsa::Auto;
-        ASSERT_TRUE(parseSimdIsaName(simdIsaName(isa), parsed));
-        EXPECT_EQ(parsed, isa);
-    }
-}
-
-TEST(SystemConfig, OffSimdIsaNameRejected)
-{
-    // "off" named a per-element fp path that no longer exists.
-    SimdIsa parsed = SimdIsa::Neon;
-    EXPECT_FALSE(parseSimdIsaName("off", parsed));
-    EXPECT_FALSE(parseSimdIsaName("", parsed));
-    // A failed parse leaves the out-parameter untouched.
-    EXPECT_EQ(parsed, SimdIsa::Neon);
+    EXPECT_EQ(parsed, ExecBackendKind::Functional);
 }
 
 TEST(SystemConfig, DefaultBackendIsFabric)

@@ -145,7 +145,7 @@ rowName(const std::string &workload, Paradigm p, const std::string &variant)
  */
 Row
 benchOne(const BenchScenario &sc, bool quick, unsigned threads,
-         unsigned repeat, ExecBackendKind backend, SimdIsa simd,
+         unsigned repeat, ExecBackendKind backend,
          const char *variant = "", const Knobs &knobs = {})
 {
     // Full runtime behavior: preparation, JIT, Eq. 2 adaptivity all
@@ -155,7 +155,6 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
     SystemConfig cfg = testSystemConfig();
     cfg.hostThreads = threads;
     cfg.backend = backend;
-    cfg.simd = simd;
     cfg.cmdOpt = knobs.cmdOpt;
     cfg.cmdOptSyncElision = knobs.syncElision;
 
@@ -174,7 +173,7 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
 
         // Per-scenario job pass on the selected backend: the first
         // primary-layout phase lowered and executed on deterministic
-        // inputs (bit-accurate when the backend produces bits).
+        // inputs.
         BackendResult br;
         auto job = planPrimaryJob(w, cfg, kJobVolumeCap);
         if (job)
@@ -217,10 +216,10 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
 
     if (jb.checksum == 0) {
         // No job pass covered this scenario (near-memory-only result,
-        // untileable layout, over the volume cap, or a timing-only
-        // backend): hash the executor's functional output arrays instead
-        // so every scenario carries a deterministic signal. Untimed —
-        // functional mode is not the measured path.
+        // untileable layout or over the volume cap): hash the executor's
+        // functional output arrays instead so every scenario carries a
+        // deterministic signal. Untimed — functional mode is not the
+        // measured path.
         InfinitySystem sys(cfg);
         ArrayStore store;
         Executor(sys, Paradigm::InfS).run(w, &store);
@@ -486,9 +485,8 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--quick|--full] [--backend fabric|functional|timing]\n"
-        "       [--simd auto|portable|avx2|neon] [--threads N]\n"
-        "       [--repeat N] [--json out.json]\n"
+        "usage: %s [--quick|--full] [--backend fabric|functional]\n"
+        "       [--threads N] [--repeat N] [--json out.json]\n"
         "       [--ablate] [--list-scenarios] [workload...]\n"
         "       %s --paper [--threads N] [--json out.json]\n"
         "Benchmark the seed workloads; default --quick over the whole "
@@ -501,14 +499,8 @@ usage(const char *argv0)
         "  egraph_on).\n"
         "--backend selects the execution backend for the per-scenario job "
         "pass\n"
-        "  (default fabric; functional is bit-identical and faster, "
-        "timing is\n"
-        "  cycles-only). Unknown scenario or backend names exit 2 before "
-        "running.\n"
-        "--simd pins the bitserial SIMD kernel table (default auto = "
-        "detect;\n"
-        "  every value is bit-identical).\n"
-        "  Unknown values exit 2 before running.\n"
+        "  (default fabric; functional is bit-identical and faster).\n"
+        "  Unknown scenario or backend names exit 2 before running.\n"
         "--threads 0 uses all hardware threads; simulated results are "
         "identical for any value.\n"
         "--repeat N (default 3) runs N timed iterations after one "
@@ -544,7 +536,6 @@ main(int argc, char **argv)
     unsigned repeat = 3;
     bool ablate = false;
     ExecBackendKind backend = ExecBackendKind::Fabric;
-    SimdIsa simd = SimdIsa::Auto;
     std::string json_path;
     std::vector<std::string> names;
     for (int i = 1; i < argc; ++i) {
@@ -562,13 +553,6 @@ main(int argc, char **argv)
             const std::string name = argv[++i];
             if (!parseBackendName(name, backend)) {
                 std::fprintf(stderr, "unknown backend '%s'\n",
-                             name.c_str());
-                return usage(argv[0]);
-            }
-        } else if (arg == "--simd" && i + 1 < argc) {
-            const std::string name = argv[++i];
-            if (!parseSimdIsaName(name, simd)) {
-                std::fprintf(stderr, "unknown simd isa '%s'\n",
                              name.c_str());
                 return usage(argv[0]);
             }
@@ -641,23 +625,21 @@ main(int argc, char **argv)
         if (!names.empty() &&
             std::find(names.begin(), names.end(), sc.name) == names.end())
             continue;
-        rows.push_back(benchOne(sc, quick, threads, repeat, backend, simd));
+        rows.push_back(benchOne(sc, quick, threads, repeat, backend));
         report(rows.back());
         if (!ablate)
             continue;
         for (const auto &[variant, knobs] : variants) {
-            rows.push_back(benchOne(sc, quick, threads, 1, backend, simd,
-                                    variant, knobs));
+            rows.push_back(benchOne(sc, quick, threads, 1, backend, variant,
+                                    knobs));
             report(rows.back());
         }
     }
 
-    // One process, one resolved kernel table: identical across rows.
-    const SimdIsa isa =
-        rows.empty() ? SimdIsa::Portable : rows.front().st.simdIsa;
     auto sweepHeader = [&](std::FILE *f) {
         std::fprintf(f, "  \"backend\": \"%s\",\n", backendName(backend));
-        std::fprintf(f, "  \"simd_isa\": \"%s\",\n", simdIsaName(isa));
+        std::fprintf(f, "  \"simd_isa\": \"%s\",\n",
+                     simdIsaName(simd::activeIsa()));
         std::fprintf(f, "  \"repeat\": %u,\n", repeat);
     };
     return writeOut([&](std::FILE *f) {

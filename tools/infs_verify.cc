@@ -6,14 +6,9 @@
  * additionally lowers each tDFG exactly as the executor would and runs
  * the command hazard analyzer over the result.
  *
- * With --backend=NAME the tool also executes each workload's primary
- * lowered job on the selected execution backend (DESIGN.md §12) and
- * prints its checksum and replay cycles — a quick dynamic cross-check on
- * top of the static analyses.
- *
  * Exit status: 0 all requested subjects verify clean, 1 diagnostics were
- * reported, 2 usage error (unknown workload or backend names fail
- * upfront, before anything runs).
+ * reported, 2 usage error (unknown workload names fail upfront, before
+ * anything runs).
  */
 
 #include <algorithm>
@@ -23,7 +18,6 @@
 
 #include "analysis/verify_cmds.hh"
 #include "analysis/verify_tdfg.hh"
-#include "core/backend.hh"
 #include "core/executor.hh"
 #include "core/plan.hh"
 #include "egraph/egraph.hh"
@@ -125,51 +119,19 @@ verifyWorkload(const Workload &w, VerifyLevel level, bool verbose,
     return n_diags;
 }
 
-/**
- * Execute the workload's primary lowered job on @p backend and print the
- * result. Purely informational (checksums are pinned by the differential
- * tests, not here); returns no diagnostics.
- */
-void
-runBackendPass(const Workload &w, ExecBackendKind backend)
-{
-    SystemConfig cfg = testSystemConfig();
-    cfg.backend = backend;
-    auto job = planPrimaryJob(w, cfg, kJobVolumeCap);
-    if (!job) {
-        std::printf("  backend %s: no lowerable primary job\n",
-                    backendName(backend));
-        return;
-    }
-    BackendResult r = makeBackend(backend, cfg)->runJob(*job);
-    std::printf("  backend %s: checksum 0x%016llx%s", backendName(backend),
-                static_cast<unsigned long long>(r.checksum),
-                r.bitAccurate ? " (bit-accurate)" : "");
-    if (!r.fallback.empty())
-        std::printf("  fell back to the bit fabric: %s", r.fallback.c_str());
-    if (r.hasTiming)
-        std::printf("  cycles %llu",
-                    static_cast<unsigned long long>(r.simCycles));
-    std::printf("\n");
-}
-
 int
 usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--list] [--level=graphs|full] "
-        "[--backend=fabric|functional|timing]\n"
-        "       [--no-cmdopt] [--verbose] [--all | workload...]\n"
+        "usage: %s [--list] [--level=graphs|full] [--no-cmdopt]\n"
+        "       [--verbose] [--all | workload...]\n"
         "Verify seed workloads with the static-analysis suite "
         "(DESIGN.md §9).\n"
         "At level full each lowered stream is verified twice: raw, and "
         "again after\n"
         "  the command optimizer (DESIGN.md §13); --no-cmdopt skips the "
-        "second pass.\n"
-        "--backend additionally executes each workload's primary lowered "
-        "job on\n"
-        "  the named execution backend and prints its checksum/cycles.\n",
+        "second pass.\n",
         argv0);
     return 2;
 }
@@ -183,8 +145,6 @@ main(int argc, char **argv)
     bool verbose = false;
     bool all = false;
     bool check_cmdopt = true;
-    bool run_backend = false;
-    ExecBackendKind backend = ExecBackendKind::Fabric;
     std::vector<std::string> names;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -196,14 +156,6 @@ main(int argc, char **argv)
             level = VerifyLevel::Graphs;
         } else if (arg == "--level=full") {
             level = VerifyLevel::Full;
-        } else if (arg.rfind("--backend=", 0) == 0) {
-            const std::string name = arg.substr(10);
-            if (!parseBackendName(name, backend)) {
-                std::fprintf(stderr, "unknown backend '%s'\n",
-                             name.c_str());
-                return usage(argv[0]);
-            }
-            run_backend = true;
         } else if (arg == "--no-cmdopt") {
             check_cmdopt = false;
         } else if (arg == "--verbose" || arg == "-v") {
@@ -243,8 +195,6 @@ main(int argc, char **argv)
         std::printf("%s:\n", sc.name);
         Workload w = sc.quick();
         std::size_t n = verifyWorkload(w, level, verbose, check_cmdopt);
-        if (run_backend)
-            runBackendPass(w, backend);
         std::printf("  %zu diagnostic%s\n", n, n == 1 ? "" : "s");
         total += n;
     }
