@@ -41,8 +41,13 @@ verifyCodeName(VerifyCode c)
 std::string
 VerifyDiag::str() const
 {
-    return "[" + std::string(verifyCodeName(code)) + "] " + where + ": " +
-           message;
+    std::string s = "[";
+    s += verifyCodeName(code);
+    s += "] ";
+    s += where;
+    s += ": ";
+    s += message;
+    return s;
 }
 
 bool

@@ -4,6 +4,8 @@
  * conv3d (multi-channel 3x3 with channel contraction, Table 3).
  */
 
+#include <memory>
+
 #include "egraph/egraph.hh"
 #include "tdfg/interp.hh"
 #include "workloads/common.hh"
@@ -25,6 +27,39 @@ conv2dWeight(Coord di, Coord dj)
     return taps == 2 ? kC0 : taps == 1 ? kC1 : kC2;
 }
 
+/** Fig 6's 3x3 tDFG after the e-graph optimizer, or before it when the
+ * optimizer rejects its extraction. */
+TdfgGraph
+compileConv2d(Coord n0, Coord n1)
+{
+    TdfgGraph g(2, "conv2d");
+    HyperRect inner = HyperRect::box2(1, n0 - 1, 1, n1 - 1);
+    // Accumulate term by term: registers free at each fold (§6).
+    NodeId acc = invalidNode;
+    for (Coord dj = -1; dj <= 1; ++dj) {
+        for (Coord di = -1; di <= 1; ++di) {
+            NodeId t = g.tensor(0, inner.shifted(0, di).shifted(1, dj));
+            NodeId aligned = t;
+            if (di != 0)
+                aligned = g.move(aligned, 0, -di);
+            if (dj != 0)
+                aligned = g.move(aligned, 1, -dj);
+            NodeId term = g.compute(
+                BitOp::Mul, {aligned, g.constant(conv2dWeight(di, dj))});
+            acc = acc == invalidNode ? term
+                                     : g.compute(BitOp::Add, {acc, term});
+        }
+    }
+    g.output(acc, 1);
+    Expected<ExtractionResult> res = TdfgOptimizer().tryOptimize(g);
+    if (!res) {
+        infs_warn("conv2d: optimizer rejected (%s); using the "
+                  "unoptimized graph", res.error().str().c_str());
+        return g;
+    }
+    return std::move(res->graph);
+}
+
 } // namespace
 
 Workload
@@ -43,43 +78,15 @@ makeConv2d(Coord n0, Coord n1)
         wl::randomFill(s, a, -1, 1, 31);
     };
 
+    // Static compile (§3.2/Fig 6): the e-graph optimizer shares the
+    // symmetric-weight multiplies across taps. It runs once per Workload
+    // made, every build hands out a copy, and copies of the Workload share
+    // the compiled graph. Optimization is an attempt: a rejected
+    // extraction warns once and keeps the unoptimized graph.
+    auto graph = std::make_shared<const TdfgGraph>(compileConv2d(n0, n1));
     Phase p;
     p.name = "conv";
-    p.buildTdfg = [n0, n1](std::uint64_t) {
-        TdfgGraph g(2, "conv2d");
-        HyperRect inner = HyperRect::box2(1, n0 - 1, 1, n1 - 1);
-        // Accumulate term by term: registers free at each fold (§6).
-        NodeId acc = invalidNode;
-        for (Coord dj = -1; dj <= 1; ++dj) {
-            for (Coord di = -1; di <= 1; ++di) {
-                NodeId t = g.tensor(
-                    0, inner.shifted(0, di).shifted(1, dj));
-                NodeId aligned = t;
-                if (di != 0)
-                    aligned = g.move(aligned, 0, -di);
-                if (dj != 0)
-                    aligned = g.move(aligned, 1, -dj);
-                NodeId term = g.compute(
-                    BitOp::Mul,
-                    {aligned, g.constant(conv2dWeight(di, dj))});
-                acc = acc == invalidNode
-                          ? term
-                          : g.compute(BitOp::Add, {acc, term});
-            }
-        }
-        g.output(acc, 1);
-        // Static compile (§3.2/Fig 6): the e-graph optimizer shares the
-        // symmetric-weight multiplies across taps. Optimization is an
-        // attempt: a rejected extraction keeps the unoptimized graph.
-        TdfgOptimizer opt;
-        Expected<ExtractionResult> res = opt.tryOptimize(g);
-        if (!res) {
-            infs_warn("conv2d: optimizer rejected (%s); using the "
-                      "unoptimized graph", res.error().str().c_str());
-            return g;
-        }
-        return std::move(res->graph);
-    };
+    p.buildTdfg = [graph](std::uint64_t) { return *graph; };
     NearStream ld, st;
     ld.pattern = AccessPattern::linear(0, 0, elems);
     ld.forwardTo = 1;

@@ -53,9 +53,10 @@ TEST(TilingCandidates, WinnerFirstPinnedAndBounded)
                 // The reduce dimension is pinned across candidates: the
                 // fp reduction tree shape (and so the fp result bits)
                 // depends only on tile[reduceDim].
-                if (hints.reduceDim)
+                if (hints.reduceDim) {
                     EXPECT_EQ(c.tile[*hints.reduceDim],
                               best.tile[*hints.reduceDim]);
+                }
             }
         }
     }
@@ -211,8 +212,9 @@ TEST(ChooseSchedule, ExecutorRecordsProvenance)
     ExecStats a = exec.run(sc->quick());
     EXPECT_EQ(a.simdIsa, simd::activeIsa());
     EXPECT_GE(a.numaNodes, 1u);
-    if (a.scheduleCandidates > 1)
+    if (a.scheduleCandidates > 1) {
         EXPECT_GE(a.scheduleId, 0);
+    }
 
     // Bit-for-bit repeatable: same system, same workload, same pick.
     InfinitySystem sys2(cfg);

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "egraph/egraph.hh"
 #include "sim/rng.hh"
@@ -432,9 +433,19 @@ TEST(Optimizer, ExtractionIsPinned)
     };
     for (const Pin &p : {Pin{64, kConv2d64, "7032.2376308250468"},
                          Pin{2048, kConv2d2048, "7040.2241420555156"}}) {
-        TdfgGraph g = makeConv2d(p.n, p.n).phases[0].buildTdfg(0);
-        EXPECT_EQ(g.dump(), p.dump) << "conv2d " << p.n;
-        EXPECT_EQ(costStr(graphCost(g)), p.cost) << "conv2d " << p.n;
+        // The Workload holds the compiled graph: every iteration's build
+        // and a copied Workload's build hand out the same extraction.
+        const Workload w = makeConv2d(p.n, p.n);
+        const Workload copy = w;
+        const std::pair<const char *, TdfgGraph> builds[] = {
+            {"build(0)", w.phases[0].buildTdfg(0)},
+            {"build(5)", w.phases[0].buildTdfg(5)},
+            {"copy build(0)", copy.phases[0].buildTdfg(0)}};
+        for (const auto &[what, g] : builds) {
+            EXPECT_EQ(g.dump(), p.dump) << "conv2d " << p.n << " " << what;
+            EXPECT_EQ(costStr(graphCost(g)), p.cost)
+                << "conv2d " << p.n << " " << what;
+        }
     }
 
     ExtractionResult fig20 = TdfgOptimizer().optimize(fig20Graph(64, 0, 1));
