@@ -156,15 +156,6 @@ BitRow::assignAnd(const BitRow &a, const BitRow &b)
 }
 
 void
-BitRow::majInto(const BitRow &a, const BitRow &b)
-{
-    infs_assert(bits_ == a.bits_ && bits_ == b.bits_,
-                "row width mismatch %u vs %u/%u", bits_, a.bits_, b.bits_);
-    simd::active().rowMaj(words_.data(), a.words_.data(), b.words_.data(),
-                          words_.size());
-}
-
-void
 BitRow::fullAdderInto(const BitRow &addend, BitRow &carry)
 {
     infs_assert(bits_ == addend.bits_ && bits_ == carry.bits_,

@@ -98,10 +98,6 @@ class BitRow
     /** this = a & b. */
     void assignAnd(const BitRow &a, const BitRow &b);
 
-    /** this = maj(a, b, this) = (a & b) | (this & (a ^ b)) — the carry
-     * half of a bit-serial full-adder step. */
-    void majInto(const BitRow &a, const BitRow &b);
-
     /**
      * One fused full-adder step: with *this holding the partial sum,
      * updates this = this ^ addend ^ carry and carry = maj(this_old,

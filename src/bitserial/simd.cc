@@ -48,16 +48,6 @@ portRowFullAdder(std::uint64_t *sum, const std::uint64_t *addend,
 }
 
 void
-portRowMaj(std::uint64_t *dst, const std::uint64_t *a,
-           const std::uint64_t *b, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t aw = a[i], bw = b[i];
-        dst[i] = (aw & bw) | (dst[i] & (aw ^ bw));
-    }
-}
-
-void
 portRowSelect(std::uint64_t *dst, const std::uint64_t *a,
               const std::uint64_t *b, const std::uint64_t *pred,
               std::size_t n)
@@ -178,7 +168,6 @@ makeTable(SimdIsa isa)
     SimdKernels k;
     k.isa = isa;
     k.rowFullAdder = portRowFullAdder;
-    k.rowMaj = portRowMaj;
     k.rowSelect = portRowSelect;
     k.rowMergeMasked = portRowMergeMasked;
     k.rowAssignAnd = portRowAssignAnd;
@@ -229,28 +218,6 @@ avx2RowFullAdder(std::uint64_t *sum, const std::uint64_t *addend,
     }
     if (i < n)
         portRowFullAdder(sum + i, addend + i, carry + i, n - i);
-}
-
-INFS_AVX2 void
-avx2RowMaj(std::uint64_t *dst, const std::uint64_t *a,
-           const std::uint64_t *b, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i aw = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + i));
-        const __m256i bw = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + i));
-        const __m256i dw = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(dst + i),
-            _mm256_or_si256(
-                _mm256_and_si256(aw, bw),
-                _mm256_and_si256(dw, _mm256_xor_si256(aw, bw))));
-    }
-    if (i < n)
-        portRowMaj(dst + i, a + i, b + i, n - i);
 }
 
 INFS_AVX2 void
@@ -469,7 +436,6 @@ makeAvx2Table()
 {
     SimdKernels k = makeTable(SimdIsa::Avx2);
     k.rowFullAdder = avx2RowFullAdder;
-    k.rowMaj = avx2RowMaj;
     k.rowSelect = avx2RowSelect;
     k.rowMergeMasked = avx2RowMergeMasked;
     k.rowAssignAnd = avx2RowAssignAnd;

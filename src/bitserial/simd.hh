@@ -9,7 +9,7 @@
  *
  * Two kernel families live here:
  *  - row kernels: one pass over a BitRow's packed words (full adder,
- *    majority, select, predicated merge — the PR 4 fused word loops);
+ *    select, predicated merge and bulk logic as fused word loops);
  *  - block kernels: 32x32 bit-matrix transpose and 64-lane fp32 ops, the
  *    building blocks of the chunked bit transpose (loadArray/storeArray)
  *    and the blocked fpBinary path in ComputeSram.
@@ -49,9 +49,6 @@ struct SimdKernels {
     /** sum' = sum ^ addend ^ carry; carry' = maj(sum, addend, carry). */
     void (*rowFullAdder)(std::uint64_t *sum, const std::uint64_t *addend,
                          std::uint64_t *carry, std::size_t n);
-    /** dst = (a & b) | (dst & (a ^ b)) — the carry half alone. */
-    void (*rowMaj)(std::uint64_t *dst, const std::uint64_t *a,
-                   const std::uint64_t *b, std::size_t n);
     /** dst = (a & pred) | (b & ~pred). */
     void (*rowSelect)(std::uint64_t *dst, const std::uint64_t *a,
                       const std::uint64_t *b, const std::uint64_t *pred,

@@ -257,7 +257,6 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
             sys_.prepareTransposed(w.footprintBytes, w.l3Residency);
         st.dramCycles += prep.cycles;
         st.cycles += prep.cycles;
-        st.dramBytes += prep.dramBytes;
     };
 
     // Waves: element sets larger than the bitline pool execute in passes.

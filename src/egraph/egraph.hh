@@ -315,11 +315,7 @@ class TdfgOptimizer
         unsigned maxIterations = 8;   ///< Saturation rounds budget.
         std::size_t maxNodes = 20000; ///< Early-termination node budget.
         bool enableExpansion = true;  ///< Tensor expansion (Eq. 5).
-        bool enableExchange = true;   ///< Compute/move/bc exchange (Eq. 4).
         bool enableAlgebra = true;    ///< Assoc/comm/distrib (Eq. 3).
-        /** Re-run the tDFG verifier on every extracted graph, so a bad
-         * rewrite surfaces as a diagnostic at the rewrite (DESIGN.md §9). */
-        bool verifyExtraction = true;
     };
 
     TdfgOptimizer() = default;

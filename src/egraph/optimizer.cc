@@ -226,10 +226,8 @@ Rewriter::applyRules()
         n += ruleCommutative();
         n += ruleDistributive();
     }
-    if (opts_.enableExchange) {
-        n += ruleComputeMoveExchange();
-        n += ruleComputeBroadcastExchange();
-    }
+    n += ruleComputeMoveExchange();
+    n += ruleComputeBroadcastExchange();
     if (opts_.enableExpansion)
         n += ruleTensorExpansion();
     n += ruleShrinkThroughCompute();
@@ -1055,10 +1053,10 @@ TdfgOptimizer::tryOptimize(const TdfgGraph &g, const ExtractionCost &cost)
     // Re-attach outputs.
     for (std::size_t i = 0; i < g.outputs().size(); ++i)
         res->graph.output(res->rootNodes[i], g.outputs()[i].array);
-    if (opts_.verifyExtraction) {
-        if (auto ok = checkTdfg(res->graph); !ok)
-            return ok.error();
-    }
+    // Re-verify every extracted graph, so a bad rewrite surfaces as a
+    // diagnostic at the rewrite (DESIGN.md §9).
+    if (auto ok = checkTdfg(res->graph); !ok)
+        return ok.error();
     return res;
 }
 

@@ -144,7 +144,9 @@ bool parseBackendName(const std::string &name, ExecBackendKind &out);
 
 /** Tensor controller / JIT runtime parameters. */
 struct TensorConfig {
-    unsigned lotEntries = 16;          ///< Layout override table regions.
+    /** Layout override table regions. The LOT is not modelled as a
+     * table; verifyCommands bounds a program's home slots by it. */
+    unsigned lotEntries = 16;
     DType elemType = DType::Fp32;      ///< In-memory element type.
     /** JIT cost per lowered tDFG node in core cycles (calibrated so the
      * Table 3 regions land near the paper's 220 us mean with gauss_elim

@@ -1,7 +1,7 @@
 /**
  * @file
  * Top-level system assembly (Table 2): one object owning the NoC, L3,
- * DRAM, address map, LOT, energy account, stream engine, tensor
+ * DRAM, address map, energy account, stream engine, tensor
  * controller, and JIT compiler. Executors (src/core) drive it.
  */
 
@@ -13,7 +13,6 @@
 #include "bitserial/transpose.hh"
 #include "energy/energy.hh"
 #include "jit/jit.hh"
-#include "jit/lot.hh"
 #include "mem/address_map.hh"
 #include "mem/dram.hh"
 #include "mem/l3_model.hh"
@@ -45,7 +44,6 @@ class InfinitySystem
     DramModel &dram() { return dram_; }
     const AddressMap &map() const { return map_; }
     EnergyAccount &energy() { return energy_; }
-    Lot &lot() { return lot_; }
     JitCompiler &jit() { return jit_; }
     NearStreamEngine &nearEngine() { return near_; }
     TensorController &tensorController() { return tc_; }
@@ -85,7 +83,6 @@ class InfinitySystem
     DramModel dram_;
     AddressMap map_;
     EnergyAccount energy_;
-    Lot lot_;
     JitCompiler jit_;
     NearStreamEngine near_;
     TensorController tc_;

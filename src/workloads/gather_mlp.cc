@@ -77,86 +77,10 @@ makeGatherMlp(Coord m, Coord n, Coord k, Coord rows, bool outer)
     gather.coreBytesPerIter = wl::fp32Bytes(Coord(k) * m + m);
     w.phases.push_back(std::move(gather));
 
-    // Phase 2: the dense layer Out = W x G (same shape as mm with the
-    // gathered matrix as the K-side input).
-    Workload dense = makeMm(m, n, k, outer);
-    Phase layer = std::move(dense.phases[0]);
+    // Phase 2: the dense layer Out = W x G: mm's phase with the gathered
+    // matrix as the K-side input, {A, B, C} = {G=3, W=2, Out=4}.
+    Phase layer = wl::gemmPhase(m, n, k, outer, 3, 2, 4);
     layer.name = outer ? "layer_rank1" : "layer_dotcol";
-    // Remap the mm array ids {A=0, B=1, C=2} -> {G=3, W=2, Out=4}.
-    auto remap = [](ArrayId a) {
-        switch (a) {
-          case 0: return ArrayId(3);
-          case 1: return ArrayId(2);
-          case 2: return ArrayId(4);
-          default: return a;
-        }
-    };
-    auto base_build = layer.buildTdfg;
-    layer.buildTdfg = [base_build, remap](std::uint64_t it) {
-        TdfgGraph g0 = base_build(it);
-        // Rebuild with remapped array ids.
-        TdfgGraph g(g0.dims(), g0.name());
-        std::vector<NodeId> map(g0.size());
-        for (NodeId id = 0; id < g0.size(); ++id) {
-            const TdfgNode &nd = g0.node(id);
-            switch (nd.kind) {
-              case TdfgKind::Tensor:
-                map[id] = g.tensor(remap(nd.array), nd.domain, nd.name);
-                break;
-              case TdfgKind::ConstVal:
-                map[id] = g.constant(nd.constValue, nd.name);
-                break;
-              case TdfgKind::Compute: {
-                std::vector<NodeId> ops;
-                for (NodeId op : nd.operands)
-                    ops.push_back(map[op]);
-                map[id] = g.compute(nd.fn, ops, nd.name);
-                break;
-              }
-              case TdfgKind::Move:
-                map[id] = g.move(map[nd.operands[0]], nd.dim, nd.dist,
-                                 nd.name);
-                break;
-              case TdfgKind::Broadcast:
-                map[id] = g.broadcast(map[nd.operands[0]], nd.dim,
-                                      nd.dist, nd.count, nd.name);
-                break;
-              case TdfgKind::Shrink:
-                map[id] = g.shrink(map[nd.operands[0]], nd.dim,
-                                   nd.domain.lo(nd.dim),
-                                   nd.domain.hi(nd.dim), nd.name);
-                break;
-              case TdfgKind::Reduce:
-                map[id] = g.reduce(map[nd.operands[0]], nd.fn, nd.dim,
-                                   nd.name);
-                break;
-              case TdfgKind::Stream: {
-                AccessPattern pat = nd.pattern;
-                pat.array = remap(pat.array);
-                if (pat.indirectArray != invalidArray)
-                    pat.indirectArray = remap(pat.indirectArray);
-                NodeId in = nd.operands.empty() ? invalidNode
-                                                : map[nd.operands[0]];
-                map[id] = g.stream(nd.streamRole, pat, in, nd.domain,
-                                   nd.name, nd.fn);
-                break;
-              }
-            }
-        }
-        for (const auto &o : g0.outputs())
-            g.output(map[o.node], remap(o.array));
-        return g;
-    };
-    for (NearStream &s : layer.streams) {
-        s.pattern.array = remap(s.pattern.array);
-        if (s.pattern.indirectArray != invalidArray)
-            s.pattern.indirectArray = remap(s.pattern.indirectArray);
-    }
-    for (NearStream &s : layer.residualStreams) {
-        s.pattern.array = remap(s.pattern.array);
-        if (s.pattern.indirectArray != invalidArray)
-            s.pattern.indirectArray = remap(s.pattern.indirectArray);
-    }
     w.phases.push_back(std::move(layer));
     return w;
 }

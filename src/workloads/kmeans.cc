@@ -93,16 +93,12 @@ makeKmeans(Coord points, Coord dim, Coord centers, bool outer)
         dist.iterations = static_cast<std::uint64_t>(dim);
         dist.sameTdfgEachIter = true;
         dist.buildTdfg = [=](std::uint64_t iter) {
-            const Coord d = static_cast<Coord>(iter);
             TdfgGraph g(2, "kmeans_dist_out");
-            NodeId xd = g.tensor(0, HyperRect::box2(d, d + 1, 0, points),
-                                 "xd");
-            NodeId x_bc =
-                g.broadcast(g.move(xd, 0, -d), 0, 0, centers);
-            NodeId cd = g.tensor(1, HyperRect::box2(0, centers, d, d + 1),
-                                 "cd");
-            NodeId c_bc =
-                g.broadcast(g.move(cd, 1, -d), 1, 0, points);
+            // mm's rank-1 round with {A, B} = {X, C}, m = points and
+            // n = centers.
+            auto [x_bc, c_bc] =
+                wl::rank1Operands(g, 0, 1, points, centers,
+                                  static_cast<Coord>(iter), "xd", "cd");
             NodeId diff = g.compute(BitOp::Sub, {x_bc, c_bc});
             NodeId sq = g.compute(BitOp::Mul, {diff, diff});
             NodeId acc = g.tensor(2, HyperRect::box2(0, centers, 0,
@@ -118,14 +114,10 @@ makeKmeans(Coord points, Coord dim, Coord centers, bool outer)
         dist.buildTdfg = [=](std::uint64_t iter) {
             const Coord c = static_cast<Coord>(iter);
             TdfgGraph g(2, "kmeans_dist_in");
-            NodeId x = g.tensor(0, HyperRect::box2(0, dim, 0, points),
-                                "X");
-            // Center c's feature vector restaged as a {dim, 1} column.
-            NodeId cvec = g.stream(
-                StreamRole::Load,
-                AccessPattern::affine2(1, c, 1, centers, dim),
-                invalidNode, HyperRect::box2(0, dim, 0, 1), "Cc");
-            NodeId c_bc = g.broadcast(cvec, 1, 0, points);
+            // mm's dot round with center c's feature vector restaged as
+            // the {dim, 1} column (m = points, n = centers, k = dim).
+            auto [x, c_bc] = wl::dotOperands(g, 0, 1, points, centers, dim,
+                                             c, "X", "Cc");
             NodeId diff = g.compute(BitOp::Sub, {x, c_bc});
             NodeId sq = g.compute(BitOp::Mul, {diff, diff});
             NodeId dots = g.reduce(sq, BitOp::Add, 0, "dist");

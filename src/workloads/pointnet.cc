@@ -208,12 +208,10 @@ struct Builder {
         p.iterations = static_cast<std::uint64_t>(din);
         p.sameTdfgEachIter = true;
         p.buildTdfg = [=](std::uint64_t iter) {
-            const Coord d = static_cast<Coord>(iter);
             TdfgGraph g(2, "mlp_layer");
-            NodeId row = g.tensor(in, HyperRect::box2(d, d + 1, 0, total));
-            NodeId in_bc = g.broadcast(g.move(row, 0, -d), 0, 0, dout);
-            NodeId wcol = g.tensor(wt, HyperRect::box2(0, dout, d, d + 1));
-            NodeId w_bc = g.broadcast(g.move(wcol, 1, -d), 1, 0, total);
+            // mm's rank-1 round: m = total, n = dout, k = din.
+            auto [in_bc, w_bc] = wl::rank1Operands(
+                g, in, wt, total, dout, static_cast<Coord>(iter));
             NodeId acc = g.tensor(out, HyperRect::box2(0, dout, 0, total));
             NodeId mac = g.compute(
                 BitOp::Add, {acc, g.compute(BitOp::Mul, {in_bc, w_bc})});

@@ -216,6 +216,25 @@ TEST_F(VerifyCmds, DuplicateLotHomeIsReported)
     EXPECT_TRUE(rep.has(VerifyCode::LotInconsistent)) << rep.str();
 }
 
+TEST_F(VerifyCmds, HomesBeyondLotCapacityAreReported)
+{
+    // Three arrays with distinct, aligned home slots: clean while the
+    // LOT holds three entries, one capacity finding once it holds two.
+    InMemProgram prog;
+    prog.arraySlots = {{0, 0}, {1, 32}, {2, 64}};
+    cfg.tensor.lotEntries = 3;
+    VerifyReport fits = verifyCommands(prog, layout, map, cfg);
+    EXPECT_TRUE(fits.clean()) << fits.str();
+
+    cfg.tensor.lotEntries = 2;
+    VerifyReport rep = verifyCommands(prog, layout, map, cfg);
+    ASSERT_EQ(rep.count(VerifyCode::LotInconsistent), 1u) << rep.str();
+    EXPECT_EQ(rep.diags().front().where, "lot") << rep.str();
+    EXPECT_NE(rep.diags().front().message.find("2-entry LOT"),
+              std::string::npos)
+        << rep.str();
+}
+
 TEST_F(VerifyCmds, OutputWithoutHomeIsReported)
 {
     InMemProgram prog;

@@ -30,8 +30,8 @@ TEST(WorkloadsClean, TdfgsVerifyBeforeAndAfterOptimization)
             EXPECT_TRUE(rep.clean())
                 << name << " phase '" << p.name << "': " << rep.str();
 
-            // tryOptimize re-verifies the extracted graph internally
-            // (Options::verifyExtraction); an error here means a rewrite
+            // tryOptimize re-verifies every extracted graph internally
+            // (checkTdfg); an error here means a rewrite
             // or extraction produced an unsound graph.
             TdfgOptimizer opt;
             Expected<ExtractionResult> res = opt.tryOptimize(g);

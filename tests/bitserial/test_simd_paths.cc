@@ -5,10 +5,11 @@
  * reports it, AVX2 — must be bit-identical to the portable table at
  * every level: raw row kernels, the 32x32 transpose, the 64-lane fp32
  * block ops, ComputeSram's blocked fp path (also checked against plain
- * host float arithmetic), and every registry scenario's lowered job on
- * the fabric backend (checksum, time, traffic, energy and FabricStats
- * counts). The host never forces a table; these tests do, through
- * simd::setActive, the one seam for it.
+ * host float arithmetic), every registry scenario's lowered job on the
+ * fabric backend (checksum, time, traffic, energy and FabricStats
+ * counts), and hand-built int32, compare and windowed fabric programs
+ * (also checked against plain host arithmetic). The host never forces a
+ * table; these tests do, through simd::setActive, the one seam for it.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "core/backend.hh"
 #include "core/executor.hh"
 #include "sim/rng.hh"
+#include "uarch/bit_exec.hh"
 #include "workloads/registry.hh"
 
 namespace infs {
@@ -115,11 +117,6 @@ TEST_F(SimdPathTest, RowKernelsMatchPortable)
             k.rowFullAdder(sum_k.data(), b.data(), carry_k.data(), n);
             EXPECT_EQ(sum_k, sum_r);
             EXPECT_EQ(carry_k, carry_r);
-
-            auto maj_r = c, maj_k = c;
-            ref.rowMaj(maj_r.data(), a.data(), b.data(), n);
-            k.rowMaj(maj_k.data(), a.data(), b.data(), n);
-            EXPECT_EQ(maj_k, maj_r);
 
             std::vector<std::uint64_t> sel_r(n), sel_k(n);
             ref.rowSelect(sel_r.data(), a.data(), b.data(), c.data(), n);
@@ -409,6 +406,165 @@ TEST_F(SimdPathTest, FabricJobChecksumsIsaInvariant)
     // The bench's per-scenario job pass lowers 9 of the 17 quick
     // scenarios (BENCH_QUICK.json rows with a non-zero `commands`).
     EXPECT_EQ(jobs, 9u);
+}
+
+/** Plain host int32 arithmetic (wrapping, signed compares): the scalar
+ * reference for the fabric's bit-serial integer ops. */
+std::uint32_t
+hostInt(BitOp op, std::uint32_t a, std::uint32_t b)
+{
+    const auto sa = static_cast<std::int32_t>(a);
+    const auto sb = static_cast<std::int32_t>(b);
+    switch (op) {
+      case BitOp::Add: return a + b;
+      case BitOp::Sub: return a - b;
+      case BitOp::Mul: return a * b;
+      case BitOp::Max: return sa > sb ? a : b;
+      case BitOp::Min: return sa < sb ? a : b;
+      case BitOp::AndB: return a & b;
+      case BitOp::OrB: return a | b;
+      case BitOp::XorB: return a ^ b;
+      default: ADD_FAILURE() << "no host reference for " << bitOpName(op);
+    }
+    return 0;
+}
+
+/**
+ * Hand-built BitAccurateFabric programs under every reachable table:
+ * int32 Add/Sub/Mul, Max/Min and AndB/OrB/XorB, fp32 CmpLt, and int32
+ * and fp32 ops under a partial positional window into a pre-filled
+ * slot. The registry jobs above are fp32 with full masks, so this is the
+ * whole-program test of the full-adder, compare, select and masked-merge
+ * row kernels and of fpLtMask. Full-mask results must equal plain host
+ * arithmetic; every destination slot's bits after every command, the
+ * FabricStats counts and every tile's SramOpStats (the row reads and
+ * writes the energy model charges) must equal the portable run's.
+ */
+TEST_F(SimdPathTest, FabricIntAndMaskedProgramsMatchPortable)
+{
+    const Coord n = 1024;
+    const Coord tile = 256; // 4 tiles of 4 words: every vector loop runs.
+    const TiledLayout layout({n}, {tile});
+    // Slots: int32 A, B at 0/32, fp32 X, Y at 64/96, the pre-filled
+    // windowed destination at 128 and the full-mask destination at 160.
+    constexpr unsigned kA = 0, kB = 32, kX = 64, kY = 96, kWin = 128,
+                       kDst = 160;
+    Rng rng(0x1A7E);
+    std::vector<float> a(n), b(n), fill(n);
+    for (Coord i = 0; i < n; ++i) {
+        a[i] = std::bit_cast<float>(static_cast<std::uint32_t>(rng.next()));
+        // Every 7th lane ties, so Max/Min see equal operands.
+        b[i] = i % 7 == 0 ? a[i]
+                          : std::bit_cast<float>(
+                                static_cast<std::uint32_t>(rng.next()));
+        fill[i] =
+            std::bit_cast<float>(static_cast<std::uint32_t>(rng.next()));
+    }
+    std::vector<float> x(n), y(n);
+    {
+        const auto xb = awkwardFloats(rng, n);
+        const auto yb = awkwardFloats(rng, n);
+        for (Coord i = 0; i < n; ++i) {
+            x[i] = std::bit_cast<float>(xb[i]);
+            y[i] = std::bit_cast<float>(yb[i]);
+        }
+    }
+
+    auto compute = [](BitOp op, DType t, unsigned wl_a, unsigned wl_b,
+                      unsigned wl_dst, HyperRect rect, Coord lo = 0,
+                      Coord hi = 0) {
+        InMemCommand c;
+        c.kind = CmdKind::Compute;
+        c.tensor = std::move(rect);
+        c.op = op;
+        c.dtype = t;
+        c.wlA = wl_a;
+        c.wlB = wl_b;
+        c.wlDst = wl_dst;
+        c.maskLo = lo;
+        c.maskHi = hi;
+        return c;
+    };
+    const HyperRect all = HyperRect::interval(0, n);
+    const HyperRect part = HyperRect::interval(37, n - 101);
+    const BitOp int_ops[] = {BitOp::Add,  BitOp::Sub, BitOp::Mul,
+                             BitOp::Max,  BitOp::Min, BitOp::AndB,
+                             BitOp::OrB,  BitOp::XorB};
+    std::vector<InMemCommand> prog;
+    for (BitOp op : int_ops)
+        prog.push_back(compute(op, DType::Int32, kA, kB, kDst, all));
+    prog.push_back(compute(BitOp::CmpLt, DType::Fp32, kX, kY, kDst, all));
+    // Windows: only tile positions [lo, hi) of the partial tensor change;
+    // every other bit of the slot must keep its pre-filled value.
+    for (BitOp op : {BitOp::Add, BitOp::Sub, BitOp::Max, BitOp::XorB})
+        prog.push_back(
+            compute(op, DType::Int32, kA, kB, kWin, part, 5, 200));
+    prog.push_back(
+        compute(BitOp::CmpLt, DType::Fp32, kX, kY, kWin, part, 70, 250));
+
+    struct Run {
+        std::vector<std::uint32_t> bits; ///< Dst slot after each command.
+        FabricStats stats;
+        std::vector<SramOpStats> sram;
+    };
+    auto run_with = [&](SimdIsa isa) {
+        SCOPED_TRACE(simdIsaName(isa));
+        simd::setActive(isa);
+        BitAccurateFabric fab(layout);
+        fab.loadArray(a, kA);
+        fab.loadArray(b, kB);
+        fab.loadArray(x, kX);
+        fab.loadArray(y, kY);
+        fab.loadArray(fill, kWin);
+        fab.loadArray(fill, kDst);
+        // Host model of both destination slots: a lane outside the
+        // command's window keeps its bits, CmpLt writes only bit 0.
+        std::vector<std::uint32_t> model_win(n), model_dst(n);
+        for (Coord i = 0; i < n; ++i)
+            model_win[i] = model_dst[i] =
+                std::bit_cast<std::uint32_t>(fill[i]);
+        Run r;
+        std::vector<float> out(n);
+        for (std::size_t ci = 0; ci < prog.size(); ++ci) {
+            const InMemCommand &c = prog[ci];
+            fab.executeCommand(c);
+            fab.storeArray(out, c.wlDst);
+            auto &model = c.wlDst == kWin ? model_win : model_dst;
+            for (Coord i = 0; i < n; ++i) {
+                const Coord pos = i % tile;
+                const bool selected =
+                    i >= c.tensor.lo(0) && i < c.tensor.hi(0) &&
+                    (c.maskHi == 0 || (pos >= c.maskLo && pos < c.maskHi));
+                if (selected && c.op == BitOp::CmpLt)
+                    model[i] = (model[i] & ~1u) | (x[i] < y[i] ? 1u : 0u);
+                else if (selected)
+                    model[i] =
+                        hostInt(c.op, std::bit_cast<std::uint32_t>(a[i]),
+                                std::bit_cast<std::uint32_t>(b[i]));
+                const auto got = std::bit_cast<std::uint32_t>(out[i]);
+                EXPECT_EQ(got, model[i])
+                    << bitOpName(c.op) << " command " << ci << " lane " << i;
+                r.bits.push_back(got);
+            }
+        }
+        r.stats = fab.stats();
+        for (std::int64_t t = 0; t < n / tile; ++t)
+            r.sram.push_back(fab.tile(t).stats());
+        return r;
+    };
+
+    const Run ref = run_with(SimdIsa::Portable);
+    for (SimdIsa isa : reachableIsas()) {
+        SCOPED_TRACE(simdIsaName(isa));
+        const Run got = run_with(isa);
+        EXPECT_EQ(got.bits, ref.bits);
+        expectFabricCountsEqual(got.stats, ref.stats);
+        ASSERT_EQ(got.sram.size(), ref.sram.size());
+        for (std::size_t t = 0; t < ref.sram.size(); ++t) {
+            SCOPED_TRACE("tile " + std::to_string(t));
+            expectStatsEqual(got.sram[t], ref.sram[t]);
+        }
+    }
 }
 
 } // namespace

@@ -111,44 +111,6 @@ TEST_F(TcTest, PrepareAndRelease)
     EXPECT_GT(rel_big, 0u);
 }
 
-TEST_F(TcTest, LotInstallAndLookup)
-{
-    LotEntry e;
-    e.array = 7;
-    e.base = 0x10000;
-    e.end = 0x20000;
-    e.layout = TiledLayout({4096}, {256});
-    auto idx = sys.lot().install(e);
-    ASSERT_TRUE(idx.has_value());
-    EXPECT_NE(sys.lot().findByAddr(0x15000), nullptr);
-    EXPECT_EQ(sys.lot().findByAddr(0x25000), nullptr);
-    EXPECT_EQ(sys.lot().findByArray(7)->base, 0x10000u);
-    EXPECT_EQ(sys.lot().findByArray(8), nullptr);
-}
-
-TEST_F(TcTest, LotCapacityBounded)
-{
-    for (unsigned i = 0; i < 16; ++i) {
-        LotEntry e;
-        e.array = static_cast<ArrayId>(i);
-        e.base = i * 0x1000;
-        e.end = e.base + 0x1000;
-        EXPECT_TRUE(sys.lot().install(e).has_value());
-    }
-    LotEntry extra;
-    extra.array = 99;
-    EXPECT_FALSE(sys.lot().install(extra).has_value());
-}
-
-TEST_F(TcTest, LotSingleThreadLock)
-{
-    EXPECT_TRUE(sys.lot().lock(1));
-    EXPECT_TRUE(sys.lot().lock(1));  // Re-entrant for the owner.
-    EXPECT_FALSE(sys.lot().lock(2)); // §6 limitation 1.
-    sys.lot().unlock(1);
-    EXPECT_TRUE(sys.lot().lock(2));
-}
-
 TEST_F(TcTest, DisjointGroupsOverlap)
 {
     // The boundary decomposition of a 5-point stencil2d emits commands

@@ -1,12 +1,15 @@
 /**
  * @file
  * Functional validation: each workload's tDFG/interpreter execution must
- * match its independent scalar reference implementation.
+ * match its independent scalar reference implementation. Workloads that
+ * share a builder helper are also checked to build the same rounds.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "core/executor.hh"
 #include "workloads/pointnet.hh"
@@ -122,6 +125,94 @@ TEST(Functional, GatherMlpOuter)
 TEST(Functional, GatherMlpInner)
 {
     expectFunctionalMatch(makeGatherMlp(24, 8, 6, 40, false), 1e-2);
+}
+
+/**
+ * gather_mlp's dense layer is mm's GEMM phase on its own arrays: every
+ * graph node, stream pattern and cost equals mm's with {A, B, C} = {0,
+ * 1, 2} read as {G, W, Out} = {3, 2, 4}. Compares node names and stream
+ * patterns too, which TdfgGraph::dump() does not print.
+ */
+void
+expectGemmPhaseOnArrays(const Phase &mm, const Phase &got,
+                        const std::map<ArrayId, ArrayId> &ids)
+{
+    auto id = [&](ArrayId a) {
+        return a == invalidArray ? a : ids.at(a);
+    };
+    auto expectPattern = [&](const AccessPattern &want,
+                             const AccessPattern &p) {
+        EXPECT_EQ(p.array, id(want.array));
+        EXPECT_EQ(p.indirectArray, id(want.indirectArray));
+        EXPECT_EQ(p.start, want.start);
+        EXPECT_EQ(p.strides, want.strides);
+        EXPECT_EQ(p.counts, want.counts);
+    };
+    auto expectStreams = [&](const std::vector<NearStream> &want,
+                             const std::vector<NearStream> &ss) {
+        ASSERT_EQ(ss.size(), want.size());
+        for (std::size_t i = 0; i < ss.size(); ++i) {
+            SCOPED_TRACE("stream " + std::to_string(i));
+            expectPattern(want[i].pattern, ss[i].pattern);
+            EXPECT_EQ(ss[i].isStore, want[i].isStore);
+            EXPECT_EQ(ss[i].isReduce, want[i].isReduce);
+            EXPECT_EQ(ss[i].forwardTo, want[i].forwardTo);
+            EXPECT_EQ(ss[i].flopsPerElem, want[i].flopsPerElem);
+            EXPECT_EQ(ss[i].l3Residency, want[i].l3Residency);
+        }
+    };
+
+    ASSERT_EQ(got.iterations, mm.iterations);
+    EXPECT_EQ(got.sameTdfgEachIter, mm.sameTdfgEachIter);
+    EXPECT_EQ(got.coreFlopsPerIter, mm.coreFlopsPerIter);
+    EXPECT_EQ(got.coreBytesPerIter, mm.coreBytesPerIter);
+    EXPECT_EQ(got.residualFlopsPerIter, mm.residualFlopsPerIter);
+    EXPECT_EQ(got.residualBytesPerIter, mm.residualBytesPerIter);
+    expectStreams(mm.streams, got.streams);
+    expectStreams(mm.residualStreams, got.residualStreams);
+
+    for (std::uint64_t iter : {std::uint64_t{0}, std::uint64_t{1},
+                               mm.iterations - 1}) {
+        SCOPED_TRACE("iter " + std::to_string(iter));
+        const TdfgGraph want = mm.buildTdfg(iter);
+        const TdfgGraph g = got.buildTdfg(iter);
+        EXPECT_EQ(g.name(), want.name());
+        EXPECT_EQ(g.dims(), want.dims());
+        ASSERT_EQ(g.size(), want.size());
+        for (NodeId n = 0; n < static_cast<NodeId>(g.size()); ++n) {
+            SCOPED_TRACE("node " + std::to_string(n));
+            const TdfgNode &a = g.node(n);
+            const TdfgNode &b = want.node(n);
+            EXPECT_EQ(a.kind, b.kind);
+            EXPECT_EQ(a.operands, b.operands);
+            EXPECT_TRUE(a.domain == b.domain);
+            EXPECT_EQ(a.infiniteDomain, b.infiniteDomain);
+            EXPECT_EQ(a.array, id(b.array));
+            EXPECT_EQ(a.constValue, b.constValue);
+            EXPECT_EQ(a.fn, b.fn);
+            EXPECT_EQ(a.dim, b.dim);
+            EXPECT_EQ(a.dist, b.dist);
+            EXPECT_EQ(a.count, b.count);
+            EXPECT_EQ(a.streamRole, b.streamRole);
+            expectPattern(b.pattern, a.pattern);
+            EXPECT_EQ(a.name, b.name);
+        }
+    }
+}
+
+TEST(GemmPhase, GatherMlpLayerIsMmOnItsArrays)
+{
+    const std::map<ArrayId, ArrayId> ids = {{0, 3}, {1, 2}, {2, 4}};
+    for (bool outer : {true, false}) {
+        SCOPED_TRACE(outer ? "outer" : "inner");
+        const Workload mm = makeMm(24, 8, 6, outer);
+        const Workload gm = makeGatherMlp(24, 8, 6, 40, outer);
+        ASSERT_EQ(mm.phases.size(), 1u);
+        ASSERT_EQ(gm.phases.size(), 2u);
+        EXPECT_EQ(gm.phases[1].name,
+                  outer ? "layer_rank1" : "layer_dotcol");
+        expectGemmPhaseOnArrays(mm.phases[0], gm.phases[1], ids);
+    }
 }
 
 TEST(Functional, PointNetSsgRunsAndClassifies)

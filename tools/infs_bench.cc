@@ -56,8 +56,11 @@ using namespace infs;
 /**
  * Optimization-stack switches for one measurement (the `--ablate`
  * harness, DESIGN.md §13). The defaults mirror production: command
- * optimizer on, e-graph off (floating-point reassociation changes bits,
- * so it stays opt-in), memoization on.
+ * optimizer on, memoization on, and the e-graph run only where a
+ * workload compiles with it (conv2d optimizes its graph when it is made;
+ * floating-point reassociation changes bits, so no other workload does).
+ * `egraph` runs the optimizer over every built graph, so under it
+ * conv2d's already optimized graph is optimized again.
  */
 struct Knobs {
     bool cmdOpt = true;      ///< SystemConfig::cmdOpt.
