@@ -43,7 +43,7 @@ enum class VerifyCode : std::uint8_t {
     CmdBadBroadcast,    ///< BroadcastBl with a non-positive count.
     CmdSlotOutOfRange,  ///< Wordline beyond the slot capacity.
     CmdSlotMisaligned,  ///< Wordline not a multiple of the element bits.
-    CmdBankInvalid,     ///< Empty or out-of-range bank list.
+    CmdBankInvalid,     ///< Empty or out-of-range bank set.
     IntraGroupOverlap,  ///< Alg. 1 disjointness broken within a group.
     RawHazard,          ///< Read-after-write without an ordering edge.
     WawHazard,          ///< Write-after-write without an ordering edge.

@@ -176,8 +176,8 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
         if (c.banks.empty()) {
             rep.add(VerifyCode::CmdBankInvalid, where(), "no banks recorded");
         } else {
-            for (BankId b : c.banks) {
-                if (b >= static_cast<BankId>(cfg.l3.numBanks)) {
+            for (BankId b = cfg.l3.numBanks; b < BankSet::kMaxBanks; ++b) {
+                if (c.banks.contains(b)) {
                     rep.add(VerifyCode::CmdBankInvalid, where(),
                             "bank " + std::to_string(b) + " beyond the " +
                                 std::to_string(cfg.l3.numBanks) +
@@ -268,7 +268,7 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
 
     // ---- (b) Local RAW coverage: the most recent writer of the cells a
     // command reads must share the dependence banks (per-bank program
-    // order is then the ordering edge); a writer whose bank list misses
+    // order is then the ordering edge); a writer whose bank set misses
     // them never delivers the value to the reader's banks.
     {
         std::unordered_map<unsigned, std::vector<const Rec *>> writers;
@@ -287,12 +287,12 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
                     const HyperRect o = w.e.dst.intersect(r.e.src);
                     if (o.empty())
                         continue;
-                    const std::vector<BankId> dep = layout.banksFor(o, map);
-                    if (!sortedIntersects(dep, r.e.banks))
+                    const BankSet dep = layout.banksFor(o, map);
+                    if (!dep.intersects(r.c->banks))
                         continue; // Cells the reader never touches.
                     // Most recent relevant writer decides; older writers
                     // are shadowed. Async writers were handled above.
-                    if (!w.e.async && !sortedIntersects(dep, w.e.banks)) {
+                    if (!w.e.async && !dep.intersects(w.c->banks)) {
                         rep.add(VerifyCode::RawHazard, cmdWhere(r.idx, *r.c),
                                 "reads wl " + std::to_string(s) + " over " +
                                     o.str() + " from " +

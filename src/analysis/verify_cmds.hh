@@ -24,7 +24,7 @@ namespace infs {
 /**
  * Run every command-stream invariant check over @p prog as lowered for
  * @p layout. @p map resolves tiles to banks (dependences are tracked at
- * bank granularity: a command only touches cells its bank list owns);
+ * bank granularity: a command only touches cells its bank set owns);
  * @p cfg supplies the element type and L3 geometry. Never aborts.
  */
 VerifyReport verifyCommands(const InMemProgram &prog,

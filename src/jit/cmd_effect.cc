@@ -42,22 +42,6 @@ usesDim(const InMemCommand &c)
 }
 
 bool
-sortedIntersects(const std::vector<BankId> &a, const std::vector<BankId> &b)
-{
-    auto ia = a.begin();
-    auto ib = b.begin();
-    while (ia != a.end() && ib != b.end()) {
-        if (*ia < *ib)
-            ++ia;
-        else if (*ib < *ia)
-            ++ib;
-        else
-            return true;
-    }
-    return false;
-}
-
-bool
 sameEffect(const InMemCommand &a, const InMemCommand &b)
 {
     return a.kind == b.kind && a.dim == b.dim && a.maskLo == b.maskLo &&
@@ -99,8 +83,6 @@ effectOf(const InMemCommand &c, const TiledLayout &layout,
         e.dst = e.src;
         break;
     }
-    e.banks = c.banks;
-    std::sort(e.banks.begin(), e.banks.end());
     return e;
 }
 
@@ -113,12 +95,12 @@ asyncDependence(const InMemCommand &w, const CmdEffect &we,
         return CmdDep::None; // Same-group restatement.
     if (readSlots(r).contains(w.wlDst)) {
         const HyperRect o = we.dst.intersect(re.src);
-        if (!o.empty() && sortedIntersects(layout.banksFor(o, map), re.banks))
+        if (!o.empty() && layout.banksFor(o, map).intersects(r.banks))
             return CmdDep::Raw;
     }
     if (r.wlDst == w.wlDst) {
         const HyperRect o = we.dst.intersect(re.dst);
-        if (!o.empty() && sortedIntersects(layout.banksFor(o, map), re.banks))
+        if (!o.empty() && layout.banksFor(o, map).intersects(r.banks))
             return CmdDep::Waw;
     }
     return CmdDep::None;

@@ -15,7 +15,6 @@
 #define INFS_JIT_CMD_EFFECT_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "jit/commands.hh"
 #include "jit/tiling.hh"
@@ -61,13 +60,9 @@ isShift(CmdKind k)
  * BroadcastBl, and computes carrying a positional mask. */
 bool usesDim(const InMemCommand &c);
 
-/** True when the two ascending bank lists share a bank. */
-bool sortedIntersects(const std::vector<BankId> &a,
-                      const std::vector<BankId> &b);
-
 /**
  * True when @p a and @p b have the same byte-level effect except for the
- * window rect and the bank list: every other field that defines what a
+ * window rect and the bank set: every other field that defines what a
  * command does, dtype included. The reduce lowering restates one effect
  * per decomposed subtensor this way.
  */
@@ -76,7 +71,7 @@ bool sameEffect(const InMemCommand &a, const InMemCommand &b);
 /**
  * One command's effect resolved against the layout. Dependences are
  * bank-granular: a command only reads/writes cells whose owning bank is
- * in its bank list (per-bank synchronous issue, §4.2), so the rects are
+ * in its bank set (per-bank synchronous issue, §4.2), so the rects are
  * over-approximations the bank filter tightens.
  */
 struct CmdEffect {
@@ -86,7 +81,6 @@ struct CmdEffect {
      * and becomes visible only after a Sync (InterShift always; a
      * BroadcastBl whose replication escapes one tile). */
     bool async = false;
-    std::vector<BankId> banks; ///< Sorted copy of the command's banks.
 };
 
 /** Resolve @p c (not a Sync; rank and dim already checked against

@@ -1,6 +1,5 @@
 #include "jit/cmdopt.hh"
 
-#include <algorithm>
 #include <vector>
 
 #include "jit/cmd_effect.hh"
@@ -57,7 +56,7 @@ optimizeCommands(InMemProgram &prog, const TiledLayout &layout,
 
     // ---- Pass 1: redundant-command elimination. Command j is removable
     // when an identical earlier command i (all effect parameters, window
-    // rect, bank list) exists with no intervening write to any cell j
+    // rect, bank set) exists with no intervening write to any cell j
     // reads or writes: re-executing j then writes exactly the bytes i
     // already wrote. In-place commands (dst slot among the read slots,
     // e.g. compute fold-chain steps) are never byte-idempotent and are
@@ -73,7 +72,7 @@ optimizeCommands(InMemProgram &prog, const TiledLayout &layout,
                 continue;
             if (sameEffect(cmds[i], cmds[j]) &&
                 cmds[i].tensor == cmds[j].tensor &&
-                eff[i].banks == eff[j].banks) {
+                cmds[i].banks == cmds[j].banks) {
                 alive[j] = 0;
                 if (cmds[j].kind == CmdKind::BroadcastBl ||
                     cmds[j].kind == CmdKind::BroadcastVal)
@@ -113,10 +112,7 @@ optimizeCommands(InMemProgram &prog, const TiledLayout &layout,
                     break; // Not an exact partition; no wider move.
                 InMemCommand merged = cmds[i];
                 merged.tensor = u;
-                merged.banks.clear();
-                std::set_union(eff[i].banks.begin(), eff[i].banks.end(),
-                               eff[j].banks.begin(), eff[j].banks.end(),
-                               std::back_inserter(merged.banks));
+                merged.banks |= cmds[j].banks;
                 if (merged.kind == CmdKind::InterShift) {
                     auto charge = [&](const InMemCommand &c) {
                         return moveCharge(c, layout, map, cfg).perBank();

@@ -5,7 +5,7 @@
  * (SystemConfig::cmdOpt, DESIGN.md §13). Three sub-passes, in order:
  *
  *  1. redundant-command elimination — a command identical to an earlier
- *     one (all effect parameters, window rect, AND bank list) is removed
+ *     one (all effect parameters, window rect, AND bank set) is removed
  *     when nothing in between wrote any cell it reads or writes and it is
  *     not in-place (re-execution is then byte-idempotent); broadcasts
  *     whose destination bitlines are provably already populated are the

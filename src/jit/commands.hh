@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "bitserial/latency.hh"
+#include "jit/bank_set.hh"
 #include "sim/types.hh"
 #include "stream/pattern.hh"
 #include "tdfg/hyperrect.hh"
@@ -66,7 +67,7 @@ struct InMemCommand {
     double imm = 0.0;
 
     /** Banks whose tiles this command touches (step 3 of §4.2). */
-    std::vector<BankId> banks;
+    BankSet banks;
 
     /** One-line rendering for traces and golden tests. */
     std::string str() const;

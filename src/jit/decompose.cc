@@ -1,48 +1,36 @@
 #include "jit/decompose.hh"
 
+#include <array>
+
 #include "sim/logging.hh"
 
 namespace infs {
 
 namespace {
 
-/** Decompose dimensions [dim, N) and cross with the given prefix ranges. */
-void
-decomposeFrom(const HyperRect &tensor, const std::vector<Coord> &tile,
-              unsigned dim, std::vector<std::pair<Coord, Coord>> &prefix,
-              std::vector<HyperRect> &out)
-{
-    const unsigned dims = tensor.dims();
-    if (dim == dims) {
-        std::vector<Coord> lo(dims), hi(dims);
-        for (unsigned d = 0; d < dims; ++d) {
-            lo[d] = prefix[d].first;
-            hi[d] = prefix[d].second;
-        }
-        out.emplace_back(std::move(lo), std::move(hi));
-        return;
-    }
+/** The intervals one dimension of a tensor splits into. */
+struct DimSplit {
+    std::pair<Coord, Coord> part[3];
+    unsigned count = 0;
+};
 
-    const Coord p = tensor.lo(dim), q = tensor.hi(dim), t = tile[dim];
-    infs_assert(p < q, "empty tensor dimension %u", dim);
-    infs_assert(t > 0, "tile dim %u must be positive", dim);
-    // Alg. 1 lines 3-4: align p and q to tile boundaries.
+/** Alg. 1 along one dimension: split [p, q) at the boundaries of tile
+ * size t into head, middle and tail intervals, dropping empty ones. */
+DimSplit
+splitInterval(Coord p, Coord q, Coord t)
+{
+    // Lines 3-4: align p and q to tile boundaries.
     auto floordiv = [](Coord a, Coord b) {
         return a >= 0 ? a / b : -((-a + b - 1) / b);
     };
-    Coord a = floordiv(p, t) * t;
-    Coord b = floordiv(p + t - 1, t) * t;
-    Coord c = floordiv(q, t) * t;
-    Coord d2 = floordiv(q + t - 1, t) * t;
-    (void)d2;
-
+    const Coord a = floordiv(p, t) * t;
+    const Coord b = floordiv(p + t - 1, t) * t;
+    const Coord c = floordiv(q, t) * t;
+    DimSplit s;
     auto emit = [&](Coord lo, Coord hi) {
-        if (lo >= hi)
-            return;
-        prefix[dim] = {lo, hi};
-        decomposeFrom(tensor, tile, dim + 1, prefix, out);
+        if (lo < hi)
+            s.part[s.count++] = {lo, hi};
     };
-
     if (b <= c) {
         // a <= p < b <= c <= q < d: head / middle / tail (Alg. 1 l. 8-16).
         if (a < p) {
@@ -56,6 +44,24 @@ decomposeFrom(const HyperRect &tensor, const std::vector<Coord> &tile,
     } else {
         // Entire range within one tile: no decomposition in this dim.
         emit(p, q);
+    }
+    return s;
+}
+
+/** Append to @p out every subtensor that takes @p rect's bounds below
+ * @p dim and one interval of @p splits per dim from @p dim on. */
+void
+decomposeFrom(HyperRect &rect, const DimSplit *splits, unsigned dim,
+              std::vector<HyperRect> &out)
+{
+    if (dim == rect.dims()) {
+        out.push_back(rect);
+        return;
+    }
+    const DimSplit &s = splits[dim];
+    for (unsigned i = 0; i < s.count; ++i) {
+        rect = rect.withDim(dim, s.part[i].first, s.part[i].second);
+        decomposeFrom(rect, splits, dim + 1, out);
     }
 }
 
@@ -89,8 +95,16 @@ tryDecomposeTensor(const HyperRect &tensor, const std::vector<Coord> &tile)
     std::vector<HyperRect> out;
     if (tensor.empty())
         return out;
-    std::vector<std::pair<Coord, Coord>> prefix(tensor.dims());
-    decomposeFrom(tensor, tile, 0, prefix, out);
+    // The subtensors are the cross product of each dim's intervals.
+    std::array<DimSplit, HyperRect::kMaxRank> splits;
+    std::size_t count = 1;
+    for (unsigned d = 0; d < tensor.dims(); ++d) {
+        splits[d] = splitInterval(tensor.lo(d), tensor.hi(d), tile[d]);
+        count *= splits[d].count;
+    }
+    out.reserve(count);
+    HyperRect rect = tensor;
+    decomposeFrom(rect, splits.data(), 0, out);
     return out;
 }
 

@@ -116,6 +116,8 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
                      const AddressMap &map)
 {
     InMemProgram prog;
+    // Most nodes lower to one or two commands per subtensor.
+    prog.commands.reserve(2 * g.size());
     const DType elem = cfg_.tensor.elemType;
     const unsigned bits = dtypeBits(elem);
     const unsigned num_slots = numSlots();
@@ -126,12 +128,15 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
     // ---- Wordline allocation (the static compiler's register allocation
     // of §3.4; slot = `bits` consecutive wordlines). Arrays referenced by
     // tensor/output nodes get stable home slots; temporaries reuse slots
-    // freed at their last use. No spilling (§6 limitation 3).
-    std::unordered_map<ArrayId, unsigned> array_slot;
+    // freed at their last use. No spilling (§6 limitation 3). Array
+    // homes take slots 0, 1, ... in first-reference order, so each
+    // array's slot is its index here.
+    std::vector<ArrayId> array_slot;
+    array_slot.reserve(num_slots);
     auto arrayHome = [&](ArrayId a) -> unsigned {
-        auto it = array_slot.find(a);
+        auto it = std::find(array_slot.begin(), array_slot.end(), a);
         if (it != array_slot.end())
-            return it->second;
+            return static_cast<unsigned>(it - array_slot.begin());
         unsigned slot = static_cast<unsigned>(array_slot.size());
         if (slot >= num_slots) {
             if (!err) {
@@ -144,7 +149,7 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
             }
             return 0;
         }
-        array_slot.emplace(a, slot);
+        array_slot.push_back(a);
         return slot;
     };
     // Pre-assign homes for all arrays touched (inputs and outputs).
@@ -167,7 +172,7 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
         last_use[o.node] = static_cast<NodeId>(g.size());
 
     std::vector<bool> slot_busy(num_slots, false);
-    for (const auto &[a, s] : array_slot)
+    for (std::size_t s = 0; s < array_slot.size(); ++s)
         slot_busy[s] = true;
     std::vector<NodeLocation> loc(g.size());
     std::vector<int> node_slot(g.size(), -1);
@@ -214,6 +219,10 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
     auto banksOf = [&](const HyperRect &r) {
         return layout.banksFor(r, map);
     };
+
+    // Operand buffers of compute nodes, reused across nodes.
+    std::vector<NodeId> tensor_ops;
+    std::vector<double> imms;
 
     // Subtensors lower in Alg. 1 decomposition order on the calling
     // thread: each yields a handful of commands, far less work than
@@ -323,8 +332,8 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
                 return *err;
             // Chain n-ary computes into binary commands.
             // Gather tensor operands and at most the constants as imms.
-            std::vector<NodeId> tensor_ops;
-            std::vector<double> imms;
+            tensor_ops.clear();
+            imms.clear();
             for (NodeId op : n.operands) {
                 if (g.node(op).kind == TdfgKind::ConstVal)
                     imms.push_back(g.node(op).constValue);
@@ -550,8 +559,13 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
     // completes (context switches wait on this, §5.3).
     syncIfPending();
 
-    for (const auto &[a, s] : array_slot)
-        prog.arraySlots.emplace_back(a, s * bits);
+    // Homes are listed latest-assigned first, an order the pinned program
+    // digests (tests/jit/test_lowered_digest.cc) fix.
+    prog.arraySlots.reserve(array_slot.size());
+    for (std::size_t s = array_slot.size(); s-- > 0;)
+        prog.arraySlots.emplace_back(array_slot[s],
+                                     static_cast<unsigned>(s) * bits);
+    prog.outputSlots.reserve(g.outputs().size());
     for (const auto &o : g.outputs())
         prog.outputSlots.emplace_back(o.array, loc[o.node].wl);
 
@@ -591,20 +605,13 @@ JitCompiler::tryLower(const TdfgGraph &g, const TiledLayout &layout,
             return *std::move(err);
     }
     if (cfg_.cmdOpt) {
-        // Optimize a copy so a verify rejection can fall back to the raw
-        // stream (the raw stream just passed the hook above, so the region
-        // still executes — the bailout only foregoes the optimization).
-        InMemProgram optimized = *lowered;
-        optimizeCommands(optimized, layout, map, cfg_);
-        bool accept = true;
-        if (verify_) {
-            if (verify_(g, optimized, layout, map))
-                accept = false;
-        }
-        if (accept) {
-            *lowered = std::move(optimized);
-        } else {
-            lowered->opt = CmdStats{};
+        optimizeCommands(*lowered, layout, map, cfg_);
+        if (verify_ && verify_(g, *lowered, layout, map)) {
+            // Fall back to the raw stream, which just passed the hook, so
+            // the region still executes and the bailout only foregoes the
+            // optimization. Lowering is deterministic: lowering again
+            // rebuilds that stream.
+            lowered = doLower(g, layout, map);
             lowered->opt.bailouts = 1;
         }
     }

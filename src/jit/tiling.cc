@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 
 namespace infs {
@@ -176,10 +175,10 @@ TiledLayout::countTilesIntersecting(const HyperRect &r) const
     return count;
 }
 
-std::vector<BankId>
+BankSet
 TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
 {
-    std::vector<BankId> banks;
+    BankSet banks;
     if (r.empty())
         return banks;
     // Per dim: the tile-grid range [lo, hi) r covers, clamped to the
@@ -201,8 +200,9 @@ TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
         mult *= grid_[d];
     }
     const unsigned num_banks = map.l3().numBanks;
-    infs_assert(num_banks <= kMaxBanks, "banksFor supports <= %u banks, not %u",
-                kMaxBanks, num_banks);
+    infs_assert(num_banks <= BankSet::kMaxBanks,
+                "banksFor supports <= %u banks, not %u", BankSet::kMaxBanks,
+                num_banks);
     const auto total = static_cast<std::int64_t>(map.totalArrays());
     const std::int64_t per_bank = map.arraysPerBank();
 
@@ -218,34 +218,24 @@ TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
     // totalArrays, so a run's banks form one interval, or two when it
     // crosses the wrap, and a run of totalArrays tiles covers them all.
     if (run >= total) {
-        banks.resize(num_banks);
-        for (unsigned b = 0; b < num_banks; ++b)
-            banks[b] = b;
+        for (BankId b = 0; b < num_banks; ++b)
+            banks.insert(b);
         return banks;
     }
 
-    // Bit b of the stack bitmask marks bank b seen; the result is
-    // emitted from it below, so the walk allocates nothing.
-    std::array<std::uint64_t, kMaxBanks / 64> seen{};
     auto isSeen = [&](std::int64_t b) {
-        return (seen[static_cast<std::size_t>(b) / 64] >> (b % 64)) & 1;
+        return banks.contains(static_cast<BankId>(b));
     };
-    unsigned num_seen = 0;
     auto mark = [&](std::int64_t first, std::int64_t last) {
-        for (std::int64_t b = first; b <= last; ++b) {
-            if (!isSeen(b)) {
-                seen[static_cast<std::size_t>(b) / 64] |= std::uint64_t(1)
-                                                         << (b % 64);
-                ++num_seen;
-            }
-        }
+        for (std::int64_t b = first; b <= last; ++b)
+            banks.insert(static_cast<BankId>(b));
     };
     // Array slot of tile index @p idx (tiles wrap at totalArrays).
     auto slot = [&](std::int64_t idx) {
         return idx < total ? idx : idx % total;
     };
     // The first tile index at or after @p idx whose bank is unseen (in
-    // unwrapped index space). Requires num_seen < num_banks.
+    // unwrapped index space). Requires an unseen bank.
     auto nextUnseen = [&](std::int64_t idx) {
         const std::int64_t pos = slot(idx);
         std::int64_t b = pos / per_bank;
@@ -272,12 +262,12 @@ TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
     const std::int64_t n_hi = n < nd ? hi[n] : 1;
     const std::int64_t step = n < nd ? stride[n] : 1;
     std::array<std::int64_t, HyperRect::kMaxRank> t = lo;
-    while (num_seen < num_banks) {
+    while (banks.size() < num_banks) {
         std::int64_t base = off;
         for (unsigned d = n + 1; d < nd; ++d)
             base += t[d] * stride[d];
         std::int64_t k = n_lo;
-        while (k < n_hi && num_seen < num_banks) {
+        while (k < n_hi && banks.size() < num_banks) {
             const std::int64_t start = base + k * step;
             std::int64_t next = nextUnseen(start);
             if (next < start + run) {
@@ -289,7 +279,7 @@ TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
                     mark(first / per_bank, num_banks - 1);
                     mark(0, last / per_bank);
                 }
-                if (num_seen == num_banks)
+                if (banks.size() == num_banks)
                     break;
                 next = nextUnseen(start + run);
             }
@@ -305,11 +295,6 @@ TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
         if (d >= nd)
             break;
     }
-    banks.reserve(num_seen);
-    for (std::size_t w = 0; w < seen.size(); ++w)
-        for (std::uint64_t bits = seen[w]; bits; bits &= bits - 1)
-            banks.push_back(static_cast<BankId>(
-                w * 64 + static_cast<unsigned>(std::countr_zero(bits))));
     return banks;
 }
 

@@ -15,6 +15,7 @@
 #include <set>
 #include <vector>
 
+#include "jit/bank_set.hh"
 #include "mem/address_map.hh"
 #include "sim/config.hh"
 #include "sim/expected.hh"
@@ -50,9 +51,6 @@ struct TileRun {
 class TiledLayout
 {
   public:
-    /** The most L3 banks banksFor handles (its stack bitmask's size). */
-    static constexpr unsigned kMaxBanks = 1024;
-
     TiledLayout() = default;
     TiledLayout(std::vector<Coord> shape, std::vector<Coord> tile);
 
@@ -98,18 +96,17 @@ class TiledLayout
     std::int64_t countTilesIntersecting(const HyperRect &r) const;
 
     /**
-     * L3 banks owning any tile intersecting @p r, sorted ascending.
-     * Tiles fill banks contiguously (§5.2), so each run of consecutive
-     * tile indices covers one bank interval, split at most once where
-     * tile indices wrap at totalArrays. The leading dims @p r spans fully
-     * merge into one run, and the walk along the next dim jumps to the
-     * runs that reach an unseen bank: O(banks) on layouts that fit the
-     * arrays, not O(tile rows). Rank at most HyperRect::kMaxRank and at
-     * most kMaxBanks banks: the seen set is a bitmask on the stack, and
-     * the result is the only allocation.
+     * L3 banks owning any tile intersecting @p r. Tiles fill banks
+     * contiguously (§5.2), so each run of consecutive tile indices covers
+     * one bank interval, split at most once where tile indices wrap at
+     * totalArrays. The leading dims @p r spans fully merge into one run,
+     * and the walk along the next dim jumps to the runs that reach a bank
+     * not yet in the set: O(banks) on layouts that fit the arrays, not
+     * O(tile rows). Rank at most HyperRect::kMaxRank and at most
+     * BankSet::kMaxBanks banks; marks the banks straight into the
+     * returned inline set, so it never allocates.
      */
-    std::vector<BankId> banksFor(const HyperRect &r,
-                                 const AddressMap &map) const;
+    BankSet banksFor(const HyperRect &r, const AddressMap &map) const;
 
     /** Whether a whole-array element count fits the available arrays. */
     bool fits(const AddressMap &map) const;

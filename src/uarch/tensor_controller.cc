@@ -7,6 +7,23 @@
 
 namespace infs {
 
+double
+TensorController::meanHops(unsigned bank_delta)
+{
+    const unsigned banks = cfg_.l3.numBanks;
+    if (hopMeans_.empty())
+        hopMeans_.assign(banks, -1.0);
+    double &mean = hopMeans_[bank_delta];
+    if (mean < 0.0) {
+        double hops = 0.0;
+        for (BankId b = 0; b < banks; ++b)
+            hops += noc_.hops(b, static_cast<BankId>((b + bank_delta) %
+                                                     banks));
+        mean = hops / banks;
+    }
+    return mean;
+}
+
 InMemExecResult
 TensorController::execute(const InMemProgram &prog,
                           const TiledLayout &layout, BankId core,
@@ -31,15 +48,14 @@ TensorController::execute(const InMemProgram &prog,
     noc_.accountBulk(static_cast<double>(prog.commands.size()) * 16.0 * rep,
                      noc_.avgHops(), TrafficClass::Offload);
 
-    auto bumpBanks = [&](const std::vector<BankId> &bs, Tick lat,
-                         unsigned group) {
-        for (BankId b : bs) {
+    auto bumpBanks = [&](const BankSet &bs, Tick lat, unsigned group) {
+        bs.forEach([&](BankId b) {
             if (cur_group[b] != group) {
                 group_base[b] = busy[b];
                 cur_group[b] = group;
             }
             busy[b] = std::max(busy[b], group_base[b] + lat);
-        }
+        });
     };
     auto maxBusy = [&]() {
         Tick m = 0;
@@ -138,11 +154,8 @@ TensorController::execute(const InMemProgram &prog,
                     std::max<std::int64_t>(
                         mc.tileDelta / map_.arraysPerBank(), 1) %
                     banks;
-                double hops = 0.0;
-                for (BankId b = 0; b < banks; ++b)
-                    hops += noc_.hops(b, static_cast<BankId>(
-                                             (b + bank_delta) % banks));
-                noc_.accountBulk(bytes * mc.crossing, hops / banks,
+                noc_.accountBulk(bytes * mc.crossing,
+                                 meanHops(static_cast<unsigned>(bank_delta)),
                                  TrafficClass::InterTile);
                 res.interTileNocBytes += bytes * mc.crossing;
             }

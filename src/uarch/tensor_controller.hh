@@ -68,12 +68,19 @@ class TensorController
                             std::uint64_t repeat = 1);
 
   private:
+    /** Mean NoC hop count from every bank b to bank (b + @p bank_delta)
+     * mod banks: an InterShift's per-bank destination pattern. Computed
+     * once per delta; the mesh and the bank count never change. */
+    double meanHops(unsigned bank_delta);
+
     SystemConfig cfg_;
     MeshNoc &noc_;
     const AddressMap &map_;
     EnergyAccount &energy_;
     FaultInjector *fault_ = nullptr;
     LatencyTable lat_;
+    /** meanHops by bank delta; negative until computed. */
+    std::vector<double> hopMeans_;
 };
 
 } // namespace infs

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "analysis/verify_cmds.hh"
 
 namespace infs {
@@ -44,15 +42,9 @@ class VerifyCmds : public ::testing::Test
         c.wlA = wl_a;
         c.wlDst = wl_dst;
         const HyperRect dst = c.tensor.shifted(0, inter * 16 + intra);
-        c.banks = layout.banksFor(
-            c.tensor.intersect(HyperRect::array(layout.shape())), map);
-        for (BankId b :
-             layout.banksFor(dst.intersect(HyperRect::array(layout.shape())),
-                             map)) {
-            if (std::find(c.banks.begin(), c.banks.end(), b) ==
-                c.banks.end())
-                c.banks.push_back(b);
-        }
+        const HyperRect array = HyperRect::array(layout.shape());
+        c.banks = layout.banksFor(c.tensor.intersect(array), map);
+        c.banks |= layout.banksFor(dst.intersect(array), map);
         return c;
     }
 
@@ -203,9 +195,23 @@ TEST_F(VerifyCmds, MaskBeyondTileIsReported)
 TEST_F(VerifyCmds, MissingBanksAreReported)
 {
     InMemCommand c = computeImm(1, 0, 16, 0, 64);
-    c.banks.clear();
+    c.banks = BankSet{};
     VerifyReport rep = verify({c});
     EXPECT_TRUE(rep.has(VerifyCode::CmdBankInvalid)) << rep.str();
+}
+
+TEST_F(VerifyCmds, BankBeyondL3IsReported)
+{
+    // The 16-bank test system has banks 0..15; bank 16 (and the higher
+    // bank 40) do not exist. The lowest missing bank is named.
+    InMemCommand c = computeImm(1, 0, 16, 0, 64);
+    c.banks.insert(40);
+    c.banks.insert(cfg.l3.numBanks);
+    VerifyReport rep = verify({c});
+    ASSERT_EQ(rep.count(VerifyCode::CmdBankInvalid), 1u) << rep.str();
+    EXPECT_NE(rep.diags().front().message.find("bank 16 beyond the 16-bank"),
+              std::string::npos)
+        << rep.str();
 }
 
 TEST_F(VerifyCmds, DuplicateLotHomeIsReported)

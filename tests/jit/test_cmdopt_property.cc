@@ -313,7 +313,7 @@ struct CmdOptFixture {
     TiledLayout layout{{1024}, {256}};
     AddressMap map{cfg.l3, cfg.noc.memCtrls};
 
-    std::vector<BankId> banksOf(const HyperRect &r) const
+    BankSet banksOf(const HyperRect &r) const
     {
         return layout.banksFor(r, map);
     }

@@ -284,6 +284,48 @@ TEST_F(JitLowerTest, TryLowerRejectsMoveAlongMissingDim)
     EXPECT_EQ(res.error().code, ErrCode::UnsupportedMove);
 }
 
+TEST_F(JitLowerTest, RejectedOptimizationKeepsTheRawStream)
+{
+    // The verify hook passes the raw stream and rejects the optimized one:
+    // the region runs the raw stream and counts one bailout.
+    const Coord n = 4096;
+    TdfgGraph g(1, "stencil1d");
+    NodeId a0 = g.tensor(0, HyperRect::interval(0, n - 2));
+    NodeId a1 = g.tensor(0, HyperRect::interval(1, n - 1));
+    NodeId a2 = g.tensor(0, HyperRect::interval(2, n));
+    g.output(g.compute(BitOp::Add,
+                       {g.move(a0, 0, 1), a1, g.move(a2, 0, -1)}),
+             1);
+    TiledLayout lay({n}, {256});
+    SystemConfig raw_cfg = cfg;
+    raw_cfg.cmdOpt = false;
+    auto raw = JitCompiler(raw_cfg).lower(g, lay, map);
+    auto optimized = JitCompiler(cfg).lower(g, lay, map);
+    ASSERT_NE(optimized->commands, raw->commands)
+        << "cmdopt must rewrite this region for the test to mean anything";
+
+    int calls = 0;
+    jit.setVerifyHook([&calls](const TdfgGraph &, const InMemProgram &,
+                               const TiledLayout &, const AddressMap &)
+                          -> std::optional<Error> {
+        if (++calls == 1)
+            return std::nullopt;
+        return Error{ErrCode::VerifyFailed, "optimized stream rejected"};
+    });
+    auto res = jit.tryLower(g, lay, map);
+    ASSERT_TRUE(res.ok()) << res.error().str();
+    EXPECT_EQ(calls, 2);
+    const InMemProgram &p = **res;
+    EXPECT_EQ(p.commands, raw->commands);
+    EXPECT_EQ(p.arraySlots, raw->arraySlots);
+    EXPECT_EQ(p.outputSlots, raw->outputSlots);
+    EXPECT_EQ(p.jitTicks, raw->jitTicks);
+    CmdStats bailout;
+    bailout.bailouts = 1;
+    EXPECT_EQ(p.opt, bailout);
+    EXPECT_EQ(jit.stats().cmd.bailouts, 1u);
+}
+
 TEST(JitNumSlots, TracksElementTypeAndGuardsUnderflow)
 {
     SystemConfig cfg = testSystemConfig(); // 256 wordlines.
@@ -342,7 +384,8 @@ TEST(InMemCommand, EqualityComparesEveryField)
     // comparison skipped would let a diverging stream pass.
     InMemCommand base;
     base.tensor = HyperRect::interval(0, 64);
-    base.banks = {0, 3};
+    base.banks.insert(0);
+    base.banks.insert(3);
     const std::vector<std::pair<const char *,
                                 std::function<void(InMemCommand &)>>>
         edits = {
@@ -364,7 +407,7 @@ TEST(InMemCommand, EqualityComparesEveryField)
             {"wlDst", [](InMemCommand &c) { c.wlDst = 32; }},
             {"useImm", [](InMemCommand &c) { c.useImm = true; }},
             {"imm", [](InMemCommand &c) { c.imm = 0.5; }},
-            {"banks", [](InMemCommand &c) { c.banks.push_back(4); }},
+            {"banks", [](InMemCommand &c) { c.banks.insert(4); }},
         };
     InMemCommand copy = base;
     EXPECT_TRUE(copy == base);

@@ -178,17 +178,13 @@ TEST(TiledLayout, BanksForContiguousMapping)
 }
 
 /** Reference for banksFor: map every intersecting tile to its bank. */
-std::vector<BankId>
+BankSet
 banksByTileWalk(const TiledLayout &lay, const HyperRect &r,
                 const AddressMap &map)
 {
-    std::vector<bool> seen(map.l3().numBanks, false);
+    BankSet banks;
     for (std::int64_t t : lay.tilesIntersecting(r))
-        seen[map.tileToArray(static_cast<std::uint64_t>(t)).bank] = true;
-    std::vector<BankId> banks;
-    for (BankId b = 0; b < seen.size(); ++b)
-        if (seen[b])
-            banks.push_back(b);
+        banks.insert(map.tileToArray(static_cast<std::uint64_t>(t)).bank);
     return banks;
 }
 
@@ -233,7 +229,7 @@ TEST(TiledLayout, BanksForMatchesTileWalk)
         }
         TiledLayout lay(shape, tile);
         HyperRect r(lo, hi);
-        std::vector<BankId> got = lay.banksFor(r, map);
+        BankSet got = lay.banksFor(r, map);
         ASSERT_EQ(got, banksByTileWalk(lay, r, map))
             << "iter " << iter << " rect " << r.str();
         wrapped += lay.numTiles() > static_cast<std::int64_t>(
@@ -342,7 +338,7 @@ TEST(TiledLayout, BanksForMatchesTileWalk)
         }
     }
 
-    // More banks than one 64-bit word of the seen bitmask holds: a
+    // More banks than one 64-bit word of the bank set holds: a
     // multiple of 64 (128) and two that are not (65, 100), with layouts
     // that fit the arrays and layouts that wrap onto them.
     for (unsigned num_banks : {65u, 100u, 128u}) {
@@ -365,11 +361,13 @@ TEST(TiledLayout, BanksForMatchesTileWalk)
             }
             TiledLayout lay(shape, tile);
             HyperRect r(lo, hi);
-            std::vector<BankId> got = lay.banksFor(r, map);
+            BankSet got = lay.banksFor(r, map);
             ASSERT_EQ(got, banksByTileWalk(lay, r, map))
                 << num_banks << " banks, iter " << iter << " rect "
                 << r.str();
-            high_bank += !got.empty() && got.back() >= 64;
+            bool high = false;
+            got.forEach([&](BankId b) { high |= b >= 64; });
+            high_bank += high;
             wrapped_wide += lay.numTiles() > static_cast<std::int64_t>(
                                                  map.totalArrays());
         }
