@@ -309,14 +309,4 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
     return rep;
 }
 
-Expected<bool>
-checkCommands(const InMemProgram &prog, const TiledLayout &layout,
-              const AddressMap &map, const SystemConfig &cfg)
-{
-    VerifyReport rep = verifyCommands(prog, layout, map, cfg);
-    if (!rep.clean())
-        return rep.toError();
-    return true;
-}
-
 } // namespace infs

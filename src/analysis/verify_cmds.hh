@@ -31,11 +31,6 @@ VerifyReport verifyCommands(const InMemProgram &prog,
                             const TiledLayout &layout, const AddressMap &map,
                             const SystemConfig &cfg);
 
-/** True when @p prog verifies clean, else a VerifyFailed Error. */
-Expected<bool> checkCommands(const InMemProgram &prog,
-                             const TiledLayout &layout,
-                             const AddressMap &map, const SystemConfig &cfg);
-
 } // namespace infs
 
 #endif // INFS_ANALYSIS_VERIFY_CMDS_HH

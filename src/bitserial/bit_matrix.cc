@@ -52,18 +52,6 @@ BitRow::fillRange(unsigned lo, unsigned hi, bool v)
     words_[w_hi] &= ~tail;
 }
 
-void
-BitRow::setStrided(unsigned lo, unsigned stride, unsigned count)
-{
-    infs_assert(stride > 0, "stride must be positive");
-    for (unsigned k = 0; k < count; ++k) {
-        unsigned i = lo + k * stride;
-        if (i >= bits_)
-            break;
-        set(i, true);
-    }
-}
-
 unsigned
 BitRow::popcount() const
 {
@@ -80,36 +68,6 @@ BitRow::any() const
         if (w != 0)
             return true;
     return false;
-}
-
-BitRow
-BitRow::apply(const BitRow &o, OpKind k) const
-{
-    infs_assert(bits_ == o.bits_, "row width mismatch %u vs %u", bits_,
-                o.bits_);
-    BitRow r(bits_);
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-        switch (k) {
-          case OpAnd: r.words_[i] = words_[i] & o.words_[i]; break;
-          case OpOr: r.words_[i] = words_[i] | o.words_[i]; break;
-          case OpXor: r.words_[i] = words_[i] ^ o.words_[i]; break;
-        }
-    }
-    return r;
-}
-
-void
-BitRow::inplace(const BitRow &o, OpKind k)
-{
-    infs_assert(bits_ == o.bits_, "row width mismatch %u vs %u", bits_,
-                o.bits_);
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-        switch (k) {
-          case OpAnd: words_[i] &= o.words_[i]; break;
-          case OpOr: words_[i] |= o.words_[i]; break;
-          case OpXor: words_[i] ^= o.words_[i]; break;
-        }
-    }
 }
 
 void
@@ -281,63 +239,12 @@ BitRow::mergeMasked(const BitRow &value, const BitRow &mask)
                                   mask.words_.data(), words_.size());
 }
 
-BitRow
-BitRow::operator~() const
-{
-    BitRow r(bits_);
-    for (std::size_t i = 0; i < words_.size(); ++i)
-        r.words_[i] = ~words_[i];
-    r.maskTail();
-    return r;
-}
-
 void
 BitRow::maskTail()
 {
     unsigned rem = bits_ % 64;
     if (rem != 0 && !words_.empty())
         words_.back() &= (1ULL << rem) - 1;
-}
-
-BitRow
-BitRow::shiftedUp(unsigned n) const
-{
-    BitRow r(bits_);
-    if (n >= bits_)
-        return r;
-    unsigned word_shift = n / 64;
-    unsigned bit_shift = n % 64;
-    for (std::size_t i = words_.size(); i-- > 0;) {
-        std::uint64_t v = 0;
-        if (i >= word_shift) {
-            v = words_[i - word_shift] << bit_shift;
-            if (bit_shift != 0 && i > word_shift)
-                v |= words_[i - word_shift - 1] >> (64 - bit_shift);
-        }
-        r.words_[i] = v;
-    }
-    r.maskTail();
-    return r;
-}
-
-BitRow
-BitRow::shiftedDown(unsigned n) const
-{
-    BitRow r(bits_);
-    if (n >= bits_)
-        return r;
-    unsigned word_shift = n / 64;
-    unsigned bit_shift = n % 64;
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-        std::uint64_t v = 0;
-        if (i + word_shift < words_.size()) {
-            v = words_[i + word_shift] >> bit_shift;
-            if (bit_shift != 0 && i + word_shift + 1 < words_.size())
-                v |= words_[i + word_shift + 1] << (64 - bit_shift);
-        }
-        r.words_[i] = v;
-    }
-    return r;
 }
 
 std::uint64_t

@@ -60,22 +60,10 @@ class BitRow
     /** Set bits [lo, hi) to @p v (word-level; others untouched). */
     void fillRange(unsigned lo, unsigned hi, bool v);
 
-    /** Set bits lo, lo+stride, ... (count of them) to 1. */
-    void setStrided(unsigned lo, unsigned stride, unsigned count);
-
     /** Number of set bits. */
     unsigned popcount() const;
 
     bool any() const;
-
-    // Elementwise logic across all bitlines (the parallel PE operations).
-    BitRow operator&(const BitRow &o) const { return apply(o, OpAnd); }
-    BitRow operator|(const BitRow &o) const { return apply(o, OpOr); }
-    BitRow operator^(const BitRow &o) const { return apply(o, OpXor); }
-    BitRow operator~() const;
-    BitRow &operator&=(const BitRow &o) { inplace(o, OpAnd); return *this; }
-    BitRow &operator|=(const BitRow &o) { inplace(o, OpOr); return *this; }
-    BitRow &operator^=(const BitRow &o) { inplace(o, OpXor); return *this; }
 
     // ------------------------------------------------------------------
     // Fused in-place word-level passes (the allocation-free hot paths —
@@ -83,7 +71,7 @@ class BitRow
     // words with no temporaries; rows must have equal widths.
     // ------------------------------------------------------------------
 
-    /** this &= o (named form used by the hot paths). */
+    /** this &= o. */
     void andInto(const BitRow &o);
 
     /** this ^= o. */
@@ -114,8 +102,8 @@ class BitRow
 
     /**
      * this = src shifted by @p dist bitlines (positive = up / toward
-     * higher index). Allocation-free counterpart of shiftedUp/Down;
-     * @p src must not alias *this.
+     * higher index); bits shifted past either edge are dropped. @p src
+     * must not alias *this.
      */
     void assignShifted(const BitRow &src, int dist);
 
@@ -149,16 +137,7 @@ class BitRow
         return bits_ == o.bits_ && words_ == o.words_;
     }
 
-    /** Shift the row left (toward higher bitline index) by @p n bits. */
-    BitRow shiftedUp(unsigned n) const;
-    /** Shift the row right (toward lower bitline index) by @p n bits. */
-    BitRow shiftedDown(unsigned n) const;
-
   private:
-    enum OpKind { OpAnd, OpOr, OpXor };
-
-    BitRow apply(const BitRow &o, OpKind k) const;
-    void inplace(const BitRow &o, OpKind k);
     void maskTail();
 
     // Raw word access for BitMatrix's single-pass element fast paths.

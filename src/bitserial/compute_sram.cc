@@ -377,23 +377,6 @@ ComputeSram::execUnary(BitOp op, DType t, unsigned wl_a, unsigned wl_dst,
 }
 
 Tick
-ComputeSram::execSelect(DType t, unsigned wl_pred, unsigned wl_a,
-                        unsigned wl_b, unsigned wl_dst, const BitRow &mask)
-{
-    const unsigned n = dtypeBits(t);
-    scratch(18);
-    BitRow &pred = scratch(17);
-    pred.assignAnd(senseRow(wl_pred), mask);
-    BitRow &r = scratch(18);
-    for (unsigned i = 0; i < n; ++i) {
-        r.assignSelect(senseRow(wl_a + i), senseRow(wl_b + i), pred);
-        driveRow(wl_dst + i, r, mask);
-    }
-    ++stats_.opCount;
-    return lat_.opCycles(BitOp::Select, t);
-}
-
-Tick
 ComputeSram::writeImmediate(DType t, std::uint64_t imm, unsigned wl_dst,
                             const BitRow &mask)
 {
@@ -420,22 +403,6 @@ ComputeSram::shift(DType t, unsigned wl_src, unsigned wl_dst, int dist,
         src.assignAnd(senseRow(wl_src + i), mask);
         moved.assignShifted(src, dist);
         driveRow(wl_dst + i, moved, dst_mask);
-        ++stats_.htreeRowMoves;
-    }
-    ++stats_.opCount;
-    return lat_.intraShiftCycles(t);
-}
-
-Tick
-ComputeSram::broadcast(DType t, unsigned src_bitline, unsigned wl_src,
-                       unsigned wl_dst, const BitRow &mask)
-{
-    const unsigned n = dtypeBits(t);
-    BitRow &zeros = scratch(17);
-    zeros.clear();
-    for (unsigned i = 0; i < n; ++i) {
-        bool bit = senseRow(wl_src + i).get(src_bitline);
-        driveRow(wl_dst + i, bit ? mask : zeros, mask);
         ++stats_.htreeRowMoves;
     }
     ++stats_.opCount;

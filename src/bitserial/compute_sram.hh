@@ -65,7 +65,7 @@ class ComputeSram
     BitRow fullMask() const;
 
     // ------------------------------------------------------------------
-    // Element access (used by the transpose unit model and by tests).
+    // Element access (fault repair, the integer divide, and tests).
     // ------------------------------------------------------------------
 
     /** Read the raw bits of the element at (bitline, wl). */
@@ -125,13 +125,6 @@ class ComputeSram
     Tick execUnary(BitOp op, DType t, unsigned wl_a, unsigned wl_dst,
                    const BitRow &mask);
 
-    /**
-     * Predicated select: dst = pred ? a : b, where @p wl_pred names a
-     * single wordline holding a 1-bit predicate per bitline.
-     */
-    Tick execSelect(DType t, unsigned wl_pred, unsigned wl_a, unsigned wl_b,
-                    unsigned wl_dst, const BitRow &mask);
-
     /** Broadcast an immediate value into the masked bitlines at wl_dst. */
     Tick writeImmediate(DType t, std::uint64_t imm, unsigned wl_dst,
                         const BitRow &mask);
@@ -148,14 +141,6 @@ class ComputeSram
      */
     Tick shift(DType t, unsigned wl_src, unsigned wl_dst, int dist,
                const BitRow &mask);
-
-    /**
-     * Broadcast the element of @p src_bitline at wl_src to every masked
-     * bitline at wl_dst (the buffered H tree's one-to-many mode).
-     * @return Cycle cost.
-     */
-    Tick broadcast(DType t, unsigned src_bitline, unsigned wl_src,
-                   unsigned wl_dst, const BitRow &mask);
 
     const LatencyTable &latency() const { return lat_; }
 

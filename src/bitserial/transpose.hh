@@ -1,24 +1,23 @@
 /**
  * @file
- * Tensor transpose unit (TTU) model: converts elements between the normal
- * horizontal layout (a span of values) and the vertical bit-serial layout
- * inside a ComputeSram, charging a per-line conversion cost (§5.2).
+ * Tensor transpose unit (TTU) timing model: the per-line cost of
+ * converting elements between the normal horizontal layout and the
+ * vertical bit-serial layout (§5.2). The conversion itself is
+ * BitAccurateFabric::loadArray/storeArray.
  */
 
 #ifndef INFS_BITSERIAL_TRANSPOSE_HH
 #define INFS_BITSERIAL_TRANSPOSE_HH
 
 #include <cstdint>
-#include <span>
 
-#include "bitserial/compute_sram.hh"
 #include "sim/types.hh"
 
 namespace infs {
 
 /**
- * Functional + timing model of the TTU. One TTU sits at each L3 bank and
- * converts one cache line between layouts every `cyclesPerLine` cycles.
+ * Timing model of the TTU. One TTU sits at each L3 bank and converts one
+ * cache line between layouts every `cyclesPerLine` cycles.
  */
 class TensorTransposeUnit
 {
@@ -27,21 +26,6 @@ class TensorTransposeUnit
         : cyclesPerLine_(cycles_per_line)
     {
     }
-
-    /**
-     * Transpose @p elems into @p sram: element i lands on bitline
-     * (first_bitline + i) at wordlines [wl, wl + bits). Values are raw bit
-     * patterns (use std::bit_cast for floats).
-     * @return Cycle cost of the conversion.
-     */
-    Tick loadTransposed(ComputeSram &sram, std::span<const std::uint64_t>
-                        elems, DType t, unsigned wl,
-                        unsigned first_bitline = 0) const;
-
-    /** Inverse of loadTransposed. @return Cycle cost. */
-    Tick storeFromTransposed(const ComputeSram &sram,
-                             std::span<std::uint64_t> elems, DType t,
-                             unsigned wl, unsigned first_bitline = 0) const;
 
     /** Cycles to convert @p n elements of type @p t. */
     Tick

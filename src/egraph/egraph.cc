@@ -1,8 +1,6 @@
 #include "egraph/egraph.hh"
 
 #include <algorithm>
-#include <sstream>
-#include <string>
 #include <utility>
 
 namespace infs {
@@ -295,40 +293,6 @@ EGraph::canonicalClasses() const
     // Roots are exactly the non-empty classes: a union empties the loser.
     std::erase_if(roots_, [&](EClassId id) { return parent_[id] != id; });
     return roots_;
-}
-
-std::string
-EGraph::dump() const
-{
-    std::ostringstream os;
-    for (EClassId id : canonicalClasses()) {
-        const EClass &c = classes_[id];
-        os << "class " << id;
-        if (c.infiniteDomain)
-            os << " (inf)";
-        else
-            os << " " << c.domain.str();
-        os << ":\n";
-        for (ENodeId nid : c.nodes) {
-            const ENode &n = node(nid);
-            os << "  " << tdfgKindName(n.kind);
-            if (n.kind == TdfgKind::Compute || n.kind == TdfgKind::Reduce)
-                os << "/" << bitOpName(n.fn);
-            if (n.kind == TdfgKind::Tensor)
-                os << " a" << n.array << " " << n.rect.str();
-            if (n.kind == TdfgKind::ConstVal)
-                os << " " << n.constValue;
-            if (n.kind == TdfgKind::Move)
-                os << " d" << n.dim << ":" << n.dist;
-            if (n.kind == TdfgKind::Shrink)
-                os << " d" << n.dim << ":[" << n.shrinkLo << ","
-                   << n.shrinkHi << ")";
-            for (EClassId ch : n.children)
-                os << " %" << find(ch);
-            os << "\n";
-        }
-    }
-    return os.str();
 }
 
 } // namespace infs

@@ -223,9 +223,6 @@ class EGraph
     /** Compute the semantic domain an e-node would produce. */
     void domainOf(const ENode &n, HyperRect &out, bool &infinite) const;
 
-    /** Multi-line dump of every canonical class for debugging. */
-    std::string dump() const;
-
   private:
     static constexpr ENodeId noNode = ~ENodeId(0);
 

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <optional>
 #include <string>
@@ -969,9 +968,6 @@ extractCheapest(const EGraph &eg, const std::vector<EClassId> &roots,
                   "extraction", e->str().c_str());
         return tree;
     }
-    if (logVerbosity() >= 2)
-        std::fprintf(stderr, "extract: tree=%.2f shared=%.2f\n", tree.cost,
-                     shared.cost);
     return shared.cost <= tree.cost ? std::move(shared) : std::move(tree);
 }
 
@@ -1030,9 +1026,6 @@ TdfgOptimizer::tryOptimize(const TdfgGraph &g, const ExtractionCost &cost)
         if (applied == 0 || eg.numNodes() > opts_.maxNodes)
             break;
     }
-
-    if (logVerbosity() >= 3)
-        std::fprintf(stderr, "%s", eg.dump().c_str());
 
     // Roots: every output plus every (side-effecting) stream node.
     std::vector<EClassId> roots;

@@ -67,14 +67,6 @@ decomposeFrom(HyperRect &rect, const DimSplit *splits, unsigned dim,
 
 } // namespace
 
-std::vector<HyperRect>
-decomposeTensor(const HyperRect &tensor, const std::vector<Coord> &tile)
-{
-    auto res = tryDecomposeTensor(tensor, tile);
-    infs_assert(res.ok(), "decomposeTensor: %s", res.error().str().c_str());
-    return std::move(res.value());
-}
-
 Expected<std::vector<HyperRect>>
 tryDecomposeTensor(const HyperRect &tensor, const std::vector<Coord> &tile)
 {

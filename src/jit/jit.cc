@@ -326,6 +326,14 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
             break;
           }
           case TdfgKind::Compute: {
+            // Computes fold pairwise into binary commands; a select's
+            // predicate would be a third source slot, which no command
+            // names, so its region degrades instead of lowering into
+            // commands no backend can run.
+            if (n.fn == BitOp::Select)
+                return Error{ErrCode::InvalidArgument,
+                             "tDFG '" + g.name() +
+                                 "': select has no command form"};
             syncIfPending();
             unsigned dst_wl = allocSlot(id) * bits;
             if (err)

@@ -1,10 +1,9 @@
 /**
  * @file
  * Static-NUCA address mapping: physical addresses interleave across L3
- * banks at a 1 kB granule (Table 2), and across memory controllers at the
- * mesh edge. Also provides the tiled-layout remap used for transposed
- * arrays: tiles map contiguously to SRAM arrays, SRAM arrays to compute
- * ways of banks in order.
+ * banks at a 1 kB granule (Table 2). Also provides the tiled-layout remap
+ * used for transposed arrays: tiles map contiguously to SRAM arrays, SRAM
+ * arrays to compute ways of banks in order.
  */
 
 #ifndef INFS_MEM_ADDRESS_MAP_HH
@@ -30,8 +29,10 @@ struct ArrayLocation {
 class AddressMap
 {
   public:
-    explicit AddressMap(const L3Config &l3, unsigned mem_ctrls = 16)
-        : l3_(l3), memCtrls_(mem_ctrls)
+    /** The memory-controller count (NocConfig::memCtrls) does not enter
+     * the bank or array mapping. */
+    explicit AddressMap(const L3Config &l3, unsigned /*mem_ctrls*/ = 16)
+        : l3_(l3)
     {
     }
 
@@ -40,13 +41,6 @@ class AddressMap
     homeBank(Addr addr) const
     {
         return static_cast<BankId>((addr / l3_.interleave) % l3_.numBanks);
-    }
-
-    /** Memory controller serving a physical address. */
-    unsigned
-    memCtrl(Addr addr) const
-    {
-        return static_cast<unsigned>((addr / l3_.interleave) % memCtrls_);
     }
 
     /** Number of compute SRAM arrays per bank. */
@@ -96,7 +90,6 @@ class AddressMap
 
   private:
     L3Config l3_;
-    unsigned memCtrls_;
 };
 
 } // namespace infs

@@ -1,7 +1,6 @@
 #include "noc/mesh.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "sim/fault.hh"
 #include "sim/logging.hh"
@@ -69,29 +68,9 @@ MeshNoc::linkIndex(BankId from, BankId to) const
 }
 
 void
-MeshNoc::route(BankId src, BankId dst, std::vector<unsigned> &out) const
-{
-    // X-Y dimension-ordered routing: travel X first, then Y.
-    MeshCoord cur = coord(src);
-    MeshCoord end = coord(dst);
-    while (cur.x != end.x) {
-        MeshCoord next = cur;
-        next.x += (end.x > cur.x) ? 1 : -1;
-        out.push_back(linkIndex(node(cur), node(next)));
-        cur = next;
-    }
-    while (cur.y != end.y) {
-        MeshCoord next = cur;
-        next.y += (end.y > cur.y) ? 1 : -1;
-        out.push_back(linkIndex(node(cur), node(next)));
-        cur = next;
-    }
-}
-
-void
 MeshNoc::chargeRoute(MeshCoord src, MeshCoord dst, Bytes bytes)
 {
-    // The links route() lists, in its order: link(from, dir) is
+    // X-Y dimension-ordered routing, X first: link(from, dir) is
     // from * 4 + dir with dir 0/1/2/3 = east/west/north/south.
     const auto b = static_cast<double>(bytes);
     const unsigned row = src.y * cfg_.meshX;
@@ -122,41 +101,6 @@ MeshNoc::send(BankId src, BankId dst, Bytes bytes, TrafficClass cls)
         hopBytes_[static_cast<unsigned>(cls)] +=
             static_cast<double>(bytes) * h;
         chargeRoute(a, b, bytes);
-        latency += fault_->recordDetection() + fault_->recordRetry(latency);
-    }
-    return latency;
-}
-
-Tick
-MeshNoc::multicast(BankId src, const std::vector<BankId> &dsts, Bytes bytes,
-                   TrafficClass cls)
-{
-    // Union of X-Y routes; each tree link charged once.
-    std::set<unsigned> tree;
-    unsigned max_hops = 0;
-    std::vector<unsigned> r;
-    for (BankId dst : dsts) {
-        if (dst == src)
-            continue;
-        r.clear();
-        route(src, dst, r);
-        tree.insert(r.begin(), r.end());
-        max_hops = std::max(max_hops, hops(src, dst));
-    }
-    hopBytes_[static_cast<unsigned>(cls)] +=
-        static_cast<double>(bytes) * tree.size();
-    for (unsigned link : tree)
-        links_[link] += static_cast<double>(bytes);
-    Tick serialization = (bytes + cfg_.linkBytes - 1) / cfg_.linkBytes;
-    Tick latency = Tick(max_hops) * (cfg_.routerStages + cfg_.linkLatency) +
-                   (serialization > 0 ? serialization - 1 : 0);
-    if (fault_ && fault_->sampleNocPacketFault()) {
-        // Retransmit down the whole tree (the routers replay multicasts
-        // from the source on a CRC failure).
-        hopBytes_[static_cast<unsigned>(cls)] +=
-            static_cast<double>(bytes) * tree.size();
-        for (unsigned link : tree)
-            links_[link] += static_cast<double>(bytes);
         latency += fault_->recordDetection() + fault_->recordRetry(latency);
     }
     return latency;

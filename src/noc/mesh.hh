@@ -1,9 +1,8 @@
 /**
  * @file
  * 8x8 mesh network-on-chip model: X-Y dimension-ordered routing, per-link
- * bandwidth and utilization accounting, multicast trees, and traffic
- * categorization matching the paper's Fig. 12/13 breakdown (control / data /
- * offload / inter-tile).
+ * bandwidth and utilization accounting, and traffic categorization matching
+ * the paper's Fig. 12/13 breakdown (control / data / offload / inter-tile).
  */
 
 #ifndef INFS_NOC_MESH_HH
@@ -51,7 +50,6 @@ class MeshNoc
     explicit MeshNoc(const NocConfig &cfg);
 
     unsigned numNodes() const { return cfg_.meshX * cfg_.meshY; }
-    unsigned numLinks() const { return static_cast<unsigned>(links_.size()); }
 
     MeshCoord coord(BankId node) const;
     BankId node(MeshCoord c) const;
@@ -65,14 +63,6 @@ class MeshNoc
      * serialization of the payload.
      */
     Tick send(BankId src, BankId dst, Bytes bytes, TrafficClass cls);
-
-    /**
-     * Account a multicast along the X-Y tree from @p src to @p dsts.
-     * Shared tree links are charged once (the paper's routers support
-     * multicast). @return Latency to the farthest destination.
-     */
-    Tick multicast(BankId src, const std::vector<BankId> &dsts, Bytes bytes,
-                   TrafficClass cls);
 
     /**
      * Account bulk traffic analytically: @p bytes moving an average of
@@ -101,8 +91,8 @@ class MeshNoc
 
     /**
      * Bytes charged so far to the directed link from node @p from to the
-     * adjacent node @p to: its discrete unicast and multicast traffic
-     * plus its share of the uniformly spread bulk traffic.
+     * adjacent node @p to: its unicast traffic plus its share of the
+     * uniformly spread bulk traffic.
      */
     double linkBusyBytes(BankId from, BankId to) const;
 
@@ -123,9 +113,6 @@ class MeshNoc
     /** Link index for the hop from node @p from toward adjacent @p to. */
     unsigned linkIndex(BankId from, BankId to) const;
 
-    /** Enumerate the X-Y route src -> dst as a list of link indices. */
-    void route(BankId src, BankId dst, std::vector<unsigned> &out) const;
-
     /**
      * Charge @p bytes to every link of the X-Y route src -> dst, in route
      * order, without enumerating it: east/west along the source row,
@@ -137,7 +124,7 @@ class MeshNoc
     FaultInjector *fault_ = nullptr;
     std::array<double, numTrafficClasses> hopBytes_{};
     // Busy byte-count per directed link (bytes / linkBytes = busy cycles)
-    // from the discrete send/multicast charges.
+    // from the discrete send charges.
     std::vector<double> links_;
     // Busy bytes every link slot carries on top of links_: the bulk
     // traffic, spread uniformly (see accountBulk).

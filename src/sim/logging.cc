@@ -5,24 +5,6 @@
 
 namespace infs {
 
-namespace {
-int gVerbosity = 0;
-} // namespace
-
-int
-logVerbosity()
-{
-    return gVerbosity;
-}
-
-int
-setLogVerbosity(int level)
-{
-    int prev = gVerbosity;
-    gVerbosity = level;
-    return prev;
-}
-
 namespace detail {
 
 std::string
@@ -62,12 +44,6 @@ void
 warnImpl(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 
 } // namespace detail

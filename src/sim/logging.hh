@@ -2,7 +2,7 @@
  * @file
  * gem5-style status and error reporting: panic() for internal invariant
  * violations (simulator bug), fatal() for user errors (bad configuration),
- * warn()/inform() for status messages that never stop the run.
+ * warn() for status messages that never stop the run.
  */
 
 #ifndef INFS_SIM_LOGGING_HH
@@ -14,18 +14,11 @@
 
 namespace infs {
 
-/** Global verbosity: 0 silent, 1 inform, 2 debug. */
-int logVerbosity();
-
-/** Set global verbosity (returns previous value). */
-int setLogVerbosity(int level);
-
 namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 std::string formatMessage(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
@@ -58,14 +51,5 @@ std::string formatMessage(const char *fmt, ...)
 /** Non-fatal diagnostic about questionable behaviour. */
 #define infs_warn(...) \
     ::infs::detail::warnImpl(::infs::detail::formatMessage(__VA_ARGS__))
-
-/** Normal operating message, gated by verbosity. */
-#define infs_inform(...) \
-    do { \
-        if (::infs::logVerbosity() >= 1) { \
-            ::infs::detail::informImpl( \
-                ::infs::detail::formatMessage(__VA_ARGS__)); \
-        } \
-    } while (0)
 
 #endif // INFS_SIM_LOGGING_HH

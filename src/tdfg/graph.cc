@@ -27,6 +27,17 @@ TdfgGraph::node(NodeId id) const
     return nodes_[id];
 }
 
+namespace {
+
+/** The name a node gets when its builder gives none. */
+std::string
+defaultName(TdfgKind kind, NodeId id)
+{
+    return std::string(tdfgKindName(kind)) + std::to_string(id);
+}
+
+} // namespace
+
 NodeId
 TdfgGraph::append(TdfgNode n)
 {
@@ -35,7 +46,7 @@ TdfgGraph::append(TdfgNode n)
         infs_assert(op < id, "operand %u of node %u not yet defined", op,
                     id);
     if (n.name.empty())
-        n.name = std::string(tdfgKindName(n.kind)) + std::to_string(id);
+        n.name = defaultName(n.kind, id);
     nodes_.push_back(std::move(n));
     return id;
 }
@@ -45,7 +56,7 @@ TdfgGraph::appendUnchecked(TdfgNode n)
 {
     NodeId id = static_cast<NodeId>(nodes_.size());
     if (n.name.empty())
-        n.name = std::string(tdfgKindName(n.kind)) + std::to_string(id);
+        n.name = defaultName(n.kind, id);
     nodes_.push_back(std::move(n));
     return id;
 }
@@ -296,6 +307,12 @@ std::string
 TdfgGraph::dump() const
 {
     std::ostringstream os;
+    auto list = [&os](const std::vector<std::int64_t> &v) {
+        os << "[";
+        for (std::size_t i = 0; i < v.size(); ++i)
+            os << (i ? "," : "") << v[i];
+        os << "]";
+    };
     os << "tdfg " << name_ << " dims=" << dims_ << "\n";
     for (NodeId id = 0; id < nodes_.size(); ++id) {
         const TdfgNode &n = nodes_[id];
@@ -327,6 +344,13 @@ TdfgGraph::dump() const
             os << (n.streamRole == StreamRole::Load ? " load"
                    : n.streamRole == StreamRole::Store ? " store"
                                                        : " reduce");
+            os << " array" << n.pattern.array << " start=" << n.pattern.start;
+            os << " strides=";
+            list(n.pattern.strides);
+            os << " counts=";
+            list(n.pattern.counts);
+            if (n.pattern.indirect())
+                os << " indirect=array" << n.pattern.indirectArray;
             break;
         }
         if (!n.operands.empty()) {
@@ -337,6 +361,8 @@ TdfgGraph::dump() const
         }
         if (!n.infiniteDomain && n.kind != TdfgKind::Tensor)
             os << " : " << n.domain.str();
+        if (n.name != defaultName(n.kind, id))
+            os << " name=" << n.name;
         os << "\n";
     }
     for (const Output &o : outputs_)

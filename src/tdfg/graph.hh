@@ -63,8 +63,6 @@ struct TdfgNode {
     StreamRole streamRole = StreamRole::Load;
     AccessPattern pattern;           ///< Stream access pattern.
     std::string name;                ///< Debug label.
-
-    bool isStream() const { return kind == TdfgKind::Stream; }
 };
 
 /** Aggregate counts the runtime uses for the Eq. 2 offload decision. */
@@ -172,7 +170,11 @@ class TdfgGraph
      */
     bool validate(bool fatal = true) const;
 
-    /** Multi-line text dump for debugging and golden tests. */
+    /**
+     * Multi-line text dump for debugging and golden tests. A node its
+     * builder named prints the name, and a stream node prints its access
+     * pattern.
+     */
     std::string dump() const;
 
   private:

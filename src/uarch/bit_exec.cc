@@ -37,26 +37,10 @@ BitAccurateFabric::stats() const
     s.maskCacheHits = maskHits_;
     s.maskCacheMisses = maskMisses_;
     s.bankOps = bankOps_;
-    std::uint64_t scratch = 0;
     for (const auto &t : tiles_)
         if (t)
-            scratch += t->scratchAllocs();
-    s.scratchAllocs = scratch - scratchBase_;
+            s.scratchAllocs += t->scratchAllocs();
     return s;
-}
-
-void
-BitAccurateFabric::resetStats()
-{
-    kindCount_ = {};
-    kindNanos_ = {};
-    maskHits_ = 0;
-    maskMisses_ = 0;
-    bankOps_ = {};
-    scratchBase_ = 0;
-    for (const auto &t : tiles_)
-        if (t)
-            scratchBase_ += t->scratchAllocs();
 }
 
 ComputeSram &

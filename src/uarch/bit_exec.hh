@@ -133,7 +133,6 @@ class BitAccurateFabric
 
     /** Snapshot of the per-command-kind counters and cache stats. */
     FabricStats stats() const;
-    void resetStats();
 
     /**
      * Per-tile bitline mask of cmd.tensor cells (shift-mask aware).
@@ -277,9 +276,6 @@ class BitAccurateFabric
     std::array<std::uint64_t, 6> kindNanos_{};
     /** Per-bank-group work-unit counters (FabricStats::bankOps). */
     std::array<std::uint64_t, FabricStats::kBankSlots> bankOps_{};
-    /** Scratch-alloc total at the last resetStats() (snapshots report the
-     * delta; tiles never reset their own counters). */
-    std::uint64_t scratchBase_ = 0;
 };
 
 } // namespace infs

@@ -47,7 +47,6 @@ class InfinitySystem
     JitCompiler &jit() { return jit_; }
     NearStreamEngine &nearEngine() { return near_; }
     TensorController &tensorController() { return tc_; }
-    const TensorTransposeUnit &ttu() const { return ttu_; }
     FaultInjector &faultInjector() { return fault_; }
     const FaultInjector &faultInjector() const { return fault_; }
     /** Host thread pool (SystemConfig::hostThreads, DESIGN.md §10). */

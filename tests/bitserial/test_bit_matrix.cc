@@ -24,7 +24,7 @@ TEST(BitRow, SetGetClear)
     EXPECT_FALSE(r.any());
 }
 
-TEST(BitRow, SetRangeAndStrided)
+TEST(BitRow, SetRange)
 {
     BitRow r(256);
     r.setRange(10, 20);
@@ -32,39 +32,18 @@ TEST(BitRow, SetRangeAndStrided)
     EXPECT_TRUE(r.get(10));
     EXPECT_TRUE(r.get(19));
     EXPECT_FALSE(r.get(20));
-
-    BitRow s(256);
-    s.setStrided(1, 2, 4); // bits 1, 3, 5, 7
-    EXPECT_EQ(s.popcount(), 4u);
-    EXPECT_TRUE(s.get(1));
-    EXPECT_TRUE(s.get(7));
-    EXPECT_FALSE(s.get(2));
-}
-
-TEST(BitRow, StridedStopsAtBoundary)
-{
-    BitRow s(16);
-    s.setStrided(10, 4, 100); // Only 10 and 14 fit.
-    EXPECT_EQ(s.popcount(), 2u);
-}
-
-TEST(BitRow, LogicOps)
-{
-    BitRow a(128), b(128);
-    a.setRange(0, 64);
-    b.setRange(32, 96);
-    EXPECT_EQ((a & b).popcount(), 32u);
-    EXPECT_EQ((a | b).popcount(), 96u);
-    EXPECT_EQ((a ^ b).popcount(), 64u);
-    EXPECT_EQ((~a).popcount(), 64u);
 }
 
 TEST(BitRow, NotMasksTailBits)
 {
     BitRow a(100); // Non-multiple of 64 — tail must stay clean.
-    BitRow n = ~a;
+    BitRow all(100);
+    all.setRange(0, 100);
+    BitRow n(100);
+    n.notAndInto(a, all);
     EXPECT_EQ(n.popcount(), 100u);
-    EXPECT_EQ((~n).popcount(), 0u);
+    n.notAndInto(n, all); // Aliasing-safe.
+    EXPECT_EQ(n.popcount(), 0u);
 }
 
 TEST(BitRow, ShiftUpDown)
@@ -72,42 +51,123 @@ TEST(BitRow, ShiftUpDown)
     BitRow r(256);
     r.set(0, true);
     r.set(100, true);
-    BitRow up = r.shiftedUp(3);
+    BitRow up(256);
+    up.assignShifted(r, 3);
     EXPECT_TRUE(up.get(3));
     EXPECT_TRUE(up.get(103));
     EXPECT_EQ(up.popcount(), 2u);
-    BitRow down = up.shiftedDown(3);
+    BitRow down(256);
+    down.assignShifted(up, -3);
     EXPECT_TRUE(down == r);
 }
 
 TEST(BitRow, ShiftDropsBitsAtEdges)
 {
-    BitRow r(256);
+    BitRow r(256), out(256);
     r.set(255, true);
-    EXPECT_EQ(r.shiftedUp(1).popcount(), 0u);
+    out.assignShifted(r, 1);
+    EXPECT_EQ(out.popcount(), 0u);
     r.clear();
     r.set(0, true);
-    EXPECT_EQ(r.shiftedDown(1).popcount(), 0u);
+    out.assignShifted(r, -1);
+    EXPECT_EQ(out.popcount(), 0u);
 }
 
 TEST(BitRow, ShiftAcrossWordBoundary)
 {
-    BitRow r(256);
+    BitRow r(256), up(256);
     r.set(60, true);
-    BitRow up = r.shiftedUp(10);
+    up.assignShifted(r, 10);
     EXPECT_TRUE(up.get(70));
     EXPECT_EQ(up.popcount(), 1u);
-    BitRow down = BitRow(256);
-    down.set(70, true);
-    EXPECT_TRUE(down.shiftedDown(10).get(60));
+    BitRow down(256);
+    down.assignShifted(up, -10);
+    EXPECT_TRUE(down.get(60));
+    EXPECT_EQ(down.popcount(), 1u);
 }
 
 TEST(BitRow, ShiftByWholeRowIsEmpty)
 {
-    BitRow r(128);
+    BitRow r(128), out(128);
     r.setRange(0, 128);
-    EXPECT_EQ(r.shiftedUp(128).popcount(), 0u);
-    EXPECT_EQ(r.shiftedDown(500).popcount(), 0u);
+    out.setRange(0, 128);
+    out.assignShifted(r, 128);
+    EXPECT_EQ(out.popcount(), 0u);
+    out.setRange(0, 128);
+    out.assignShifted(r, -500);
+    EXPECT_EQ(out.popcount(), 0u);
+}
+
+/** A row of @p bits random bits. */
+BitRow
+randomRow(Rng &rng, unsigned bits)
+{
+    BitRow r(bits);
+    for (unsigned i = 0; i < bits; ++i)
+        r.set(i, rng.next() & 1ULL);
+    return r;
+}
+
+TEST(BitRow, AssignShiftedMatchesPerBitReference)
+{
+    Rng rng(31);
+    for (unsigned bits : {1u, 63u, 64u, 100u, 256u}) {
+        for (int iter = 0; iter < 40; ++iter) {
+            const BitRow src = randomRow(rng, bits);
+            const int span = static_cast<int>(bits) + 5;
+            const int dist = int(rng.nextBounded(2 * span + 1)) - span;
+            BitRow out = randomRow(rng, bits); // Every bit is overwritten.
+            out.assignShifted(src, dist);
+            for (unsigned i = 0; i < bits; ++i) {
+                const long from = long(i) - dist;
+                const bool inside = from >= 0 && from < long(bits);
+                ASSERT_EQ(out.get(i), inside && src.get(unsigned(from)))
+                    << "bits " << bits << " dist " << dist << " bit " << i;
+            }
+        }
+    }
+}
+
+TEST(BitRow, FusedLogicMatchesPerBitReference)
+{
+    Rng rng(32);
+    for (unsigned bits : {64u, 100u, 256u}) {
+        const BitRow a = randomRow(rng, bits), b = randomRow(rng, bits);
+        BitRow and_r = a, or_r = a, xor_r = a, nand_r(bits), both(bits);
+        and_r.andInto(b);
+        or_r.orInto(b);
+        xor_r.xorInto(b);
+        nand_r.notAndInto(a, b);
+        both.assignAnd(a, b);
+        for (unsigned i = 0; i < bits; ++i) {
+            const bool x = a.get(i), y = b.get(i);
+            ASSERT_EQ(and_r.get(i), x && y) << bits << " " << i;
+            ASSERT_EQ(or_r.get(i), x || y) << bits << " " << i;
+            ASSERT_EQ(xor_r.get(i), x != y) << bits << " " << i;
+            ASSERT_EQ(nand_r.get(i), !x && y) << bits << " " << i;
+            ASSERT_EQ(both.get(i), x && y) << bits << " " << i;
+        }
+        EXPECT_EQ(nand_r.popcount() + both.popcount(), b.popcount());
+    }
+}
+
+TEST(BitRow, FullAdderAndSelectMatchPerBitReference)
+{
+    Rng rng(33);
+    for (unsigned bits : {64u, 100u, 256u}) {
+        const BitRow a = randomRow(rng, bits), b = randomRow(rng, bits);
+        const BitRow c = randomRow(rng, bits);
+        BitRow sum = a, carry = c, sel(bits);
+        sum.fullAdderInto(b, carry);
+        sel.assignSelect(a, b, c);
+        for (unsigned i = 0; i < bits; ++i) {
+            const int total = a.get(i) + b.get(i) + c.get(i);
+            ASSERT_EQ(sum.get(i), (total & 1) != 0) << bits << " " << i;
+            ASSERT_EQ(carry.get(i), total >= 2) << bits << " " << i;
+            ASSERT_EQ(sel.get(i), c.get(i) ? a.get(i) : b.get(i))
+                << bits << " " << i;
+        }
+    }
 }
 
 TEST(BitMatrix, ElementRoundTrip)

@@ -162,21 +162,6 @@ TEST_F(ComputeSramTest, ReluClampsNegativesRowParallel)
         EXPECT_FLOAT_EQ(sram.readFloat(i, 32), std::max(a[i], 0.0f));
 }
 
-TEST_F(ComputeSramTest, SelectPicksPerLane)
-{
-    std::vector<std::int32_t> a{10, 20, 30};
-    std::vector<std::int32_t> b{-1, -2, -3};
-    fillInt32(0, a);
-    fillInt32(32, b);
-    BitRow pred(256);
-    pred.set(1, true); // Only lane 1 takes a.
-    sram.bits().row(100) = pred;
-    sram.execSelect(DType::Int32, 100, 0, 32, 64, mask);
-    EXPECT_EQ(readInt32(0, 64), -1);
-    EXPECT_EQ(readInt32(1, 64), 20);
-    EXPECT_EQ(readInt32(2, 64), -3);
-}
-
 TEST_F(ComputeSramTest, ImmediateBroadcast)
 {
     sram.writeImmediate(DType::Int32, 0x12345678u, 0, mask);
@@ -230,17 +215,6 @@ TEST_F(ComputeSramTest, ShiftDiscardsBeyondArray)
     // Actually 254+2 = 256 (out), 255+2 = 257 (out): nothing lands.
     for (unsigned bl = 0; bl < 256; ++bl)
         EXPECT_EQ(sram.readElement(bl, 32, DType::Int32), 0u);
-}
-
-TEST_F(ComputeSramTest, BroadcastOneToMany)
-{
-    sram.writeElement(3, 0, DType::Int32, 0xabcdu);
-    BitRow m(256);
-    m.setRange(0, 8);
-    sram.broadcast(DType::Int32, 3, 0, 32, m);
-    for (unsigned bl = 0; bl < 8; ++bl)
-        EXPECT_EQ(sram.readElement(bl, 32, DType::Int32), 0xabcdu);
-    EXPECT_EQ(sram.readElement(8, 32, DType::Int32), 0u);
 }
 
 TEST_F(ComputeSramTest, StatsCountActivations)

@@ -1,42 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <vector>
 
+#include "bitserial/compute_sram.hh"
 #include "bitserial/transpose.hh"
-#include "sim/rng.hh"
 
 namespace infs {
 namespace {
-
-TEST(Transpose, RoundTripInt32)
-{
-    ComputeSram sram(256, 256);
-    TensorTransposeUnit ttu;
-    std::vector<std::uint64_t> in(100), out(100);
-    Rng rng(5);
-    for (auto &v : in)
-        v = rng.next() & 0xffffffffULL;
-    ttu.loadTransposed(sram, in, DType::Int32, 0);
-    ttu.storeFromTransposed(sram, out, DType::Int32, 0);
-    EXPECT_EQ(in, out);
-}
-
-TEST(Transpose, RoundTripFp32WithOffsetBitline)
-{
-    ComputeSram sram(256, 256);
-    TensorTransposeUnit ttu;
-    std::vector<float> vals{1.0f, -2.5f, 3.25e7f, -0.0f};
-    std::vector<std::uint64_t> in, out(vals.size());
-    for (float f : vals)
-        in.push_back(std::bit_cast<std::uint32_t>(f));
-    ttu.loadTransposed(sram, in, DType::Fp32, 64, 10);
-    // Check elements landed on the right bitlines.
-    EXPECT_FLOAT_EQ(sram.readFloat(10, 64), 1.0f);
-    EXPECT_FLOAT_EQ(sram.readFloat(12, 64), 3.25e7f);
-    ttu.storeFromTransposed(sram, out, DType::Fp32, 64, 10);
-    EXPECT_EQ(in, out);
-}
 
 TEST(Transpose, CostScalesWithLines)
 {
@@ -51,14 +21,18 @@ TEST(Transpose, CostScalesWithLines)
 
 TEST(Transpose, TransposedDataIsBitSerialComputable)
 {
-    // End-to-end: transpose in, compute bit-serially, transpose out.
+    // End-to-end: write elements in the vertical layout, compute
+    // bit-serially, read them back.
     ComputeSram sram(256, 256);
-    TensorTransposeUnit ttu;
-    std::vector<std::uint64_t> a{3, 5, 7}, b{10, 20, 30}, c(3);
-    ttu.loadTransposed(sram, a, DType::Int32, 0);
-    ttu.loadTransposed(sram, b, DType::Int32, 32);
+    const std::vector<std::uint64_t> a{3, 5, 7}, b{10, 20, 30};
+    for (unsigned i = 0; i < a.size(); ++i) {
+        sram.writeElement(i, 0, DType::Int32, a[i]);
+        sram.writeElement(i, 32, DType::Int32, b[i]);
+    }
     sram.execBinary(BitOp::Add, DType::Int32, 0, 32, 64, sram.fullMask());
-    ttu.storeFromTransposed(sram, c, DType::Int32, 64);
+    std::vector<std::uint64_t> c;
+    for (unsigned i = 0; i < a.size(); ++i)
+        c.push_back(sram.readElement(i, 64, DType::Int32));
     EXPECT_EQ(c, (std::vector<std::uint64_t>{13, 25, 37}));
 }
 

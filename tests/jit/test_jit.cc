@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/verify_tdfg.hh"
 #include "jit/jit.hh"
 
 namespace infs {
@@ -282,6 +283,26 @@ TEST_F(JitLowerTest, TryLowerRejectsMoveAlongMissingDim)
     auto res = jit.tryLower(g, lay, map);
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error().code, ErrCode::UnsupportedMove);
+}
+
+TEST_F(JitLowerTest, TryLowerRejectsSelect)
+{
+    // A select passes checkTdfg, but its predicate would be a third
+    // source slot: no command form exists, so lowering must fail
+    // recoverably instead of emitting binary selects no backend runs.
+    TdfgGraph g(1, "select");
+    const HyperRect r = HyperRect::interval(0, 1024);
+    NodeId p = g.tensor(0, r);
+    NodeId a = g.tensor(1, r);
+    NodeId b = g.tensor(2, r);
+    g.output(g.compute(BitOp::Select, {p, a, b}), 3);
+    ASSERT_TRUE(checkTdfg(g).ok());
+    TiledLayout lay({1024}, {256});
+    auto res = jit.tryLower(g, lay, map);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.error().code, ErrCode::InvalidArgument);
+    EXPECT_NE(res.error().message.find("select"), std::string::npos);
+    EXPECT_EQ(jit.stats().lowerings, 0u);
 }
 
 TEST_F(JitLowerTest, RejectedOptimizationKeepsTheRawStream)

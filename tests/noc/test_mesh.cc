@@ -66,27 +66,6 @@ TEST(MeshNoc, LocalMessageChargesNothing)
     EXPECT_DOUBLE_EQ(noc.utilization(1000), 0.0);
 }
 
-TEST(MeshNoc, MulticastSharesTreeLinks)
-{
-    MeshNoc noc(cfg8x8());
-    // From node 0 to nodes 1,2,3 along the same row: X-Y routes share
-    // links 0->1 and 1->2, so the tree has exactly 3 links.
-    noc.multicast(0, {1, 2, 3}, 32, TrafficClass::Data);
-    EXPECT_DOUBLE_EQ(noc.hopBytes(TrafficClass::Data), 32.0 * 3);
-    // A unicast version would charge 1 + 2 + 3 = 6 link-traversals.
-    MeshNoc noc2(cfg8x8());
-    for (BankId d : {1u, 2u, 3u})
-        noc2.send(0, d, 32, TrafficClass::Data);
-    EXPECT_DOUBLE_EQ(noc2.hopBytes(TrafficClass::Data), 32.0 * 6);
-}
-
-TEST(MeshNoc, MulticastLatencyIsFarthestLeaf)
-{
-    MeshNoc noc(cfg8x8());
-    Tick lat = noc.multicast(0, {63}, 32, TrafficClass::Data);
-    EXPECT_EQ(lat, 14u * 6u);
-}
-
 TEST(MeshNoc, UtilizationGrowsWithTraffic)
 {
     MeshNoc noc(cfg8x8());
@@ -197,7 +176,7 @@ TEST(MeshNoc, AccountingMatchesPerLinkModelBitForBit)
     // mesh and the 4x4 test mesh. Bulk flows use the hop factors the
     // callers pass: avgHops(), 1 (stream migration), a bank-delta mean
     // (inter-tile shifts, with a k / arraysPerBank crossing share) and
-    // min(avgHops(), n) (multicast broadcasts).
+    // min(avgHops(), n) (broadcasts).
     struct Machine {
         NocConfig noc;
         unsigned arraysPerBank;

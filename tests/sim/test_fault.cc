@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/backend.hh"
 #include "core/executor.hh"
 #include "sim/fault.hh"
 #include "uarch/bit_exec.hh"
@@ -453,6 +454,43 @@ TEST(Degradation, PersistentCommandFaultExhaustsRetriesAndDegrades)
     const auto &gc = got.array(2).data;
     for (std::size_t i = 0; i < gc.size(); ++i)
         ASSERT_FLOAT_EQ(gc[i], want.array(2).data[i]) << i;
+}
+
+/** vec_add with its phase computing select(A, B, A) instead. */
+Workload
+makeSelectWorkload()
+{
+    Workload w = makeVecAdd(4096);
+    w.assumeTransposed = true;
+    w.phases[0].buildTdfg = [](std::uint64_t) {
+        TdfgGraph g(1, "select");
+        const HyperRect r = HyperRect::interval(0, 4096);
+        NodeId p = g.tensor(0, r, "A");
+        NodeId a = g.tensor(1, r, "B");
+        NodeId b = g.tensor(0, r, "A");
+        g.output(g.compute(BitOp::Select, {p, a, b}), 2);
+        return g;
+    };
+    return w;
+}
+
+TEST(Degradation, SelectRegionDegradesInsteadOfAborting)
+{
+    // The JIT has no command form for a select: the region must degrade
+    // to its stream form instead of running binary select commands.
+    InfinitySystem sys(testSystemConfig());
+    Executor exec(sys, Paradigm::InfS);
+    ExecStats st = exec.run(makeSelectWorkload());
+    EXPECT_EQ(st.regionsDegraded, 1u);
+    EXPECT_GT(st.nearMemCycles, 0u);
+    EXPECT_EQ(st.computeCycles, 0u);
+}
+
+TEST(Degradation, SelectWorkloadPlansNoBackendJob)
+{
+    // The backends run only lowered programs, so a select region gives
+    // them no job rather than one the bit fabric cannot execute.
+    EXPECT_FALSE(planPrimaryJob(makeSelectWorkload(), testSystemConfig(), 0));
 }
 
 TEST(Degradation, InvalidForcedTileDegradesInsteadOfAborting)

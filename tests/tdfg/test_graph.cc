@@ -131,6 +131,46 @@ TEST(TdfgGraph, DumpShowsStructure)
     EXPECT_NE(d.find("output"), std::string::npos);
 }
 
+TEST(TdfgGraph, DumpShowsNamesAndStreamPatterns)
+{
+    // Two graphs that differ only in the array a load stream reads must
+    // dump differently; builder-given names print, default names do not.
+    auto build = [](ArrayId b) {
+        TdfgGraph g(2, "dot");
+        NodeId a = g.tensor(0, HyperRect::box2(0, 4, 0, 2), "A");
+        NodeId col = g.stream(StreamRole::Load,
+                              AccessPattern::affine2(b, 1, 1, 3, 4),
+                              invalidNode, HyperRect::box2(0, 4, 0, 1));
+        NodeId prod = g.compute(BitOp::Mul, {a, g.broadcast(col, 1, 0, 2)});
+        g.output(prod, 3);
+        return g;
+    };
+    EXPECT_EQ(build(1).dump(), R"(tdfg dot dims=2
+  %0 = tensor array0 [0,4)x[0,2) name=A
+  %1 = strm load array1 start=1 strides=[1,3] counts=[1,4] : [0,4)x[0,1)
+  %2 = bc dim=1 dist=0 count=2 (%1) : [0,4)x[0,2)
+  %3 = cmp mul (%0, %2) : [0,4)x[0,2)
+  output %3 -> array3
+)");
+    EXPECT_NE(build(1).dump(), build(2).dump());
+}
+
+TEST(TdfgGraph, DumpShowsIndirectStreamArray)
+{
+    // A gather A[B[i]] prints its index array; another index array
+    // dumps differently.
+    auto build = [](ArrayId index) {
+        TdfgGraph g(1, "gather");
+        g.stream(StreamRole::Load, AccessPattern::gather(0, index, 8),
+                 invalidNode, HyperRect::interval(0, 8));
+        return g;
+    };
+    EXPECT_EQ(build(1).dump(), R"(tdfg gather dims=1
+  %0 = strm load array0 start=0 strides=[1] counts=[8] indirect=array1 : [0,8)
+)");
+    EXPECT_NE(build(1).dump(), build(2).dump());
+}
+
 TEST(TdfgGraphDeath, OperandMustPrecede)
 {
     TdfgGraph g(1);
