@@ -35,7 +35,7 @@ def row(name, **changes):
 
 
 def bench_file(rows, schema="infs-bench-v6", backend="functional"):
-    return {"schema": schema, "mode": "quick", "threads": 1, "repeat": 1,
+    return {"schema": schema, "mode": "quick", "repeat": 1,
             "backend": backend, "workloads": rows}
 
 

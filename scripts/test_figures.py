@@ -58,7 +58,7 @@ def artifact():
                    fp32_peak_ops_per_cycle=16.0, probe_in_mem_ops=64,
                    base_peak_ops_per_cycle=8.0, area_baseline_mm2=100.0,
                    area_in_memory_mm2=5.0, area_near_memory_mm2=2.0)
-    return {"schema": "infs-bench-v6", "mode": "paper", "threads": 1,
+    return {"schema": "infs-bench-v6", "mode": "paper",
             "machine": machine, "workloads": rows}
 
 

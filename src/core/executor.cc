@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <optional>
 
 #include "bitserial/simd.hh"
 #include "core/plan.hh"
@@ -226,8 +224,8 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
         jit_enabled = false;
 
     // ---- Plan (DESIGN.md §10): layout and route of every phase, pure
-    // checks only, so the JIT work of independent regions can fan out
-    // before the sequential timing walk below.
+    // checks only. Each region lowers when the timing walk below reaches
+    // it, on this thread.
     RegionPlan plan = planRegion(w, cfg, jit_enabled);
     if (plan.layoutError) {
         infs_warn("workload '%s': %s; disabling in-memory execution",
@@ -268,44 +266,8 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
         cfg.l3.totalBitlines());
     waves = std::max<Tick>(waves, 1);
 
-    // ---- Pre-lower memoized regions bank-parallel (DESIGN.md §10). Each
-    // lowers exactly once here; the timing walk consumes the cold program
-    // directly, so the JIT time lands on the same iteration and JitStats
-    // match the sequential order. Fat-binary candidates (DESIGN.md §14)
-    // lower for every primary-layout phase, even when jit_enabled is off:
-    // a steady-state fat binary was lowered ahead of time and only the
-    // dispatch-time pick remains. Only the chosen program's jitTicks are
-    // ever charged.
-    using ProgOr = Expected<std::shared_ptr<const InMemProgram>>;
-    struct Lowered {
-        std::optional<ProgOr> prog; ///< Candidate 0 when candidates exist.
-        /** One program per candidate layout, index-aligned. */
-        std::vector<ProgOr> candProgs;
-    };
-    std::vector<Lowered> lowered(plan.phases.size());
-    {
-        std::vector<std::function<void()>> tasks;
-        for (std::size_t i = 0; i < plan.phases.size(); ++i) {
-            const PhasePlan &pp = plan.phases[i];
-            if (pp.route != Route::InMemory || pp.memoKey.empty())
-                continue;
-            tasks.push_back([this, &plan, &pp, &l = lowered[i]] {
-                if (pp.onPrimary && !plan.candidates.empty()) {
-                    l.candProgs = sys_.jit().lowerCandidates(
-                        *pp.g0, plan.candidates, sys_.map(), pp.memoKey);
-                    l.prog = l.candProgs.front();
-                } else {
-                    l.prog = sys_.jit().tryLower(*pp.g0, *plan.layoutOf(pp),
-                                                 sys_.map(), pp.memoKey);
-                }
-            });
-        }
-        sys_.pool().runTasks(std::move(tasks));
-    }
-
-    // ---- Sequential timing walk: all simulated-time, traffic, energy,
-    // and fault accounting happens here, in phase order, exactly as the
-    // single-thread engine did.
+    // ---- Timing walk: all simulated-time, traffic, energy, JIT and
+    // fault accounting happens here, in phase order.
 
     // Bank occupancy observed across the regions executed so far; feeds
     // the fat-binary dispatcher of later phases (empty history means the
@@ -316,6 +278,7 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
     // repeat) of @p p run @p prog_or on @p layout. A failed lowering or a
     // fault past the retry budget degrades the rest of the phase instead;
     // returns false then.
+    using ProgOr = Expected<std::shared_ptr<const InMemProgram>>;
     auto runLowered = [&](const Phase &p, const ProgOr &prog_or,
                           const TiledLayout &layout,
                           std::uint64_t first_iter, std::uint64_t repeat) {
@@ -356,30 +319,42 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
     };
 
     // Every iteration of an in-memory phase; false when it degraded.
-    auto runInMemoryPhase = [&](PhasePlan &pp, Lowered &l) {
+    auto runInMemoryPhase = [&](PhasePlan &pp) {
         const Phase &p = *pp.phase;
         const TiledLayout &layout = *plan.layoutOf(pp);
         prepareOnce();
+        JitCompiler &jit = sys_.jit();
         if (!pp.memoKey.empty()) {
             // The first iteration pays the JIT; the rest reuse the
-            // memoized program (§4.2). Lowered bank-parallel above.
-            ProgOr prog = *l.prog;
+            // memoized program (§4.2). Fat-binary candidates (DESIGN.md
+            // §14) lower for every primary-layout phase, even when
+            // jit_enabled is off: a steady-state fat binary was lowered
+            // ahead of time and only the dispatch-time pick remains. Only
+            // the chosen program's jitTicks are ever charged.
+            std::vector<ProgOr> cand_progs;
+            if (pp.onPrimary && !plan.candidates.empty())
+                cand_progs = jit.lowerCandidates(*pp.g0, plan.candidates,
+                                                 sys_.map(), pp.memoKey);
+            ProgOr prog = cand_progs.empty()
+                              ? jit.tryLower(*pp.g0, layout, sys_.map(),
+                                             pp.memoKey)
+                              : cand_progs.front();
             const TiledLayout *exec_layout = &layout;
-            if (prog && !l.candProgs.empty()) {
+            if (prog && !cand_progs.empty()) {
                 // Fat-binary dispatch (DESIGN.md §14): probe each cleanly
                 // lowered candidate's makespan on private replay models,
                 // then pick with the occupancy observed so far.
                 std::vector<ScheduleCandidate> cands;
                 std::vector<unsigned> ids;
-                for (unsigned c = 0; c < l.candProgs.size(); ++c) {
-                    if (!l.candProgs[c])
+                for (unsigned c = 0; c < cand_progs.size(); ++c) {
+                    if (!cand_progs[c])
                         continue; // Candidate failed to lower: drop it.
                     ScheduleCandidate sc;
                     sc.layout = plan.candidates[c];
-                    sc.prog = *l.candProgs[c];
+                    sc.prog = *cand_progs[c];
                     BackendJob job{sc.layout, sc.prog, primary_elems};
                     sc.replayCycles =
-                        replayTiming(cfg, job, &sys_.pool()).simCycles;
+                        replayTiming(cfg, job, nullptr).simCycles;
                     cands.push_back(std::move(sc));
                     ids.push_back(c);
                 }
@@ -397,36 +372,14 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
             }
             return runLowered(p, prog, *exec_layout, 0, p.iterations);
         }
-        // Changing parameters defeat memoization (gauss_elim, §8). Graphs
-        // build sequentially; lowering fans out in bounded blocks of 32
-        // lowerings per thread, so each round of worker wake-ups is
-        // amortized over many whole programs. When a lowering fails, the
-        // block may have lowered graphs past the failing iteration
-        // speculatively — that shows in JitStats only; ExecStats and the
-        // degradation point are unchanged (DESIGN.md §10).
-        ThreadPool &pool = sys_.pool();
-        const std::uint64_t block =
-            pool.inlineOnly() ? 1 : 32 * std::uint64_t{pool.threads()};
-        for (std::uint64_t it0 = 0; it0 < p.iterations; it0 += block) {
-            const std::uint64_t n =
-                std::min<std::uint64_t>(block, p.iterations - it0);
-            std::vector<TdfgGraph> graphs;
-            graphs.reserve(n);
-            for (std::uint64_t k = 0; k < n; ++k)
-                graphs.push_back(it0 + k == 0 ? std::move(*pp.g0)
-                                              : p.buildTdfg(it0 + k));
-            std::vector<std::optional<ProgOr>> progs(n);
-            std::vector<std::function<void()>> tasks;
-            tasks.reserve(n);
-            for (std::uint64_t k = 0; k < n; ++k)
-                tasks.push_back([&, k] {
-                    progs[k] =
-                        sys_.jit().tryLower(graphs[k], layout, sys_.map());
-                });
-            pool.runTasks(std::move(tasks));
-            for (std::uint64_t k = 0; k < n; ++k)
-                if (!runLowered(p, *progs[k], layout, it0 + k, 1))
-                    return false;
+        // Changing parameters defeat memoization (gauss_elim, §8): each
+        // iteration builds, lowers and runs its own region, and nothing
+        // past a failing iteration is lowered.
+        for (std::uint64_t it = 0; it < p.iterations; ++it) {
+            const TdfgGraph g = it == 0 ? std::move(*pp.g0) : p.buildTdfg(it);
+            if (!runLowered(p, jit.tryLower(g, layout, sys_.map()), layout, it,
+                            1))
+                return false;
         }
         return true;
     };
@@ -442,7 +395,7 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
             runNearOrCore(p, st, fused, 0, p.iterations);
         } else if (pp.route == Route::DegradeTdfg) {
             degradeRegion(p, st, 0, p.iterations, pp.error);
-        } else if (runInMemoryPhase(pp, lowered[i]) &&
+        } else if (runInMemoryPhase(pp) &&
                    !p.residualStreams.empty()) {
             // Residual work: final reductions / irregular updates coupled
             // to the in-memory part.
@@ -501,9 +454,8 @@ Executor::finalizeStats(ExecStats &st) const
     st.energyJoules = sys_.energy().totalJoules();
 
     // Dispatch provenance: which SIMD table the bitserial layer resolved
-    // to and how many NUMA nodes the pool pins across.
+    // to.
     st.simdIsa = simd::activeIsa();
-    st.numaNodes = sys_.pool().numaNodes();
 
     // Fault and recovery totals come from the injector — the single
     // source of truth across the NoC, the controller, and the fabric.

@@ -672,24 +672,11 @@ JitCompiler::lowerCandidates(const TdfgGraph &g,
         }
         return memo_key + "@" + sig;
     };
-    std::vector<std::optional<ProgOr>> out(layouts.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(layouts.size());
-    for (std::size_t c = 0; c < layouts.size(); ++c)
-        tasks.push_back([&, c] {
-            out[c] = tryLower(g, layouts[c], map, candKey(layouts[c]));
-        });
-    if (pool_ == nullptr) {
-        for (auto &task : tasks)
-            task();
-    } else {
-        pool_->runTasks(std::move(tasks));
-    }
-    std::vector<ProgOr> res;
-    res.reserve(out.size());
-    for (auto &o : out)
-        res.push_back(std::move(*o));
-    return res;
+    std::vector<ProgOr> out;
+    out.reserve(layouts.size());
+    for (const TiledLayout &layout : layouts)
+        out.push_back(tryLower(g, layout, map, candKey(layout)));
+    return out;
 }
 
 OffloadDecision

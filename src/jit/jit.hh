@@ -22,10 +22,11 @@
 #include "jit/tiling.hh"
 #include "sim/config.hh"
 #include "sim/expected.hh"
-#include "sim/thread_pool.hh"
 #include "tdfg/graph.hh"
 
 namespace infs {
+
+class ThreadPool;
 
 /**
  * Lower one mv of @p tensor by @p dist along @p dim into shift commands
@@ -86,8 +87,8 @@ class JitCompiler
      * layout, returning one program (or diagnostic) per layout in order.
      * Each candidate memoizes under `memo_key + "@" + <tile signature>`
      * so repeated regions hit the cache per schedule, and the executor
-     * can pick any of them at dispatch time. Candidates fan out across
-     * the attached pool; results are identical for any pool size.
+     * can pick any of them at dispatch time. Candidates lower in order
+     * on the calling thread.
      */
     std::vector<Expected<std::shared_ptr<const InMemProgram>>>
     lowerCandidates(const TdfgGraph &g,
@@ -108,13 +109,14 @@ class JitCompiler
     }
 
     /**
-     * Attach a host thread pool (nullptr = inline). Only whole lowerings
-     * fan out — the candidates of lowerCandidates — while one lowering
-     * always runs on the calling thread. tryLower is safe to call from
-     * concurrent tasks: one mutex guards the memo cache and the stats
-     * (DESIGN.md §10). Emitted programs are identical for any pool size.
+     * Does nothing: every lowering runs on the thread that calls
+     * tryLower or lowerCandidates (DESIGN.md §10). Kept only because
+     * perfbench/src/main.cc attaches its pool, until ROADMAP item 8
+     * deletes it. tryLower stays safe to call from concurrent threads,
+     * as perfbench's traced replica and the JitThreads tests do: one
+     * mutex guards the memo cache and the stats.
      */
-    void setThreadPool(ThreadPool *pool) { pool_ = pool; }
+    void setThreadPool(ThreadPool * /*pool*/) {}
 
     /**
      * Post-lowering verification callback (SystemConfig::verifyLevel).
@@ -139,7 +141,6 @@ class JitCompiler
 
     SystemConfig cfg_;
     VerifyHook verify_;
-    ThreadPool *pool_ = nullptr;
     /** Guards stats_ and memo_. */
     mutable std::mutex mu_;
     JitStats stats_;

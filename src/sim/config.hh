@@ -206,12 +206,11 @@ struct SystemConfig {
     unsigned fatBinaryCandidates = 3;
 
     /**
-     * Host threads the simulator's parallel engine may use (whole
-     * lowerings: fat-binary candidates, region pre-lowering, gauss_elim
-     * blocks — DESIGN.md §10). 0 = `hardware_concurrency`; 1 = exact
-     * legacy single-thread behavior. Simulation results are bit-identical
-     * for every value (parallel loops write per-index slots and merge in
-     * a fixed order), so this is purely a wall-clock knob.
+     * Size of InfinitySystem's host pool (DESIGN.md §10). 0 =
+     * `hardware_concurrency`. Nothing in the simulator runs on the pool:
+     * every lowering runs on the thread that needs its program. Kept
+     * only because perfbench's traced replica fans out on the pool, until
+     * ROADMAP item 8 deletes it. No simulated number depends on it.
      */
     unsigned hostThreads = 0;
 

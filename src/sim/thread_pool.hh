@@ -1,10 +1,13 @@
 /**
  * @file
  * Host thread pool: one FIFO task queue, one mutex and one condition
- * variable. Only whole lowerings fan out (DESIGN.md §10, "the fan-out
- * rule"): memoized-region pre-lowering, fat-binary candidates and
- * gauss_elim blocks, each task one complete lowering. A task must
- * outweigh the wake-up it costs, so nothing finer is ever queued.
+ * variable. Nothing in the simulator runs on it (DESIGN.md §10): a
+ * lowering takes a few microseconds, less than the wake-up a task costs,
+ * so the executor and the JIT lower on the calling thread. Its only
+ * users are perfbench's traced replica of the executor, which keeps its
+ * own fan-out of whole lowerings, and the tests (the ThreadPool cases,
+ * and the JitThreads cases that call tryLower concurrently). It goes
+ * with the replica (ROADMAP item 8).
  *
  * Design rules that keep simulation results bit-exact across pool sizes:
  *  - work is *split* deterministically (by index, never by thread id);

@@ -185,6 +185,19 @@ TdfgInterpreter::evalCompute(const TdfgGraph &g, const TdfgNode &n)
     TensorValue out = TensorValue::dense(n.domain);
     const unsigned n_ops = static_cast<unsigned>(n.operands.size());
     infs_assert(n_ops >= 1, "compute without operands");
+    if (n.fn == BitOp::Select) {
+        // Predicated move (bitserial/latency.hh): p != 0 ? a : b.
+        infs_assert(n_ops == 3, "select needs a predicate and two values, "
+                                "got %u operands", n_ops);
+        const TensorValue &p = values_[n.operands[0]];
+        const TensorValue &a = values_[n.operands[1]];
+        const TensorValue &b = values_[n.operands[2]];
+        for (RectIter it(n.domain); !it.done(); it.next()) {
+            out.at(*it) = p.at(*it) != 0.0f ? a.at(*it) : b.at(*it);
+            ++flops_;
+        }
+        return out;
+    }
     for (RectIter it(n.domain); !it.done(); it.next()) {
         const TensorValue &first = values_[n.operands[0]];
         float acc = std::as_const(first).at(*it);

@@ -15,7 +15,6 @@ InfinitySystem::InfinitySystem(SystemConfig cfg)
       near_(cfg_, noc_, l3_, dram_, map_, energy_),
       tc_(cfg_, noc_, map_, energy_, &fault_), ttu_(2)
 {
-    jit_.setThreadPool(&pool_);
     if (fault_.enabled())
         noc_.attachFaultInjector(&fault_);
 

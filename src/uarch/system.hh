@@ -49,7 +49,13 @@ class InfinitySystem
     TensorController &tensorController() { return tc_; }
     FaultInjector &faultInjector() { return fault_; }
     const FaultInjector &faultInjector() const { return fault_; }
-    /** Host thread pool (SystemConfig::hostThreads, DESIGN.md §10). */
+    /**
+     * Host thread pool (SystemConfig::hostThreads, DESIGN.md §10).
+     * Nothing in the simulator runs on it: only perfbench's traced
+     * replica fans out on it, and it stays until ROADMAP item 8 deletes
+     * that replica. Workers start on the first batch of more than one
+     * task, so a system nothing fans out on starts no thread.
+     */
     ThreadPool &pool() { return pool_; }
 
     /**

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <functional>
+#include <string>
+
 #include "core/executor.hh"
 #include "workloads/workloads.hh"
 
@@ -180,6 +184,192 @@ TEST(ExecutorFallback, EqTwoRejectedGaussRunsNearMemory)
         EXPECT_GT(infs.nearMemCycles, 0u);
         EXPECT_EQ(infs.cycles, near.cycles);
     }
+}
+
+/** A one-phase workload over arrays of @p n elements whose every
+ * iteration builds @p build's graph, pinned in memory by the Fig 2
+ * steady-state mode so that its region always reaches the JIT. */
+Workload
+handBuilt(Coord n, std::uint64_t iterations,
+          std::function<TdfgGraph(std::uint64_t)> build)
+{
+    Workload w;
+    w.name = "hand_built";
+    w.primaryShape = {n};
+    w.footprintBytes = 4 * static_cast<Bytes>(n) * 4;
+    w.assumeTransposed = true;
+    Phase p;
+    p.name = "body";
+    p.iterations = iterations;
+    p.sameTdfgEachIter = false;
+    p.buildTdfg = std::move(build);
+    p.coreFlopsPerIter = static_cast<std::uint64_t>(n);
+    p.coreBytesPerIter = 4 * static_cast<Bytes>(n) * 4;
+    w.phases.push_back(std::move(p));
+    return w;
+}
+
+/** C = A + B over @p n elements for @p iterations non-memoized
+ * iterations, except that iteration @p bad moves A by its whole extent,
+ * which no shift can express, so that iteration fails to lower. */
+Workload
+failsToLowerAt(Coord n, std::uint64_t iterations, std::uint64_t bad)
+{
+    return handBuilt(n, iterations, [n, bad](std::uint64_t k) {
+        TdfgGraph g(1, "step");
+        NodeId a = g.tensor(0, HyperRect::interval(0, n));
+        NodeId b = g.tensor(1, HyperRect::interval(0, n));
+        g.output(k == bad ? g.move(a, 0, n) : g.compute(BitOp::Add, {a, b}),
+                 2);
+        return g;
+    });
+}
+
+TEST(ExecutorFallback, NothingLowersPastAFailingIteration)
+{
+    // A non-memoized phase builds, lowers and runs one iteration at a
+    // time, so the iteration whose lowering fails is the last one the
+    // JIT sees, however many host threads the system has.
+    SystemConfig cfg = testSystemConfig();
+    cfg.hostThreads = 4;
+    InfinitySystem sys(cfg);
+    ExecStats st = runOn(sys, Paradigm::InfS, failsToLowerAt(4096, 200, 5));
+    EXPECT_EQ(st.regionsDegraded, 1u);
+    EXPECT_EQ(sys.jit().stats().lowerings, 5u);
+}
+
+TEST(ExecutorFallback, FailingIterationDegradesTheRestOfThePhase)
+{
+    // Iterations 0-4 run in memory exactly as a five-iteration phase
+    // does; iterations 5-199 fall back to the core (no stream form).
+    InfinitySystem sys(testSystemConfig());
+    const ExecStats five =
+        runOn(sys, Paradigm::InfS, failsToLowerAt(4096, 5, 5));
+    const ExecStats st =
+        runOn(sys, Paradigm::InfS, failsToLowerAt(4096, 200, 5));
+    EXPECT_EQ(five.regionsDegraded, 0u);
+    EXPECT_GT(five.inMemOps, 0u);
+    EXPECT_EQ(st.inMemOps, five.inMemOps);
+    EXPECT_EQ(st.computeCycles, five.computeCycles);
+    EXPECT_EQ(five.coreCycles, 0u);
+    EXPECT_GT(st.coreCycles, 0u);
+}
+
+TEST(ExecutorLowering, GaussLowersEachIterationOnce)
+{
+    // gauss_elim's shrinking regions defeat memoization: one cold
+    // lowering per iteration, no memo traffic.
+    Workload w = makeGaussElim(96);
+    w.assumeTransposed = true;
+    InfinitySystem sys(testSystemConfig());
+    const ExecStats st = runOn(sys, Paradigm::InfS, w);
+    EXPECT_EQ(st.regionsDegraded, 0u);
+    EXPECT_EQ(sys.jit().stats().lowerings, w.phases.front().iterations);
+    EXPECT_EQ(sys.jit().stats().memoHits, 0u);
+}
+
+TEST(ExecutorLowering, MemoizedRegionLowersOnceThenHitsTheMemo)
+{
+    // A memoized phase lowers once for all its iterations; a second run
+    // on the same system is served from the memo with the same timing.
+    Workload w = handBuilt(4096, 50, [](std::uint64_t) {
+        TdfgGraph g(1, "body");
+        NodeId a = g.tensor(0, HyperRect::interval(0, 4096));
+        NodeId b = g.tensor(1, HyperRect::interval(0, 4096));
+        g.output(g.compute(BitOp::Add, {a, b}), 2);
+        return g;
+    });
+    w.phases.front().sameTdfgEachIter = true;
+    InfinitySystem sys(testSystemConfig());
+    const ExecStats cold = runOn(sys, Paradigm::InfS, w);
+    const JitStats cold_jit = sys.jit().stats();
+    const ExecStats warm = runOn(sys, Paradigm::InfS, w);
+    const JitStats warm_jit = sys.jit().stats();
+    EXPECT_GE(cold_jit.lowerings, 1u);
+    EXPECT_EQ(cold_jit.memoHits, 0u);
+    EXPECT_EQ(warm_jit.lowerings, 0u);
+    EXPECT_EQ(warm_jit.memoHits, cold_jit.lowerings);
+    EXPECT_EQ(warm.cycles, cold.cycles);
+    EXPECT_EQ(warm.inMemOps, cold.inMemOps);
+}
+
+TEST(ExecutorLowering, NoJitLowersTheFatBinaryAndChargesNoJit)
+{
+    // Inf-S-noJIT runs a fat binary lowered ahead of time: every
+    // candidate schedule still lowers (dwt2d has several), but no
+    // jitTicks reach the simulated time.
+    Workload w = makeDwt2d(256, 256);
+    w.assumeTransposed = true;
+    InfinitySystem sys(testSystemConfig());
+    const ExecStats st = runOn(sys, Paradigm::InfSNoJit, w);
+    EXPECT_GT(st.scheduleCandidates, 1u);
+    EXPECT_GE(sys.jit().stats().lowerings, st.scheduleCandidates);
+    EXPECT_EQ(st.jitCycles, 0u);
+}
+
+/** Threads of this process, from /proc/self/status; 0 when unknown. */
+unsigned
+processThreads()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);)
+        if (line.rfind("Threads:", 0) == 0)
+            return static_cast<unsigned>(std::stoul(line.substr(8)));
+    return 0;
+}
+
+TEST(ExecutorThreads, InMemoryRunsStartNoHostThread)
+{
+    // Every lowering runs on the calling thread: a memoized region with
+    // fat-binary candidates (dwt2d) and gauss_elim's per-iteration
+    // lowerings start no pool worker, whatever hostThreads says.
+    const unsigned before = processThreads();
+    if (before == 0)
+        GTEST_SKIP() << "no /proc/self/status";
+    SystemConfig cfg = testSystemConfig();
+    cfg.hostThreads = 4;
+    InfinitySystem sys(cfg);
+    Workload dwt = makeDwt2d(256, 256);
+    dwt.assumeTransposed = true;
+    Workload gauss = makeGaussElim(96);
+    gauss.assumeTransposed = true;
+    EXPECT_GT(runOn(sys, Paradigm::InfS, dwt).scheduleCandidates, 1u);
+    EXPECT_GT(runOn(sys, Paradigm::InfS, gauss).inMemOps, 0u);
+    EXPECT_EQ(processThreads(), before);
+}
+
+TEST(ExecutorFallback, SelectDegradesAndStillComputes)
+{
+    // No command form runs a select, so its region degrades; the
+    // functional co-simulation still evaluates it, p != 0 ? a : b.
+    const Coord n = 4096;
+    Workload w = handBuilt(n, 1, [n](std::uint64_t) {
+        TdfgGraph g(1, "select");
+        const HyperRect r = HyperRect::interval(0, n);
+        g.output(g.compute(BitOp::Select,
+                           {g.tensor(0, r), g.tensor(1, r), g.tensor(2, r)}),
+                 3);
+        return g;
+    });
+    w.setup = [n](ArrayStore &s) {
+        ArrayId p = s.declare("P", {n});
+        ArrayId a = s.declare("A", {n});
+        ArrayId b = s.declare("B", {n});
+        s.declare("O", {n});
+        for (Coord i = 0; i < n; ++i) {
+            s.array(p).data[i] = static_cast<float>(i % 3);
+            s.array(a).data[i] = static_cast<float>(i);
+            s.array(b).data[i] = -static_cast<float>(i);
+        }
+    };
+    InfinitySystem sys(testSystemConfig());
+    ArrayStore store;
+    ExecStats st = Executor(sys, Paradigm::InfS).run(w, &store);
+    EXPECT_EQ(st.regionsDegraded, 1u);
+    for (Coord i = 0; i < n; ++i)
+        ASSERT_EQ(store.array(3).data[i],
+                  i % 3 != 0 ? static_cast<float>(i) : -static_cast<float>(i))
+            << i;
 }
 
 TEST_F(ParadigmTest, InMemOpFractionNearOne)

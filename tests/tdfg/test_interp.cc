@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cmath>
 
 #include "sim/rng.hh"
@@ -278,6 +280,92 @@ TEST(Interp, SelectViaCmpAndArith)
         EXPECT_FLOAT_EQ(store.array(O).data[i],
                         std::max(store.array(A).data[i],
                                  store.array(B).data[i]));
+}
+
+TEST(Interp, SelectPicksWhereThePredicateIsNonZero)
+{
+    const Coord n = 8;
+    ArrayStore store;
+    ArrayId P = store.declare("P", {n});
+    ArrayId A = store.declare("A", {n});
+    ArrayId B = store.declare("B", {n});
+    ArrayId O = store.declare("O", {n});
+    const float pred[n] = {0.0f, 1.0f, -0.0f, -2.5f, 0.0f, 0.5f, 0.0f, 3.0f};
+    for (Coord i = 0; i < n; ++i) {
+        store.array(P).data[i] = pred[i];
+        store.array(A).data[i] = static_cast<float>(10 + i);
+        store.array(B).data[i] = static_cast<float>(20 + i);
+    }
+    TdfgGraph g(1);
+    const HyperRect r = HyperRect::interval(0, n);
+    g.output(g.compute(BitOp::Select,
+                       {g.tensor(P, r), g.tensor(A, r), g.tensor(B, r)}),
+             O);
+    TdfgInterpreter interp(store);
+    interp.run(g);
+    for (Coord i = 0; i < n; ++i)
+        EXPECT_EQ(store.array(O).data[i],
+                  static_cast<float>(pred[i] != 0.0f ? 10 + i : 20 + i))
+            << i;
+    EXPECT_EQ(interp.flopCount(), static_cast<std::uint64_t>(n));
+}
+
+TEST(Interp, SelectOnCmpLtIsMin)
+{
+    const Coord n = 32;
+    ArrayStore store;
+    ArrayId A = store.declare("A", {n});
+    ArrayId B = store.declare("B", {n});
+    ArrayId O = store.declare("O", {n});
+    Rng rng(23);
+    for (Coord i = 0; i < n; ++i) {
+        store.array(A).data[i] = rng.nextFloat(-4, 4);
+        store.array(B).data[i] = rng.nextFloat(-4, 4);
+    }
+    TdfgGraph g(1);
+    NodeId a = g.tensor(A, HyperRect::interval(0, n));
+    NodeId b = g.tensor(B, HyperRect::interval(0, n));
+    g.output(g.compute(BitOp::Select,
+                       {g.compute(BitOp::CmpLt, {a, b}), a, b}),
+             O);
+    TdfgInterpreter(store).run(g);
+    for (Coord i = 0; i < n; ++i)
+        EXPECT_EQ(store.array(O).data[i],
+                  std::min(store.array(A).data[i], store.array(B).data[i]));
+}
+
+TEST(Interp, SelectTakesConstantOperands)
+{
+    // relu(x) as select(0 < x, x, 0): constants broadcast like any
+    // other compute operand.
+    const Coord n = 16;
+    ArrayStore store;
+    ArrayId X = store.declare("X", {n});
+    ArrayId O = store.declare("O", {n});
+    for (Coord i = 0; i < n; ++i)
+        store.array(X).data[i] = static_cast<float>(i) - 8.0f;
+    TdfgGraph g(1);
+    NodeId x = g.tensor(X, HyperRect::interval(0, n));
+    NodeId zero = g.constant(0.0);
+    g.output(g.compute(BitOp::Select,
+                       {g.compute(BitOp::CmpLt, {zero, x}), x, zero}),
+             O);
+    TdfgInterpreter(store).run(g);
+    for (Coord i = 0; i < n; ++i)
+        EXPECT_EQ(store.array(O).data[i],
+                  std::max(static_cast<float>(i) - 8.0f, 0.0f));
+}
+
+TEST(Interp, SelectNeedsThreeOperands)
+{
+    const Coord n = 8;
+    ArrayStore store;
+    ArrayId A = store.declare("A", {n});
+    ArrayId O = store.declare("O", {n});
+    TdfgGraph g(1);
+    NodeId a = g.tensor(A, HyperRect::interval(0, n));
+    g.output(g.compute(BitOp::Select, {a, a}), O);
+    EXPECT_DEATH(TdfgInterpreter(store).run(g), "select needs");
 }
 
 TEST(Interp, RectIterVisitsAllCellsInOrder)

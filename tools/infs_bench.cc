@@ -20,13 +20,13 @@
  * variant, plus a top-level `machine` object (Table 2 summary, Eq. 1, §8
  * area). scripts/figures.py renders every paper figure from that file.
  *
- * Every field but wall_ms is identical for any --threads value
- * (DESIGN.md §10). The functional backend's checksums are byte-identical
- * to the fabric's (DESIGN.md §12), so per-PR CI runs it for speed while
- * nightly re-runs the fabric.
+ * Every field but wall_ms is a deterministic function of the code and
+ * the workload (DESIGN.md §10). The functional backend's checksums are
+ * byte-identical to the fabric's (DESIGN.md §12), so per-PR CI runs it
+ * for speed while nightly re-runs the fabric.
  *
- * Exit status: 0 success, 2 usage error (unknown scenario or backend
- * names, and --threads/--repeat values that are not a count from 0 to
+ * Exit status: 0 success, 2 usage error (unknown options, scenario or
+ * backend names, and --repeat values that are not a count from 0 to
  * kMaxCount, fail upfront, before anything runs).
  */
 
@@ -148,8 +148,8 @@ rowName(const std::string &workload, Paradigm p, const std::string &variant)
  * every iteration by construction — verified here.
  */
 Row
-benchOne(const BenchScenario &sc, bool quick, unsigned threads,
-         unsigned repeat, ExecBackendKind backend,
+benchOne(const BenchScenario &sc, bool quick, unsigned repeat,
+         ExecBackendKind backend,
          const char *variant = "", const Knobs &knobs = {})
 {
     // Full runtime behavior: preparation, JIT, Eq. 2 adaptivity all
@@ -157,7 +157,6 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
     Workload w = quick ? sc.quick() : sc.full();
     applyKnobs(w, knobs);
     SystemConfig cfg = testSystemConfig();
-    cfg.hostThreads = threads;
     cfg.backend = backend;
     cfg.cmdOpt = knobs.cmdOpt;
     cfg.cmdOptSyncElision = knobs.syncElision;
@@ -201,7 +200,7 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
                 jb.commands =
                     static_cast<unsigned>(job->prog->commands.size());
                 jb.simCycles = static_cast<std::uint64_t>(
-                    replayTiming(cfg, *job, &sys.pool()).simCycles);
+                    replayTiming(cfg, *job, nullptr).simCycles);
             }
             continue;
         }
@@ -240,11 +239,9 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
  * machine, timed once. */
 Row
 paperRun(const std::string &workload, const std::string &variant,
-         const Workload &w, Paradigm p, unsigned threads)
+         const Workload &w, Paradigm p)
 {
-    SystemConfig cfg = defaultSystemConfig();
-    cfg.hostThreads = threads;
-    InfinitySystem sys(cfg);
+    InfinitySystem sys(defaultSystemConfig());
     Row r;
     r.name = rowName(workload, p, variant);
     auto t0 = std::chrono::steady_clock::now();
@@ -266,7 +263,7 @@ report(const Row &r)
  * size sweep, the Fig 16/17 forced-tile sweeps, and stencil2d with JIT
  * memoization off. */
 std::vector<Row>
-paperRuns(unsigned threads)
+paperRuns()
 {
     const Paradigm five[] = {Paradigm::Base, Paradigm::NearL3,
                              Paradigm::InL3, Paradigm::InfS,
@@ -285,7 +282,7 @@ paperRuns(unsigned threads)
             continue; // Fig 2's sweep below.
         const Workload &w = papers.emplace(sc.name, sc.paper()).first->second;
         for (Paradigm p : five)
-            add(paperRun(sc.name, "", w, p, threads));
+            add(paperRun(sc.name, "", w, p));
     }
 
     // Fig 2: data cached in L3 and already transposed, per the paper.
@@ -299,7 +296,7 @@ paperRuns(unsigned threads)
                 std::string(name) + "/" + std::to_string(n >> 10) + "k";
             for (Paradigm p : {Paradigm::Base1T, Paradigm::Base,
                                Paradigm::NearL3, Paradigm::InL3})
-                add(paperRun(label, "", w, p, threads));
+                add(paperRun(label, "", w, p));
         }
 
     // Fig 16/17: forced tiles of 256 elements under Inf-S.
@@ -312,7 +309,7 @@ paperRuns(unsigned threads)
             v += std::to_string(tile[d]);
         }
         w.forceTile = std::move(tile);
-        add(paperRun(name, v, w, Paradigm::InfS, threads));
+        add(paperRun(name, v, w, Paradigm::InfS));
     };
     for (const char *name : {"stencil2d", "dwt2d", "gauss_elim", "conv2d",
                              "mm_outer", "kmeans_outer", "gather_mlp_outer"})
@@ -327,7 +324,7 @@ paperRuns(unsigned threads)
     Workload w = papers.at("stencil2d");
     for (Phase &ph : w.phases)
         ph.sameTdfgEachIter = false;
-    add(paperRun("stencil2d", "memo_off", w, Paradigm::InfS, threads));
+    add(paperRun("stencil2d", "memo_off", w, Paradigm::InfS));
     return rows;
 }
 
@@ -424,12 +421,11 @@ writeJob(std::FILE *f, const JobBlock &j)
 template <class Header>
 void
 writeJson(std::FILE *f, const std::vector<Row> &rows, const char *mode,
-          unsigned threads, Header header)
+          Header header)
 {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"schema\": \"infs-bench-v6\",\n");
     std::fprintf(f, "  \"mode\": \"%s\",\n", mode);
-    std::fprintf(f, "  \"threads\": %u,\n", threads);
     header(f);
     std::fprintf(f, "  \"workloads\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -485,8 +481,7 @@ writeJson(std::FILE *f, const std::vector<Row> &rows, const char *mode,
     std::fprintf(f, "  ]\n}\n");
 }
 
-/** Largest --threads or --repeat value accepted: above any host's useful
- * parallelism, far below a worker count that would exhaust the host. */
+/** Largest --repeat value accepted. */
 constexpr unsigned kMaxCount = 256;
 
 int
@@ -495,14 +490,14 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [--quick|--full] [--backend fabric|functional]\n"
-        "       [--threads N] [--repeat N] [--json out.json]\n"
+        "       [--repeat N] [--json out.json]\n"
         "       [--ablate] [--list-scenarios] [workload...]\n"
-        "       %s --paper [--threads N] [--json out.json]\n"
+        "       %s --paper [--json out.json]\n"
         "Benchmark the seed workloads; default --quick over the whole "
         "registry.\n"
         "--paper runs every paper-tier configuration once on the Table 2 "
         "machine\n"
-        "  for scripts/figures.py; it accepts only --threads and --json.\n"
+        "  for scripts/figures.py; it accepts only --json.\n"
         "--ablate adds a row per scenario and optimization-stack variant\n"
         "  (workload@Inf-S/cmdopt_off, sync_elision_off, memo_off or\n"
         "  egraph_on).\n"
@@ -510,11 +505,9 @@ usage(const char *argv0)
         "pass\n"
         "  (default fabric; functional is bit-identical and faster).\n"
         "  Unknown scenario or backend names exit 2 before running.\n"
-        "--threads 0 uses all hardware threads; simulated results are "
-        "identical for any value.\n"
         "--repeat N (default 3) runs N timed iterations after one "
-        "untimed warmup and reports the median wall time.\n"
-        "  --threads and --repeat take a count from 0 to %u.\n",
+        "untimed warmup and reports the median wall time;\n"
+        "  N is a count from 0 to %u.\n",
         argv0, argv0, kMaxCount);
     return 2;
 }
@@ -541,7 +534,6 @@ main(int argc, char **argv)
     bool quick = true;
     bool paper = false;
     bool tuned = false; // Any option --paper does not accept.
-    unsigned threads = 0;
     unsigned repeat = 3;
     bool ablate = false;
     ExecBackendKind backend = ExecBackendKind::Fabric;
@@ -554,7 +546,7 @@ main(int argc, char **argv)
             paper = arg == "--paper";
             continue;
         }
-        if (arg != "--threads" && arg != "--json")
+        if (arg != "--json")
             tuned = true;
         if (arg == "--ablate") {
             ablate = true;
@@ -565,10 +557,9 @@ main(int argc, char **argv)
                              name.c_str());
                 return usage(argv[0]);
             }
-        } else if ((arg == "--threads" || arg == "--repeat") &&
-                   i + 1 < argc) {
+        } else if (arg == "--repeat" && i + 1 < argc) {
             const char *value = argv[++i];
-            if (!parseCount(value, arg == "--threads" ? threads : repeat)) {
+            if (!parseCount(value, repeat)) {
                 std::fprintf(stderr, "bad %s count '%s'\n", arg.c_str(),
                              value);
                 return usage(argv[0]);
@@ -617,9 +608,9 @@ main(int argc, char **argv)
     };
     std::vector<Row> rows;
     if (paper) {
-        rows = paperRuns(threads);
+        rows = paperRuns();
         return writeOut([&](std::FILE *f) {
-            writeJson(f, rows, "paper", threads, writeMachine);
+            writeJson(f, rows, "paper", writeMachine);
         });
     }
 
@@ -634,13 +625,13 @@ main(int argc, char **argv)
         if (!names.empty() &&
             std::find(names.begin(), names.end(), sc.name) == names.end())
             continue;
-        rows.push_back(benchOne(sc, quick, threads, repeat, backend));
+        rows.push_back(benchOne(sc, quick, repeat, backend));
         report(rows.back());
         if (!ablate)
             continue;
         for (const auto &[variant, knobs] : variants) {
-            rows.push_back(benchOne(sc, quick, threads, 1, backend, variant,
-                                    knobs));
+            rows.push_back(
+                benchOne(sc, quick, 1, backend, variant, knobs));
             report(rows.back());
         }
     }
@@ -652,6 +643,6 @@ main(int argc, char **argv)
         std::fprintf(f, "  \"repeat\": %u,\n", repeat);
     };
     return writeOut([&](std::FILE *f) {
-        writeJson(f, rows, quick ? "quick" : "full", threads, sweepHeader);
+        writeJson(f, rows, quick ? "quick" : "full", sweepHeader);
     });
 }
