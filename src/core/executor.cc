@@ -146,12 +146,20 @@ Executor::runNearOrCore(const Phase &p, ExecStats &st, bool near_allowed,
                         std::uint64_t first_iter, std::uint64_t iters)
 {
     if (near_allowed && hasStreamForm(p)) {
-        std::vector<NearStream> built;
+        if (!p.buildStreams) {
+            // Fixed streams: one engine call charges every iteration and
+            // returns one iteration's cycles (NearStreamEngine::run).
+            if (iters == 0)
+                return;
+            NearExecResult r =
+                sys_.nearEngine().run(p.streams, 0, 4, iters);
+            st.nearMemCycles += r.cycles * iters;
+            st.cycles += r.cycles * iters;
+            return;
+        }
         for (std::uint64_t i = 0; i < iters; ++i) {
-            if (p.buildStreams)
-                built = p.buildStreams(first_iter + i);
-            NearExecResult r = sys_.nearEngine().run(
-                p.buildStreams ? built : p.streams, 0);
+            NearExecResult r =
+                sys_.nearEngine().run(p.buildStreams(first_iter + i), 0);
             st.nearMemCycles += r.cycles;
             st.cycles += r.cycles;
         }
@@ -403,14 +411,16 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
                 bool any_reduce = false;
                 for (const NearStream &s : p.residualStreams)
                     any_reduce |= s.isReduce;
-                for (std::uint64_t it = 0; it < p.iterations; ++it) {
-                    NearExecResult r =
-                        sys_.nearEngine().run(p.residualStreams, 0);
+                if (p.iterations > 0) {
+                    // One engine call charges every iteration.
+                    NearExecResult r = sys_.nearEngine().run(
+                        p.residualStreams, 0, 4, p.iterations);
+                    const Tick t = r.cycles * p.iterations;
                     if (any_reduce)
-                        st.finalReduceCycles += r.cycles;
+                        st.finalReduceCycles += t;
                     else
-                        st.mixCycles += r.cycles;
-                    st.cycles += r.cycles;
+                        st.mixCycles += t;
+                    st.cycles += t;
                 }
             } else {
                 // In-L3 has no near-memory support: the core does it.

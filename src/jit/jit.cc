@@ -1,6 +1,7 @@
 #include "jit/jit.hh"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <sstream>
 
@@ -219,6 +220,27 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
     auto banksOf = [&](const HyperRect &r) {
         return layout.banksFor(r, map);
     };
+    // Bank sets of the compute subtensors mapped so far. Computes over
+    // one domain decompose into the same subtensors, so lookups often
+    // repeat; an inline table serves them without a heap allocation,
+    // and banksFor takes over once it is full. Moves, broadcasts and
+    // reductions call banksFor directly.
+    struct MappedRect {
+        HyperRect rect;
+        BankSet banks;
+    };
+    std::array<MappedRect, 16> compute_banks;
+    std::size_t num_compute_banks = 0;
+    auto computeBanksOf = [&](const HyperRect &r) {
+        for (std::size_t i = 0; i < num_compute_banks; ++i) {
+            if (compute_banks[i].rect == r)
+                return compute_banks[i].banks;
+        }
+        const BankSet banks = banksOf(r);
+        if (num_compute_banks < compute_banks.size())
+            compute_banks[num_compute_banks++] = {r, banks};
+        return banks;
+    };
 
     // Operand buffers of compute nodes, reused across nodes.
     std::vector<NodeId> tensor_ops;
@@ -353,7 +375,7 @@ JitCompiler::doLower(const TdfgGraph &g, const TiledLayout &layout,
             if (!subs)
                 return subs.error();
             for (const HyperRect &sub : *subs) {
-                auto banks = banksOf(sub);
+                const BankSet banks = computeBanksOf(sub);
                 unsigned cur_wl = loc[tensor_ops[0]].wl;
                 // Fold further tensor operands pairwise.
                 for (std::size_t i = 1; i < tensor_ops.size(); ++i) {

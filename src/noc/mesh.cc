@@ -68,54 +68,65 @@ MeshNoc::linkIndex(BankId from, BankId to) const
 }
 
 void
-MeshNoc::chargeRoute(MeshCoord src, MeshCoord dst, Bytes bytes)
+MeshNoc::chargeRoute(MeshCoord src, MeshCoord dst, double bytes)
 {
     // X-Y dimension-ordered routing, X first: link(from, dir) is
     // from * 4 + dir with dir 0/1/2/3 = east/west/north/south.
-    const auto b = static_cast<double>(bytes);
     const unsigned row = src.y * cfg_.meshX;
     for (unsigned x = src.x; x < dst.x; ++x)
-        links_[(row + x) * 4 + 0] += b;
+        links_[(row + x) * 4 + 0] += bytes;
     for (unsigned x = src.x; x > dst.x; --x)
-        links_[(row + x) * 4 + 1] += b;
+        links_[(row + x) * 4 + 1] += bytes;
     for (unsigned y = src.y; y < dst.y; ++y)
-        links_[(y * cfg_.meshX + dst.x) * 4 + 2] += b;
+        links_[(y * cfg_.meshX + dst.x) * 4 + 2] += bytes;
     for (unsigned y = src.y; y > dst.y; --y)
-        links_[(y * cfg_.meshX + dst.x) * 4 + 3] += b;
+        links_[(y * cfg_.meshX + dst.x) * 4 + 3] += bytes;
 }
 
 Tick
-MeshNoc::send(BankId src, BankId dst, Bytes bytes, TrafficClass cls)
+MeshNoc::send(BankId src, BankId dst, Bytes bytes, TrafficClass cls,
+              std::uint64_t count)
 {
     unsigned h = hops(src, dst);
     const MeshCoord a = coord(src), b = coord(dst);
-    hopBytes_[static_cast<unsigned>(cls)] +=
-        static_cast<double>(bytes) * h;
-    chargeRoute(a, b, bytes);
     Tick serialization = (bytes + cfg_.linkBytes - 1) / cfg_.linkBytes;
     Tick latency = Tick(h) * (cfg_.routerStages + cfg_.linkLatency) +
                    (serialization > 0 ? serialization - 1 : 0);
-    if (fault_ && fault_->sampleNocPacketFault()) {
-        // The link CRC catches the dropped/corrupted packet; retransmit,
-        // charging the route a second time.
-        hopBytes_[static_cast<unsigned>(cls)] +=
-            static_cast<double>(bytes) * h;
-        chargeRoute(a, b, bytes);
-        latency += fault_->recordDetection() + fault_->recordRetry(latency);
+    // The link CRC catches a dropped/corrupted packet, which is
+    // retransmitted: its route is charged a second time.
+    std::uint64_t packets = count;
+    Tick retry = 0;
+    if (fault_) {
+        for (std::uint64_t i = 0; i < count; ++i) {
+            if (fault_->sampleNocPacketFault()) {
+                ++packets;
+                retry = fault_->recordDetection() +
+                        fault_->recordRetry(latency);
+            }
+        }
     }
-    return latency;
+    // Integer byte counts: charging packets x bytes once equals charging
+    // bytes once per packet, bit for bit.
+    const double charged =
+        static_cast<double>(bytes) * static_cast<double>(packets);
+    hopBytes_[static_cast<unsigned>(cls)] += charged * h;
+    chargeRoute(a, b, charged);
+    return latency + retry;
 }
 
 void
-MeshNoc::accountBulk(double bytes, double avg_hops, TrafficClass cls)
+MeshNoc::accountBulk(double bytes, double avg_hops, TrafficClass cls,
+                     std::uint64_t count)
 {
-    double hop_bytes = bytes * avg_hops;
+    double hop_bytes = bytes * avg_hops * static_cast<double>(count);
     if (fault_) {
-        // Line-sized packets; faulted ones are retransmitted, so the flow
-        // carries that many extra packets' worth of hop-bytes.
+        // Line-sized packets; faulted ones are retransmitted, so the flows
+        // carry that many extra packets' worth of hop-bytes.
         auto packets = static_cast<std::uint64_t>(
             (bytes + double(lineBytes) - 1.0) / double(lineBytes));
-        std::uint64_t faulted = fault_->sampleNocBulkFaults(packets);
+        std::uint64_t faulted = 0;
+        for (std::uint64_t i = 0; i < count; ++i)
+            faulted += fault_->sampleNocBulkFaults(packets);
         for (std::uint64_t i = 0; i < faulted; ++i) {
             fault_->recordDetection();
             fault_->recordRetry();
@@ -132,6 +143,7 @@ MeshNoc::accountBulk(double bytes, double avg_hops, TrafficClass cls)
     // a power-of-two bank or arrays-per-bank count; the slot count is a
     // power of two. So every share is a multiple of 2^-22 byte, and a
     // per-slot sum could round only past 2^31 bytes (2^53 such units).
+    // The same argument makes a counted call equal @p count calls.
     uniform_ += hop_bytes / static_cast<double>(links_.size());
 }
 

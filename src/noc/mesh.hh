@@ -58,19 +58,27 @@ class MeshNoc
     unsigned hops(BankId src, BankId dst) const;
 
     /**
-     * Account a unicast message.
-     * @return Latency in ticks for the head to reach dst plus
-     * serialization of the payload.
+     * Account @p count identical unicast messages (one by default).
+     * Without a fault injector the route is charged once with @p count
+     * times the bytes; with one, faults are sampled per message, exactly
+     * as @p count separate sends would sample them.
+     * @return Latency in ticks for the head of one message to reach dst
+     * plus serialization of its payload, plus one retransmission when any
+     * message faulted.
      */
-    Tick send(BankId src, BankId dst, Bytes bytes, TrafficClass cls);
+    Tick send(BankId src, BankId dst, Bytes bytes, TrafficClass cls,
+              std::uint64_t count = 1);
 
     /**
-     * Account bulk traffic analytically: @p bytes moving an average of
-     * @p avg_hops hops. Used for aggregate flows (stream forwarding)
-     * where per-message routing is not enumerated; link occupancy is
-     * spread uniformly over every link slot, in O(1).
+     * Account bulk traffic analytically: @p count flows (one by default)
+     * of @p bytes each, moving an average of @p avg_hops hops. Used for
+     * aggregate flows (stream forwarding) where per-message routing is
+     * not enumerated; link occupancy is spread uniformly over every link
+     * slot, in O(1). With a fault injector, faults are sampled per flow,
+     * as @p count separate calls would sample them.
      */
-    void accountBulk(double bytes, double avg_hops, TrafficClass cls);
+    void accountBulk(double bytes, double avg_hops, TrafficClass cls,
+                     std::uint64_t count = 1);
 
     /** Mean hop distance between two uniformly random distinct nodes. */
     double avgHops() const;
@@ -118,7 +126,7 @@ class MeshNoc
      * order, without enumerating it: east/west along the source row,
      * then north/south along the destination column.
      */
-    void chargeRoute(MeshCoord src, MeshCoord dst, Bytes bytes);
+    void chargeRoute(MeshCoord src, MeshCoord dst, double bytes);
 
     NocConfig cfg_;
     FaultInjector *fault_ = nullptr;

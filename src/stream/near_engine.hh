@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "energy/energy.hh"
-#include "mem/address_map.hh"
 #include "mem/dram.hh"
 #include "mem/l3_model.hh"
 #include "noc/mesh.hh"
@@ -38,12 +37,14 @@ struct NearStream {
     double l3Residency = 1.0;
 };
 
-/** Aggregate result of executing a group of streams near memory. */
+/**
+ * Aggregate result of executing a group of streams near memory, for one
+ * iteration of the group however many iterations the call charged.
+ */
 struct NearExecResult {
     Tick cycles = 0;
     Bytes l3Bytes = 0;
     Bytes dramBytes = 0;
-    double nocHopBytes = 0.0;   ///< For reporting convenience.
     std::uint64_t elements = 0;
     std::uint64_t flops = 0;
 };
@@ -57,29 +58,29 @@ class NearStreamEngine
 {
   public:
     NearStreamEngine(const SystemConfig &cfg, MeshNoc &noc, L3Model &l3,
-                     DramModel &dram, const AddressMap &map,
-                     EnergyAccount &energy)
-        : cfg_(cfg), noc_(noc), l3_(l3), dram_(dram), map_(map),
-          energy_(energy)
+                     DramModel &dram, EnergyAccount &energy)
+        : cfg_(cfg), noc_(noc), l3_(l3), dram_(dram), energy_(energy)
     {
     }
 
     /**
-     * Execute a group of concurrent streams near L3.
+     * Execute a group of concurrent streams near L3, @p repeat times.
+     * The group is evaluated once: the NoC, L3, DRAM and energy models
+     * are charged for @p repeat iterations, and the result describes one.
      * @param streams The offloaded streams.
      * @param core The core tile that configured the offload (for control
      * traffic).
      * @param elem_bytes Element size (fp32 = 4).
+     * @param repeat Iterations of the group to charge (at least one).
      */
     NearExecResult run(const std::vector<NearStream> &streams, BankId core,
-                       unsigned elem_bytes = 4);
+                       unsigned elem_bytes = 4, std::uint64_t repeat = 1);
 
   private:
     SystemConfig cfg_;
     MeshNoc &noc_;
     L3Model &l3_;
     DramModel &dram_;
-    const AddressMap &map_;
     EnergyAccount &energy_;
 };
 

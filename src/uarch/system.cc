@@ -12,7 +12,7 @@ InfinitySystem::InfinitySystem(SystemConfig cfg)
     : cfg_(cfg), pool_(cfg.hostThreads), fault_(cfg.fault), noc_(cfg.noc),
       l3_(cfg.l3), dram_(cfg.dram, cfg.core.ghz),
       map_(cfg.l3, cfg.noc.memCtrls), jit_(cfg),
-      near_(cfg_, noc_, l3_, dram_, map_, energy_),
+      near_(cfg_, noc_, l3_, dram_, energy_),
       tc_(cfg_, noc_, map_, energy_, &fault_), ttu_(2)
 {
     if (fault_.enabled())

@@ -186,6 +186,108 @@ TEST(ExecutorFallback, EqTwoRejectedGaussRunsNearMemory)
     }
 }
 
+/** A one-phase workload that runs the same stream group near memory
+ * in each of its @p iterations. */
+Workload
+nearOnly(std::vector<NearStream> streams, std::uint64_t iterations)
+{
+    Workload w;
+    w.name = "near_only";
+    w.primaryShape = {1 << 12};
+    Phase p;
+    p.name = "streams";
+    p.iterations = iterations;
+    p.streams = std::move(streams);
+    w.phases.push_back(std::move(p));
+    return w;
+}
+
+/** What a run left in the system's L3 and energy models. */
+struct ModelTotals {
+    Bytes l3Read = 0;
+    Bytes l3Written = 0;
+    std::array<double, numEnergyEvents> energy{};
+
+    explicit ModelTotals(InfinitySystem &sys)
+        : l3Read(sys.l3().bytesRead()), l3Written(sys.l3().bytesWritten())
+    {
+        for (unsigned e = 0; e < numEnergyEvents; ++e)
+            energy[e] = sys.energy().count(EnergyEvent(e));
+    }
+};
+
+TEST(Executor, NearPhaseChargesEveryIteration)
+{
+    // Near-L3 evaluates a fixed stream group once per phase and charges
+    // it for every iteration: 1000 iterations cost exactly 1000 times
+    // one in every model the engine touches.
+    std::vector<NearStream> s(4);
+    s[0].pattern = AccessPattern::linear(0, 0, 1 << 14);
+    s[0].forwardTo = 2;
+    s[0].l3Residency = 0.5;
+    s[1].pattern = AccessPattern::gather(1, 3, 1 << 12);
+    s[1].forwardTo = 2;
+    s[2].pattern = AccessPattern::linear(2, 0, 1 << 14);
+    s[2].isStore = true;
+    s[2].flopsPerElem = 2;
+    s[3].pattern = AccessPattern::linear(4, 0, 1 << 10);
+    s[3].isReduce = true;
+    s[3].flopsPerElem = 1;
+    InfinitySystem sys;
+    const ExecStats one = runOn(sys, Paradigm::NearL3, nearOnly(s, 1));
+    const ModelTotals one_models(sys);
+    const ExecStats many = runOn(sys, Paradigm::NearL3, nearOnly(s, 1000));
+    const ModelTotals many_models(sys);
+
+    EXPECT_GT(one.nearMemCycles, 0u);
+    EXPECT_EQ(one.cycles, one.nearMemCycles);
+    EXPECT_EQ(many.nearMemCycles, 1000 * one.nearMemCycles);
+    EXPECT_EQ(many.cycles, 1000 * one.cycles);
+    EXPECT_GT(one.nocHopBytes[unsigned(TrafficClass::Data)], 0.0);
+    EXPECT_GT(one.nocHopBytes[unsigned(TrafficClass::Offload)], 0.0);
+    for (unsigned c = 0; c < numTrafficClasses; ++c)
+        EXPECT_EQ(many.nocHopBytes[c], 1000.0 * one.nocHopBytes[c]) << c;
+    EXPECT_GT(one.dramBytes, 0u);
+    EXPECT_EQ(many.dramBytes, 1000 * one.dramBytes);
+    EXPECT_GT(one_models.l3Written, 0u);
+    EXPECT_EQ(many_models.l3Read, 1000 * one_models.l3Read);
+    EXPECT_EQ(many_models.l3Written, 1000 * one_models.l3Written);
+    for (unsigned e = 0; e < numEnergyEvents; ++e)
+        EXPECT_EQ(many_models.energy[e], 1000.0 * one_models.energy[e])
+            << energyEventName(EnergyEvent(e));
+    // Joules scale the exact counts by per-event costs and 1e-12, which
+    // rounds; the counts above carry the exactness.
+    EXPECT_GT(one.energyJoules, 0.0);
+    EXPECT_DOUBLE_EQ(many.energyJoules, 1000.0 * one.energyJoules);
+}
+
+TEST(Executor, ResidualStreamsChargeEveryIteration)
+{
+    // Inf-S runs a phase's residual streams near memory after its
+    // in-memory part, one engine call for all iterations: a reduce
+    // residual lands in final-reduce cycles, any other in mix cycles.
+    for (bool reduce : {true, false}) {
+        SCOPED_TRACE(reduce);
+        auto sum = [reduce](std::uint64_t iterations) {
+            // Fig 2's steady state keeps one iteration in memory.
+            Workload w = makeArraySum(1 << 20);
+            w.assumeTransposed = true;
+            w.phases[0].iterations = iterations;
+            w.phases[0].residualStreams[0].isReduce = reduce;
+            return w;
+        };
+        InfinitySystem sys;
+        const ExecStats one = runOn(sys, Paradigm::InfS, sum(1));
+        const ExecStats many = runOn(sys, Paradigm::InfS, sum(1000));
+        EXPECT_GT(one.inMemOps, 0u);
+        const Tick one_t = reduce ? one.finalReduceCycles : one.mixCycles;
+        const Tick many_t = reduce ? many.finalReduceCycles : many.mixCycles;
+        EXPECT_GT(one_t, 0u);
+        EXPECT_EQ(many_t, 1000 * one_t);
+        EXPECT_EQ(reduce ? many.mixCycles : many.finalReduceCycles, 0u);
+    }
+}
+
 /** A one-phase workload over arrays of @p n elements whose every
  * iteration builds @p build's graph, pinned in memory by the Fig 2
  * steady-state mode so that its region always reaches the JIT. */

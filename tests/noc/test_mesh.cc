@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "noc/mesh.hh"
+#include "sim/fault.hh"
 #include "sim/rng.hh"
 
 namespace infs {
@@ -263,6 +264,101 @@ TEST(MeshNoc, AccountingMatchesPerLinkModelBitForBit)
         }
         EXPECT_GT(sends, 5000);
         EXPECT_GT(bulks, 8000);
+    }
+}
+
+/** Expect @p a and @p b to have charged every class and link alike. */
+void
+expectSameAccounting(const MeshNoc &a, const MeshNoc &b)
+{
+    for (unsigned c = 0; c < numTrafficClasses; ++c)
+        EXPECT_EQ(a.hopBytes(TrafficClass(c)), b.hopBytes(TrafficClass(c)));
+    for (Tick elapsed : {Tick(1), Tick(977), Tick(1) << 40})
+        EXPECT_EQ(a.utilization(elapsed), b.utilization(elapsed));
+    for (BankId from = 0; from < a.numNodes(); ++from) {
+        const MeshCoord c = a.coord(from);
+        if (c.x + 1 < a.config().meshX) {
+            const BankId to = a.node({c.x + 1, c.y});
+            EXPECT_EQ(a.linkBusyBytes(from, to), b.linkBusyBytes(from, to));
+            EXPECT_EQ(a.linkBusyBytes(to, from), b.linkBusyBytes(to, from));
+        }
+        if (c.y + 1 < a.config().meshY) {
+            const BankId to = a.node({c.x, c.y + 1});
+            EXPECT_EQ(a.linkBusyBytes(from, to), b.linkBusyBytes(from, to));
+            EXPECT_EQ(a.linkBusyBytes(to, from), b.linkBusyBytes(to, from));
+        }
+    }
+}
+
+TEST(MeshNoc, CountedCallsEqualRepeatedCalls)
+{
+    // A counted send or bulk flow charges exactly what that many
+    // separate calls charge, on both meshes, in random interleavings.
+    for (const NocConfig &cfg : {NocConfig{}, testSystemConfig().noc}) {
+        MeshNoc counted(cfg), repeated(cfg);
+        const unsigned nodes = counted.numNodes();
+        Rng rng(7 + nodes);
+        for (int op = 0; op < 400; ++op) {
+            const auto cls =
+                static_cast<TrafficClass>(rng.nextBounded(numTrafficClasses));
+            const std::uint64_t n = 1 + rng.nextBounded(5000);
+            if (rng.nextBounded(2) == 0) {
+                const auto src = BankId(rng.nextBounded(nodes));
+                const auto dst = BankId(rng.nextBounded(nodes));
+                const Bytes bytes = 1 + rng.nextBounded(4096);
+                const Tick t = counted.send(src, dst, bytes, cls, n);
+                Tick last = 0;
+                for (std::uint64_t i = 0; i < n; ++i)
+                    last = repeated.send(src, dst, bytes, cls);
+                EXPECT_EQ(t, last);
+            } else {
+                const double bytes = double(1 + rng.nextBounded(1u << 16));
+                const double hops =
+                    rng.nextBounded(2) ? counted.avgHops() : 1.0;
+                counted.accountBulk(bytes, hops, cls, n);
+                for (std::uint64_t i = 0; i < n; ++i)
+                    repeated.accountBulk(bytes, hops, cls);
+            }
+        }
+        expectSameAccounting(counted, repeated);
+        EXPECT_GT(counted.totalHopBytes(), 0.0);
+    }
+}
+
+TEST(MeshNoc, CountedCallsSampleFaultsPerMessage)
+{
+    // With an injector, a counted call draws from the NoC fault stream
+    // once per message or flow, as separate calls do: the fault counts,
+    // retries, retry cycles and retransmitted traffic all agree.
+    for (double rate : {1.0, 0.3}) {
+        FaultConfig fc;
+        fc.enabled = true;
+        fc.nocFaultRate = rate;
+        MeshNoc counted(NocConfig{}), repeated(NocConfig{});
+        FaultInjector fc_counted(fc), fc_repeated(fc);
+        counted.attachFaultInjector(&fc_counted);
+        repeated.attachFaultInjector(&fc_repeated);
+        const std::uint64_t n = 37;
+        counted.send(0, 63, 64, TrafficClass::Offload, n);
+        for (std::uint64_t i = 0; i < n; ++i)
+            repeated.send(0, 63, 64, TrafficClass::Offload);
+        counted.accountBulk(1000.0, counted.avgHops(), TrafficClass::Data,
+                            n);
+        for (std::uint64_t i = 0; i < n; ++i)
+            repeated.accountBulk(1000.0, repeated.avgHops(),
+                                 TrafficClass::Data);
+        expectSameAccounting(counted, repeated);
+        const FaultStats a = fc_counted.snapshot();
+        const FaultStats b = fc_repeated.snapshot();
+        EXPECT_EQ(a.nocPacketFaults, b.nocPacketFaults);
+        EXPECT_EQ(a.detected, b.detected);
+        EXPECT_EQ(a.retries, b.retries);
+        EXPECT_EQ(a.retryCycles, b.retryCycles);
+        if (rate == 1.0) {
+            // Every message faults once: n sends and n flows of 16 lines.
+            EXPECT_EQ(a.nocPacketFaults, n + n * 16);
+            EXPECT_EQ(a.retries, n + n * 16);
+        }
     }
 }
 
